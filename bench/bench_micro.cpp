@@ -68,8 +68,8 @@ void BM_Gf256MulAddSimd(benchmark::State& state) {
 BENCHMARK(BM_Gf256MulAddSimd)->Arg(64)->Arg(1316);
 
 // Raw ReedSolomon decode at the paper window: the all-data fast path (pure
-// validation + copy) vs an m-erasure repair (Gaussian elimination on the
-// k x k subsystem plus reconstruction mul_adds).
+// validation + copy) vs an e-erasure repair (e*(k-e) syndrome mul_adds, an
+// e x e inversion, and e*e reconstruction mul_adds).
 void run_rs_decode(benchmark::State& state, std::size_t erasures) {
   const std::size_t k = 101, m = 9;
   fec::ReedSolomon rs(k, m);

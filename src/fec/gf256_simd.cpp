@@ -1,17 +1,22 @@
 // Runtime-dispatched SIMD kernels for the GF(256) slice operations.
 //
-// Technique: split-nibble table lookup. For a fixed coefficient c, build two
-// 16-entry tables lo[x] = c*x and hi[x] = c*(x<<4); then for any byte
+// Technique: split-nibble table lookup. For a fixed coefficient c, two
+// 16-entry tables lo[x] = c*x and hi[x] = c*(x<<4) give, for any byte
 // s = (h<<4)|l, c*s = lo[l] ^ hi[h] by linearity of GF(2^8) multiplication
 // over XOR. PSHUFB (SSSE3) and TBL (NEON) perform sixteen such lookups per
 // instruction, so one window-sized mul_add touches each byte with ~6 vector
-// ops instead of two scalar table loads and a branch.
+// ops instead of two scalar table loads and a branch. The tables of all 256
+// coefficients form one 8 KB constant built at compile time: a slice call
+// loads its coefficient's 32 bytes instead of computing 32 products, which
+// matters because encode and decode make thousands of slice calls per window.
 //
 // The scalar fallback in gf256.cpp computes the exact same field elements —
 // dispatch changes throughput only, never bytes. Selection happens once per
 // process from CPU capability (not configuration), so results stay identical
 // across machines with and without the fast path.
 #include "fec/gf256.hpp"
+
+#include <array>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -25,20 +30,40 @@
 namespace hg::fec {
 namespace {
 
-// 2 x 16-entry product tables for one coefficient (see file comment).
-struct NibbleTables {
+// 2 x 16-entry product tables for one coefficient (see file comment),
+// aligned so that one coefficient's tables never straddle a cache line.
+struct alignas(32) NibbleTables {
   std::uint8_t lo[16];
   std::uint8_t hi[16];
+
+  [[nodiscard]] std::uint8_t product(std::uint8_t s) const {
+    return static_cast<std::uint8_t>(lo[s & 0x0f] ^ hi[s >> 4]);
+  }
 };
 
-NibbleTables make_nibble_tables(std::uint8_t coeff) {
-  NibbleTables t{};
-  for (unsigned x = 0; x < 16; ++x) {
-    t.lo[x] = GF256::mul(coeff, static_cast<std::uint8_t>(x));
-    t.hi[x] = GF256::mul(coeff, static_cast<std::uint8_t>(x << 4));
+// Shift-and-reduce multiply modulo 0x11b: the same field as the log/exp
+// tables, usable in a constant expression.
+constexpr std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b) {
+  std::uint8_t p = 0;
+  while (b != 0) {
+    if ((b & 1) != 0) p = static_cast<std::uint8_t>(p ^ a);
+    a = static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) != 0 ? 0x1b : 0x00));
+    b = static_cast<std::uint8_t>(b >> 1);
   }
-  return t;
+  return p;
 }
+
+constexpr std::array<NibbleTables, 256> kNibbleTables = [] {
+  std::array<NibbleTables, 256> all{};
+  for (unsigned c = 0; c < 256; ++c) {
+    for (unsigned x = 0; x < 16; ++x) {
+      all[c].lo[x] = gf_mul(static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(x));
+      all[c].hi[x] = gf_mul(static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(x << 4));
+    }
+  }
+  return all;
+}();
+static_assert(sizeof(kNibbleTables) == 8192);
 
 #if HG_GF256_HAVE_SSSE3_KERNEL
 
@@ -46,7 +71,7 @@ __attribute__((target("ssse3"))) void mul_add_slice_ssse3(std::uint8_t* dst,
                                                           const std::uint8_t* src, std::size_t n,
                                                           std::uint8_t coeff) {
   if (coeff == 0) return;
-  const NibbleTables t = make_nibble_tables(coeff);
+  const NibbleTables& t = kNibbleTables[coeff];
   const __m128i tlo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo));
   const __m128i thi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi));
   const __m128i mask = _mm_set1_epi8(0x0f);
@@ -59,7 +84,7 @@ __attribute__((target("ssse3"))) void mul_add_slice_ssse3(std::uint8_t* dst,
     const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_xor_si128(d, prod));
   }
-  if (i < n) GF256::mul_add_slice_scalar(dst + i, src + i, n - i, coeff);
+  for (; i < n; ++i) dst[i] ^= t.product(src[i]);
 }
 
 __attribute__((target("ssse3"))) void scale_slice_ssse3(std::uint8_t* dst, std::size_t n,
@@ -69,7 +94,7 @@ __attribute__((target("ssse3"))) void scale_slice_ssse3(std::uint8_t* dst, std::
     for (std::size_t i = 0; i < n; ++i) dst[i] = 0;
     return;
   }
-  const NibbleTables t = make_nibble_tables(coeff);
+  const NibbleTables& t = kNibbleTables[coeff];
   const __m128i tlo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo));
   const __m128i thi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi));
   const __m128i mask = _mm_set1_epi8(0x0f);
@@ -81,7 +106,7 @@ __attribute__((target("ssse3"))) void scale_slice_ssse3(std::uint8_t* dst, std::
     const __m128i prod = _mm_xor_si128(_mm_shuffle_epi8(tlo, lo), _mm_shuffle_epi8(thi, hi));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), prod);
   }
-  if (i < n) GF256::scale_slice_scalar(dst + i, n - i, coeff);
+  for (; i < n; ++i) dst[i] = t.product(dst[i]);
 }
 
 bool cpu_has_ssse3() { return __builtin_cpu_supports("ssse3") != 0; }
@@ -93,7 +118,7 @@ bool cpu_has_ssse3() { return __builtin_cpu_supports("ssse3") != 0; }
 void mul_add_slice_neon(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
                         std::uint8_t coeff) {
   if (coeff == 0) return;
-  const NibbleTables t = make_nibble_tables(coeff);
+  const NibbleTables& t = kNibbleTables[coeff];
   const uint8x16_t tlo = vld1q_u8(t.lo);
   const uint8x16_t thi = vld1q_u8(t.hi);
   const uint8x16_t mask = vdupq_n_u8(0x0f);
@@ -105,7 +130,7 @@ void mul_add_slice_neon(std::uint8_t* dst, const std::uint8_t* src, std::size_t 
     const uint8x16_t prod = veorq_u8(vqtbl1q_u8(tlo, lo), vqtbl1q_u8(thi, hi));
     vst1q_u8(dst + i, veorq_u8(vld1q_u8(dst + i), prod));
   }
-  if (i < n) GF256::mul_add_slice_scalar(dst + i, src + i, n - i, coeff);
+  for (; i < n; ++i) dst[i] ^= t.product(src[i]);
 }
 
 void scale_slice_neon(std::uint8_t* dst, std::size_t n, std::uint8_t coeff) {
@@ -114,7 +139,7 @@ void scale_slice_neon(std::uint8_t* dst, std::size_t n, std::uint8_t coeff) {
     for (std::size_t i = 0; i < n; ++i) dst[i] = 0;
     return;
   }
-  const NibbleTables t = make_nibble_tables(coeff);
+  const NibbleTables& t = kNibbleTables[coeff];
   const uint8x16_t tlo = vld1q_u8(t.lo);
   const uint8x16_t thi = vld1q_u8(t.hi);
   const uint8x16_t mask = vdupq_n_u8(0x0f);
@@ -125,7 +150,7 @@ void scale_slice_neon(std::uint8_t* dst, std::size_t n, std::uint8_t coeff) {
     const uint8x16_t hi = vshrq_n_u8(s, 4);
     vst1q_u8(dst + i, veorq_u8(vqtbl1q_u8(tlo, lo), vqtbl1q_u8(thi, hi)));
   }
-  if (i < n) GF256::scale_slice_scalar(dst + i, n - i, coeff);
+  for (; i < n; ++i) dst[i] = t.product(dst[i]);
 }
 
 #endif  // HG_GF256_HAVE_NEON_KERNEL

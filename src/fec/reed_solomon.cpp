@@ -1,5 +1,7 @@
 #include "fec/reed_solomon.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "fec/gf256.hpp"
 
@@ -42,16 +44,16 @@ std::vector<std::vector<std::uint8_t>> ReedSolomon::encode(
   return parity;
 }
 
-std::optional<std::vector<std::vector<std::uint8_t>>> ReedSolomon::decode(
-    std::span<const std::optional<std::vector<std::uint8_t>>> shards) const {
+std::optional<std::vector<std::vector<std::uint8_t>>> ReedSolomon::repair(
+    std::span<const ShardView> shards) const {
   HG_ASSERT(shards.size() == k_ + m_);
 
   // Shards come off the wire, so treat malformed input as undecodable, not
-  // as a programming error: every present shard — whether it feeds the fast
-  // path, the elimination, or is merely carried along — must agree on length.
+  // as a programming error: every present shard — whether it feeds the
+  // repair or is merely carried along — must agree on length.
   std::size_t shard_len = 0;
   bool saw_present = false;
-  for (const auto& s : shards) {
+  for (const ShardView& s : shards) {
     if (!s.has_value()) continue;
     if (!saw_present) {
       shard_len = s->size();
@@ -61,43 +63,67 @@ std::optional<std::vector<std::vector<std::uint8_t>>> ReedSolomon::decode(
     }
   }
 
-  // Fast path: all data shards present.
-  bool all_data = true;
+  std::vector<std::size_t> erased;
   for (std::size_t i = 0; i < k_; ++i) {
-    if (!shards[i].has_value()) {
-      all_data = false;
-      break;
-    }
+    if (!shards[i].has_value()) erased.push_back(i);
   }
-  if (all_data) {
-    std::vector<std::vector<std::uint8_t>> out;
-    out.reserve(k_);
-    for (std::size_t i = 0; i < k_; ++i) out.push_back(*shards[i]);
-    return out;
-  }
+  const std::size_t e = erased.size();
+  std::vector<std::vector<std::uint8_t>> repaired;
+  if (e == 0) return repaired;
 
-  // Gather the first k present shards (data shards first keeps the system
-  // mostly-identity, so elimination touches fewer rows).
+  // The first e present parity rows complete the first k present shards.
   std::vector<std::size_t> rows;
-  rows.reserve(k_);
-  for (std::size_t i = 0; i < k_ + m_ && rows.size() < k_; ++i) {
+  for (std::size_t i = k_; i < k_ + m_ && rows.size() < e; ++i) {
     if (shards[i].has_value()) rows.push_back(i);
   }
-  if (rows.size() < k_) return std::nullopt;
+  if (rows.size() < e) return std::nullopt;
 
-  const Matrix sub = enc_.select_rows(rows);
-  const Matrix inv = sub.inverted();
+  // Syndromes: each parity shard minus its present data terms, leaving
+  // sum over erased c of enc[row][c] * data[c].
+  std::vector<std::uint8_t> syndromes(e * shard_len);
+  auto syndrome = [&](std::size_t j) { return syndromes.data() + j * shard_len; };
+  for (std::size_t j = 0; j < e; ++j) {
+    std::copy(shards[rows[j]]->begin(), shards[rows[j]]->end(), syndrome(j));
+  }
+  for (std::size_t c = 0; c < k_; ++c) {
+    if (!shards[c].has_value()) continue;
+    for (std::size_t j = 0; j < e; ++j) {
+      GF256::mul_add_slice(syndrome(j), shards[c]->data(), shard_len, enc_.row(rows[j])[c]);
+    }
+  }
 
-  std::vector<std::vector<std::uint8_t>> out(k_);
+  Matrix block(e, e);
+  for (std::size_t j = 0; j < e; ++j) {
+    for (std::size_t i = 0; i < e; ++i) block.set(j, i, enc_.row(rows[j])[erased[i]]);
+  }
+  const Matrix inv = block.inverted();
+
+  repaired.assign(e, std::vector<std::uint8_t>(shard_len, 0));
+  for (std::size_t i = 0; i < e; ++i) {
+    for (std::size_t j = 0; j < e; ++j) {
+      GF256::mul_add_slice(repaired[i].data(), syndrome(j), shard_len, inv.at(i, j));
+    }
+  }
+  return repaired;
+}
+
+std::optional<std::vector<std::vector<std::uint8_t>>> ReedSolomon::decode(
+    std::span<const std::optional<std::vector<std::uint8_t>>> shards) const {
+  std::vector<ShardView> views(shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (shards[i].has_value()) views[i] = std::span<const std::uint8_t>(*shards[i]);
+  }
+  auto repaired = repair(views);
+  if (!repaired.has_value()) return std::nullopt;
+
+  std::vector<std::vector<std::uint8_t>> out;
+  out.reserve(k_);
+  std::size_t next = 0;
   for (std::size_t d = 0; d < k_; ++d) {
     if (shards[d].has_value()) {
-      out[d] = *shards[d];  // present data shard: copy through
-      continue;
-    }
-    out[d].assign(shard_len, 0);
-    const std::uint8_t* coeffs = inv.row(d);
-    for (std::size_t j = 0; j < k_; ++j) {
-      GF256::mul_add_slice(out[d].data(), shards[rows[j]]->data(), shard_len, coeffs[j]);
+      out.push_back(*shards[d]);
+    } else {
+      out.push_back(std::move((*repaired)[next++]));
     }
   }
   return out;

@@ -6,6 +6,15 @@
 // receive); the bottom m rows make every k-subset of the n=k+m rows
 // invertible (Vandermonde construction, normalized so parity rows stay
 // independent together with identity rows).
+//
+// Decoding is erasure-only and exploits the identity block: with e data
+// shards erased, the first e present parity rows minus the contribution of
+// the k-e present data shards leave e syndromes that depend on the erased
+// shards alone (e*(k-e) slice operations); the e x e block of those parity
+// rows at the erased columns is inverted and applied (e*e slice operations).
+// repair() only reads the present data shards. Because the chosen rows
+// are the first k present shards in index order, any k-subset being
+// invertible makes the e x e block invertible too.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +28,10 @@ namespace hg::fec {
 
 class ReedSolomon {
  public:
+  // One shard as the decoder sees it: a view of its bytes, or nullopt when
+  // the shard was erased.
+  using ShardView = std::optional<std::span<const std::uint8_t>>;
+
   // k data shards, m parity shards; k + m <= 255.
   ReedSolomon(std::size_t k, std::size_t m);
 
@@ -30,8 +43,15 @@ class ReedSolomon {
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode(
       std::span<const std::vector<std::uint8_t>> data) const;
 
-  // shards: n entries; missing ones empty/nullopt. Returns the k data shards
-  // if at least k shards are present, std::nullopt otherwise.
+  // shards: views of all n shards. Rebuilds the erased data shards and
+  // returns them in ascending index order (none when every data shard is
+  // present), or std::nullopt when fewer than k shards are present or the
+  // present shards — every one of them, used or not — differ in length.
+  [[nodiscard]] std::optional<std::vector<std::vector<std::uint8_t>>> repair(
+      std::span<const ShardView> shards) const;
+
+  // shards: n entries, missing ones nullopt. Returns the k data shards if
+  // repair() succeeds, std::nullopt otherwise.
   [[nodiscard]] std::optional<std::vector<std::vector<std::uint8_t>>> decode(
       std::span<const std::optional<std::vector<std::uint8_t>>> shards) const;
 

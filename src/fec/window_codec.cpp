@@ -25,6 +25,12 @@ std::vector<std::vector<std::uint8_t>> WindowCodec::encode_window(
   return rs_.encode(data_packets);
 }
 
+std::optional<std::vector<std::vector<std::uint8_t>>> WindowCodec::repair_window(
+    std::span<const ReedSolomon::ShardView> received) const {
+  HG_ASSERT(received.size() == window_packets());
+  return rs_.repair(received);
+}
+
 std::optional<std::vector<std::vector<std::uint8_t>>> WindowCodec::decode_window(
     std::span<const std::optional<std::vector<std::uint8_t>>> received) const {
   HG_ASSERT(received.size() == window_packets());

@@ -35,8 +35,14 @@ class WindowCodec {
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode_window(
       std::span<const std::vector<std::uint8_t>> data_packets) const;
 
-  // Attempts to decode a window from whichever packets arrived (indexed
-  // 0..window_packets-1, data first). Returns all data packets on success.
+  // Views of whichever packets arrived (indexed 0..window_packets-1, data
+  // first; nullopt = not arrived). Returns only the rebuilt data packets, in
+  // index order — none when every data packet arrived — or std::nullopt if
+  // the window is undecodable or the arrived packets differ in length.
+  [[nodiscard]] std::optional<std::vector<std::vector<std::uint8_t>>> repair_window(
+      std::span<const ReedSolomon::ShardView> received) const;
+
+  // As repair_window, but from owned packets, returning all data packets.
   [[nodiscard]] std::optional<std::vector<std::vector<std::uint8_t>>> decode_window(
       std::span<const std::optional<std::vector<std::uint8_t>>> received) const;
 

@@ -31,6 +31,9 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
   HG_ASSERT_MSG(population_.node.gossip.virtual_payloads == stream_.stream.virtual_payloads,
                 "virtual_payloads must be set on the gossip AND stream config (the flag "
                 "selects the serve wire framing deployment-wide)");
+  HG_ASSERT_MSG(population_.node.gossip.packets_per_window == stream_.stream.window_packets(),
+                "gossip.packets_per_window must equal the stream's window_packets() "
+                "(data_per_window + parity_per_window): the gossip rings are sized by it");
 
   // make_unique can't reach the private constructor.
   std::unique_ptr<Deployment> d(new Deployment());
@@ -131,6 +134,15 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
 
   for (std::uint32_t i = 0; i < total; ++i) d->directory_->add_node(NodeId{i});
 
+  // One Reed-Solomon codec per deployment: building one costs far more than
+  // a node does, and the source and every receiver use the same code.
+  if (stream_.stream.real_payloads) {
+    const stream::StreamConfig& s = stream_.stream;
+    d->codec_.emplace(fec::WindowCodecConfig{.data_per_window = s.data_per_window,
+                                             .parity_per_window = s.parity_per_window,
+                                             .packet_bytes = s.packet_bytes});
+  }
+
   // Each node's stack runs on its own partition's simulator (the sequential
   // engine is "one partition" here).
   auto sim_of = [&d](NodeId id) -> sim::Simulator& {
@@ -198,7 +210,7 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
       // packets arrive. Sized/virtual runs mount nothing — decodability is
       // pure counting there, and the stack stays bit-identical to before
       // the FEC layer existed.
-      r.node->emplace_module<stream::FecModule>(stream_.stream, stream_.windows);
+      r.node->emplace_module<stream::FecModule>(*d->codec_, stream_.windows);
     }
     r.node->attach(r.info.actual_capacity);
     d->receivers_.push_back(std::move(r));
@@ -209,7 +221,8 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
       sim_of(NodeId{0}), stream_.stream,
       [source_node = d->source_node_.get()](gossip::Event e) {
         source_node->publish(std::move(e));
-      });
+      },
+      d->codec_.has_value() ? &*d->codec_ : nullptr);
 
   // --- churn ----------------------------------------------------------------
   // Armed here, not in start(): same-time events fire in scheduling order,

@@ -160,8 +160,9 @@ class Deployment {
 
     // Assembles the full system and arms the churn schedule; protocol and
     // stream activity only begins at start(). Validates the plans first:
-    // a churn fraction outside [0, 1] or a non-monotone churn schedule is
-    // rejected with a clear error.
+    // a churn fraction outside [0, 1], a non-monotone churn schedule, or a
+    // gossip window geometry that differs from the stream's is rejected with
+    // a clear error.
     [[nodiscard]] std::unique_ptr<Deployment> build() const;
 
    private:
@@ -248,6 +249,9 @@ class Deployment {
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::NetworkFabric> fabric_;
   std::unique_ptr<membership::Directory> directory_;
+  // Real-payload runs only: the one codec the source and every receiver's
+  // FecModule borrow, declared before them so it outlives them.
+  std::optional<fec::WindowCodec> codec_;
   std::unique_ptr<core::NodeRuntime> source_node_;
   std::unique_ptr<stream::StreamSource> source_;
   std::vector<Receiver> receivers_;

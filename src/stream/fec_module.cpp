@@ -1,17 +1,10 @@
 #include "stream/fec_module.hpp"
 
-#include "common/assert.hpp"
-
 namespace hg::stream {
 
-FecModule::FecModule(core::NodeRuntime& runtime, StreamConfig config, std::uint32_t windows_total)
-    : config_(config),
-      codec_(fec::WindowCodecConfig{.data_per_window = config.data_per_window,
-                                    .parity_per_window = config.parity_per_window,
-                                    .packet_bytes = config.packet_bytes}),
-      windows_(windows_total) {
-  HG_ASSERT_MSG(config.real_payloads, "FecModule needs payload bytes; mount it only in "
-                                      "real-payload deployments");
+FecModule::FecModule(core::NodeRuntime& runtime, const fec::WindowCodec& codec,
+                     std::uint32_t windows_total)
+    : codec_(codec), windows_(windows_total) {
   deliver_sub_ =
       runtime.deliveries().subscribe([this](const gossip::Event& e) { on_deliver(e); });
 }
@@ -24,27 +17,26 @@ void FecModule::on_deliver(const gossip::Event& event) {
   if (ws.decoded) return;
   // The payload came off the wire: wrong-sized bytes cannot be a shard of
   // this window, so drop them here rather than poisoning the shard set.
-  if (event.payload.size() != config_.packet_bytes) {
+  if (event.payload.size() != codec_.config().packet_bytes) {
     ++stats_.malformed_packets;
     return;
   }
   if (ws.shards.empty()) ws.shards.resize(codec_.window_packets());
-  auto& slot = ws.shards[id.index()];
-  if (slot.has_value()) return;  // duplicate delivery
-  const auto bytes = event.payload.bytes();
-  slot.emplace(bytes.begin(), bytes.end());
+  net::BufferRef& slot = ws.shards[id.index()];
+  if (slot) return;  // duplicate delivery
+  slot = event.payload;
   ++ws.present;
   if (codec_.decodable(ws.present)) try_decode(id.window());
 }
 
 void FecModule::try_decode(std::uint32_t w) {
   WindowState& ws = windows_[w];
-  std::size_t missing_data = 0;
-  for (std::size_t i = 0; i < config_.data_per_window; ++i) {
-    if (!ws.shards[i].has_value()) ++missing_data;
+  std::vector<fec::ReedSolomon::ShardView> views(ws.shards.size());
+  for (std::size_t i = 0; i < ws.shards.size(); ++i) {
+    if (ws.shards[i]) views[i] = ws.shards[i].bytes();
   }
-  auto decoded = codec_.decode_window(ws.shards);
-  if (!decoded.has_value()) {
+  const auto repaired = codec_.repair_window(views);
+  if (!repaired.has_value()) {
     // Leave the window open: a later arrival changes the shard set and may
     // decode where this one failed.
     ++stats_.decode_failures;
@@ -52,12 +44,26 @@ void FecModule::try_decode(std::uint32_t w) {
   }
   ws.decoded = true;
   ++stats_.windows_decoded;
-  if (missing_data == 0) {
+  if (repaired->empty()) {
     ++stats_.windows_complete;
   } else {
-    stats_.erasures_repaired += missing_data;
+    stats_.erasures_repaired += repaired->size();
   }
-  if (sink_) sink_(w, *decoded);
+  if (sink_) {
+    // The window's data packets: arrived ones in place, repaired ones from
+    // the decode, in index order.
+    const std::size_t k = codec_.config().data_per_window;
+    std::vector<std::span<const std::uint8_t>> data(k);
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (views[i].has_value()) {
+        data[i] = *views[i];
+      } else {
+        data[i] = (*repaired)[next++];
+      }
+    }
+    sink_(w, data);
+  }
   ws.shards.clear();
   ws.shards.shrink_to_fit();
 }

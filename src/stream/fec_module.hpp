@@ -1,11 +1,13 @@
 // Online FEC decoding as a protocol-stack member.
 //
 // PlayerModule records *when* packets arrive; FecModule reconstructs *what*
-// arrived. It buffers the payload bytes of each window's delivered packets
-// and, the moment any k of the n coded packets are present (the MDS counting
-// rule), runs the Reed-Solomon decode: missing data packets are repaired
-// from parity, the reconstructed window is handed to an optional sink, and
-// the shard buffers are released. Riding the same deliveries() signal as the
+// arrived. It keeps each window's delivered packets as the delivered
+// net::BufferRef — the gossip store already holds the same bytes, so a shard
+// costs a refcount, not a copy — and, the moment any k of the n coded
+// packets are present (the MDS counting rule), repairs the window through
+// byte views: only the missing data packets are rebuilt from parity, the
+// window's k data packets are handed to an optional sink as views, and the
+// shard references are dropped. Riding the same deliveries() signal as the
 // player means decode happens at exactly the arrival the player stamps as
 // decode_time — and on which, in smart mode, it cancels the window's
 // outstanding requests/retransmit timers via window_cancelled().
@@ -13,27 +15,27 @@
 // Only meaningful in real-payload deployments (there are no bytes to decode
 // in sized or virtual runs — decodability there is pure counting, which the
 // player already does); Deployment mounts it on receivers iff
-// StreamConfig::real_payloads is set.
+// StreamConfig::real_payloads is set, all of them sharing the deployment's
+// one codec.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/node_runtime.hpp"
 #include "fec/window_codec.hpp"
-#include "stream/packet.hpp"
+#include "net/buffer.hpp"
 
 namespace hg::stream {
 
 class FecModule final : public core::Protocol {
  public:
-  // Receives each window's k reconstructed data packets, in index order,
-  // immediately after its decode succeeds.
-  using WindowSink =
-      std::function<void(std::uint32_t window, std::span<const std::vector<std::uint8_t>> data)>;
+  // Receives each window's k data packets, in index order, immediately after
+  // its decode succeeds. The views are valid only during the call.
+  using WindowSink = std::function<void(std::uint32_t window,
+                                        std::span<const std::span<const std::uint8_t>> data)>;
 
   struct Stats {
     std::uint64_t windows_decoded = 0;    // windows fully reconstructed
@@ -43,7 +45,9 @@ class FecModule final : public core::Protocol {
     std::uint64_t malformed_packets = 0;  // payload size != packet_bytes, dropped
   };
 
-  FecModule(core::NodeRuntime& runtime, StreamConfig config, std::uint32_t windows_total);
+  // `codec` is shared, not copied: it must outlive the module.
+  FecModule(core::NodeRuntime& runtime, const fec::WindowCodec& codec,
+            std::uint32_t windows_total);
 
   [[nodiscard]] const char* name() const override { return "fec"; }
 
@@ -57,9 +61,10 @@ class FecModule final : public core::Protocol {
 
  private:
   struct WindowState {
-    // Lazily sized to window_packets on the window's first arrival, released
-    // after a successful decode — steady state holds only in-flight windows.
-    std::vector<std::optional<std::vector<std::uint8_t>>> shards;
+    // Lazily sized to window_packets on the window's first arrival (an empty
+    // ref is a packet not yet arrived), released after a successful decode —
+    // steady state pins only in-flight windows.
+    std::vector<net::BufferRef> shards;
     std::uint32_t present = 0;
     bool decoded = false;
   };
@@ -67,8 +72,7 @@ class FecModule final : public core::Protocol {
   void on_deliver(const gossip::Event& event);
   void try_decode(std::uint32_t w);
 
-  StreamConfig config_;
-  fec::WindowCodec codec_;
+  const fec::WindowCodec& codec_;
   std::vector<WindowState> windows_;
   Stats stats_;
   WindowSink sink_;

@@ -4,18 +4,22 @@
 
 namespace hg::stream {
 
-StreamSource::StreamSource(sim::Simulator& simulator, StreamConfig config, PublishFn publish)
-    : sim_(simulator), config_(config), publish_(std::move(publish)) {
+StreamSource::StreamSource(sim::Simulator& simulator, StreamConfig config, PublishFn publish,
+                           const fec::WindowCodec* codec)
+    : sim_(simulator), config_(config), publish_(std::move(publish)), codec_(codec) {
   HG_ASSERT(publish_ != nullptr);
   HG_ASSERT_MSG(!(config_.real_payloads && config_.virtual_payloads),
                 "real_payloads and virtual_payloads are mutually exclusive");
+  HG_ASSERT_MSG((codec_ != nullptr) == config_.real_payloads,
+                "a stream source takes a codec exactly when real_payloads is set");
   if (config_.virtual_payloads) {
     // No payload bytes exist anywhere in a virtual run.
   } else if (config_.real_payloads) {
-    codec_ = std::make_unique<fec::WindowCodec>(
-        fec::WindowCodecConfig{.data_per_window = config_.data_per_window,
-                               .parity_per_window = config_.parity_per_window,
-                               .packet_bytes = config_.packet_bytes});
+    const fec::WindowCodecConfig& geometry = codec_->config();
+    HG_ASSERT_MSG(geometry.data_per_window == config_.data_per_window &&
+                      geometry.parity_per_window == config_.parity_per_window &&
+                      geometry.packet_bytes == config_.packet_bytes,
+                  "the codec's window geometry must match the stream config");
   } else {
     const std::vector<std::uint8_t> zeros(config_.packet_bytes, 0);
     zero_payload_ = net::BufferRef::copy_of(zeros);

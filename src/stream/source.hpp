@@ -20,7 +20,11 @@ class StreamSource {
  public:
   using PublishFn = std::function<void(gossip::Event)>;
 
-  StreamSource(sim::Simulator& simulator, StreamConfig config, PublishFn publish);
+  // `codec` encodes the parity of a real-payload stream and is required
+  // exactly when config.real_payloads is set; it is shared, not copied, so it
+  // must outlive the source.
+  StreamSource(sim::Simulator& simulator, StreamConfig config, PublishFn publish,
+               const fec::WindowCodec* codec = nullptr);
 
   // Streams `windows` complete FEC windows, starting `initial_delay` from
   // now.
@@ -36,6 +40,7 @@ class StreamSource {
   [[nodiscard]] std::uint32_t windows_total() const { return windows_total_; }
   [[nodiscard]] std::uint64_t packets_published() const { return packets_published_; }
   [[nodiscard]] const StreamConfig& config() const { return config_; }
+  [[nodiscard]] const fec::WindowCodec* codec() const { return codec_; }
 
  private:
   void emit_next();
@@ -45,8 +50,8 @@ class StreamSource {
   sim::Simulator& sim_;
   StreamConfig config_;
   PublishFn publish_;
-  std::unique_ptr<fec::WindowCodec> codec_;  // only in real-payload mode
-  net::BufferRef zero_payload_;              // sized mode: one buffer, shared by refcount
+  const fec::WindowCodec* codec_;  // only in real-payload mode
+  net::BufferRef zero_payload_;    // sized mode: one buffer, shared by refcount
 
   sim::SimTime t0_;  // publication time of packet (0,0)
   std::uint32_t windows_total_ = 0;

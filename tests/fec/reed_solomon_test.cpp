@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/rng.hpp"
 
 namespace hg::fec {
@@ -234,6 +236,43 @@ TEST(ReedSolomon, ErasureFuzzRandomSubsets) {
       for (auto i : kept) {
         if (i < k) EXPECT_EQ(*shards[i], data[i]);
       }
+    }
+  }
+}
+
+TEST(ReedSolomon, ExhaustiveErasurePatternsSmallCode) {
+  // All 2^8 present-shard sets of a k=5, m=3 code. Every set of at least k
+  // shards decodes byte-exact, whichever parity rows it leaves (gaps among
+  // them included), and repair() returns exactly the erased data shards;
+  // every smaller set fails.
+  constexpr std::size_t k = 5, m = 3, n = k + m;
+  Rng rng(14);
+  ReedSolomon rs(k, m);
+  auto data = random_shards(k, 40, rng);  // vector body plus a scalar tail
+  auto parity = rs.encode(data);
+  for (unsigned mask = 0; mask < (1u << n); ++mask) {
+    const auto present = [mask](std::size_t i) { return ((mask >> i) & 1u) != 0; };
+    std::vector<std::optional<std::vector<std::uint8_t>>> shards(n);
+    std::vector<ReedSolomon::ShardView> views(n);
+    std::vector<std::vector<std::uint8_t>> erased;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (present(i)) {
+        shards[i] = i < k ? data[i] : parity[i - k];
+        views[i] = std::span<const std::uint8_t>(*shards[i]);
+      } else if (i < k) {
+        erased.push_back(data[i]);
+      }
+    }
+    const auto out = rs.decode(shards);
+    const auto repaired = rs.repair(views);
+    if (static_cast<std::size_t>(std::popcount(mask)) >= k) {
+      ASSERT_TRUE(out.has_value()) << "mask " << mask;
+      EXPECT_EQ(*out, data) << "mask " << mask;
+      ASSERT_TRUE(repaired.has_value()) << "mask " << mask;
+      EXPECT_EQ(*repaired, erased) << "mask " << mask;
+    } else {
+      EXPECT_FALSE(out.has_value()) << "mask " << mask;
+      EXPECT_FALSE(repaired.has_value()) << "mask " << mask;
     }
   }
 }

@@ -6,6 +6,7 @@
 #include "gossip/gossip_module.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/report.hpp"
+#include "stream/fec_module.hpp"
 
 namespace hg::scenario {
 namespace {
@@ -43,6 +44,15 @@ TEST(DeploymentBuilderDeathTest, NonMonotoneChurnScheduleRejected) {
                "sorted by time");
 }
 
+TEST(DeploymentBuilderDeathTest, GossipWindowGeometryMustMatchTheStream) {
+  // A 121-packet stream window against the default 110-slot gossip rings
+  // would build and then abort mid-run when the source publishes index 110.
+  StreamPlan stream;
+  stream.stream.parity_per_window = 20;
+  EXPECT_DEATH(Deployment::Builder{}.population(tiny_population(5)).stream(stream).build(),
+               "gossip.packets_per_window must equal the stream's window_packets");
+}
+
 TEST(DeploymentBuilder, ValidChurnScheduleBuilds) {
   auto d = Deployment::Builder{}
                .population(tiny_population(5))
@@ -61,6 +71,56 @@ TEST(DeploymentBuilder, DefaultFactoryHandsOutPresetByMode) {
   auto d = Deployment::Builder{}.population(plan).build();
   EXPECT_EQ(d->node(0).config().mode, core::Mode::kStandard);
   EXPECT_EQ(d->node(0).module_names().size(), 2u);  // gossip + player glue
+}
+
+// Real payloads: the source and every receiver's FecModule borrow the
+// deployment's one codec, and every decoded window reaches the sink
+// byte-exact, whether it needed repair or arrived complete.
+TEST(Deployment, RealPayloadsShareOneCodecAndDecodeByteExact) {
+  ExperimentConfig cfg;
+  cfg.node_count = 30;
+  cfg.stream_windows = 3;
+  cfg.stream.real_payloads = true;
+  cfg.loss_rate = 0.02;  // enough loss that some windows decode through parity
+  cfg.seed = 11;
+  auto d = Deployment::Builder{}
+               .seed(cfg.seed)
+               .network(cfg.network_plan())
+               .population(cfg.population_plan())
+               .stream(cfg.stream_plan())
+               .build();
+
+  const fec::WindowCodec* codec = d->source().codec();
+  ASSERT_NE(codec, nullptr);
+  std::size_t sunk = 0;
+  for (std::size_t i = 0; i < d->receivers(); ++i) {
+    auto* fec = d->node(i).find_module<stream::FecModule>();
+    ASSERT_NE(fec, nullptr) << "receiver " << i;
+    EXPECT_EQ(&fec->codec(), codec) << "receiver " << i;
+    fec->set_window_sink(
+        [&sunk, &cfg](std::uint32_t w, std::span<const std::span<const std::uint8_t>> data) {
+          ++sunk;
+          ASSERT_EQ(data.size(), cfg.stream.data_per_window);
+          for (std::uint16_t k = 0; k < data.size(); ++k) {
+            ASSERT_EQ(std::vector<std::uint8_t>(data[k].begin(), data[k].end()),
+                      stream::synth_payload_bytes(w, k, cfg.stream.packet_bytes))
+                << "window " << w << " packet " << k;
+          }
+        });
+  }
+  d->start();
+  d->run_until(cfg.run_end());
+
+  std::uint64_t decoded = 0, complete = 0, repaired = 0;
+  for (std::size_t i = 0; i < d->receivers(); ++i) {
+    const auto& st = d->node(i).module<stream::FecModule>().stats();
+    decoded += st.windows_decoded;
+    complete += st.windows_complete;
+    repaired += st.erasures_repaired;
+  }
+  EXPECT_EQ(sunk, decoded);
+  EXPECT_GT(complete, 0u);
+  EXPECT_GT(repaired, 0u);
 }
 
 // The tentpole's payoff scenario: a standard-gossip minority runs inside a

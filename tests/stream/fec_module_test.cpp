@@ -17,20 +17,39 @@ StreamConfig small_stream() {
   return cfg;
 }
 
+fec::WindowCodecConfig codec_config(const StreamConfig& cfg) {
+  return fec::WindowCodecConfig{.data_per_window = cfg.data_per_window,
+                                .parity_per_window = cfg.parity_per_window,
+                                .packet_bytes = cfg.packet_bytes};
+}
+
+// Pooled chunks currently owned by someone on this thread.
+std::int64_t live_chunks() {
+  const auto& s = net::BufferPool::local().stats();
+  return static_cast<std::int64_t>(s.chunk_allocs + s.pool_hits) -
+         static_cast<std::int64_t>(s.pool_returns + s.foreign_frees);
+}
+
+std::vector<std::uint8_t> to_vector(std::span<const std::uint8_t> bytes) {
+  return {bytes.begin(), bytes.end()};
+}
+
 struct Rig {
   sim::Simulator sim{7};
   net::NetworkFabric fabric;
   membership::Directory directory;
+  fec::WindowCodec codec;  // outlives the node's FecModule, which borrows it
   std::unique_ptr<core::NodeRuntime> node;
   FecModule* fec = nullptr;
 
   explicit Rig(StreamConfig cfg, std::uint32_t windows)
       : fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
                std::make_unique<net::NoLoss>()),
-        directory(sim, membership::DetectionConfig{}) {
+        directory(sim, membership::DetectionConfig{}),
+        codec(codec_config(cfg)) {
     directory.add_node(NodeId{0});
     node = core::NodeRuntime::make(sim, fabric, directory, NodeId{0}, core::NodeConfig{});
-    fec = &node->emplace_module<FecModule>(cfg, windows);
+    fec = &node->emplace_module<FecModule>(codec, windows);
   }
 
   void deliver(std::uint32_t w, std::uint16_t i, const std::vector<std::uint8_t>& bytes) {
@@ -49,10 +68,7 @@ struct CodedWindow {
     for (std::uint16_t i = 0; i < cfg.data_per_window; ++i) {
       data.push_back(synth_payload_bytes(w, i, cfg.packet_bytes));
     }
-    fec::WindowCodec codec(fec::WindowCodecConfig{.data_per_window = cfg.data_per_window,
-                                                  .parity_per_window = cfg.parity_per_window,
-                                                  .packet_bytes = cfg.packet_bytes});
-    parity = codec.encode_window(data);
+    parity = fec::WindowCodec(codec_config(cfg)).encode_window(data);
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& packet(const StreamConfig& cfg,
@@ -68,12 +84,12 @@ TEST(FecModule, DecodesAtTheKthArrivalAndRepairsErasures) {
 
   std::uint32_t sink_calls = 0;
   rig.fec->set_window_sink(
-      [&](std::uint32_t w, std::span<const std::vector<std::uint8_t>> decoded) {
+      [&](std::uint32_t w, std::span<const std::span<const std::uint8_t>> decoded) {
         ++sink_calls;
         EXPECT_EQ(w, 0u);
         ASSERT_EQ(decoded.size(), cfg.data_per_window);
         for (std::uint16_t i = 0; i < cfg.data_per_window; ++i) {
-          EXPECT_EQ(decoded[i], win.data[i]) << "packet " << i;
+          EXPECT_EQ(to_vector(decoded[i]), win.data[i]) << "packet " << i;
         }
       });
 
@@ -108,6 +124,38 @@ TEST(FecModule, AllDataWindowNeedsNoRepair) {
   EXPECT_EQ(rig.fec->stats().windows_decoded, 1u);
   EXPECT_EQ(rig.fec->stats().windows_complete, 1u);
   EXPECT_EQ(rig.fec->stats().erasures_repaired, 0u);
+}
+
+TEST(FecModule, HoldsDeliveredBuffersUntilDecodeThenReleasesThem) {
+  // Shards are the delivered pooled buffers themselves, not copies: each
+  // pending shard pins exactly its chunk, and a decoded window pins nothing.
+  const auto cfg = small_stream();
+  Rig rig(cfg, 2);
+  CodedWindow repaired(cfg, 0);
+  CodedWindow complete(cfg, 1);
+  std::vector<std::vector<std::vector<std::uint8_t>>> sunk(2);
+  rig.fec->set_window_sink(
+      [&](std::uint32_t w, std::span<const std::span<const std::uint8_t>> decoded) {
+        for (const auto& packet : decoded) sunk[w].push_back(to_vector(packet));
+      });
+
+  const std::int64_t baseline = live_chunks();
+  const std::uint16_t arrivals[] = {0, 6, 2, 7};  // k - 1 packets, data 1 and 3 missing
+  for (std::size_t a = 0; a < std::size(arrivals); ++a) {
+    rig.deliver(0, arrivals[a], repaired.packet(cfg, arrivals[a]));
+    EXPECT_EQ(live_chunks(), baseline + static_cast<std::int64_t>(a) + 1);
+  }
+  rig.deliver(0, 4, repaired.packet(cfg, 4));  // the k-th packet decodes
+  ASSERT_TRUE(rig.fec->window_decoded(0));
+  EXPECT_EQ(live_chunks(), baseline);
+  EXPECT_EQ(sunk[0], repaired.data);
+
+  for (std::uint16_t i = 0; i < cfg.data_per_window; ++i) rig.deliver(1, i, complete.data[i]);
+  ASSERT_TRUE(rig.fec->window_decoded(1));
+  EXPECT_EQ(live_chunks(), baseline);
+  EXPECT_EQ(sunk[1], complete.data);
+  EXPECT_EQ(rig.fec->stats().windows_complete, 1u);
+  EXPECT_EQ(rig.fec->stats().erasures_repaired, 2u);
 }
 
 TEST(FecModule, IgnoresDuplicatesMalformedAndOutOfRange) {

@@ -72,17 +72,18 @@ TEST(StreamSource, SizedModeSharesOnePayloadBuffer) {
 TEST(StreamSource, RealModeParityDecodes) {
   auto cfg = tiny_stream();
   cfg.real_payloads = true;
+  const fec::WindowCodec codec(fec::WindowCodecConfig{.data_per_window = cfg.data_per_window,
+                                                      .parity_per_window = cfg.parity_per_window,
+                                                      .packet_bytes = cfg.packet_bytes});
   sim::Simulator sim(4);
   std::vector<gossip::Event> events;
-  StreamSource source(sim, cfg, [&](gossip::Event e) { events.push_back(e); });
+  StreamSource source(sim, cfg, [&](gossip::Event e) { events.push_back(e); }, &codec);
+  EXPECT_EQ(source.codec(), &codec);  // borrowed, not rebuilt
   source.start(sim::SimTime::zero(), 1);
   sim.run_until(sim::SimTime::sec(1));
   ASSERT_EQ(events.size(), 10u);
 
-  // Drop two data packets; decode from the rest via the window codec.
-  fec::WindowCodec codec(fec::WindowCodecConfig{.data_per_window = cfg.data_per_window,
-                                                .parity_per_window = cfg.parity_per_window,
-                                                .packet_bytes = cfg.packet_bytes});
+  // Drop two data packets; decode from the rest via the same codec.
   std::vector<std::optional<std::vector<std::uint8_t>>> received(10);
   for (const auto& e : events) {
     if (e.id.index() == 1 || e.id.index() == 4) continue;
