@@ -32,7 +32,7 @@ Row measure(const std::string& name, scenario::ExperimentConfig cfg) {
   double usage = 0;
   std::size_t n = 0;
   for (std::size_t i = 0; i < exp.receivers(); ++i) {
-    if (exp.info(i).actual_capacity.is_unlimited() || exp.info(i).crashed) continue;
+    if (exp.info(i).capability.is_unlimited() || exp.info(i).crashed) continue;
     usage += exp.upload_usage(i);
     ++n;
   }

@@ -9,11 +9,6 @@
 // retransmit retries, decode-on-k cancellations, bytes sent), and emits
 // BENCH_bench_fig_fec.json.
 //
-// A trailing "kernels" section times the GF(256) substrate in-process:
-// scalar vs SIMD-dispatched mul_add_slice and whole-window encode/decode
-// ns/byte. Kernel numbers are wall-clock (machine-dependent); CI strips the
-// block with `compare_bench_metrics.py --strip kernels` when diffing runs.
-//
 // Usage: bench_fig_fec [nodes...]   (default: 10000; the paper-scale
 // ablation adds 100000). All simulation metrics are bit-deterministic for a
 // given seed regardless of HG_WORKERS / HG_THREADS.
@@ -24,7 +19,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "fec/gf256.hpp"
 #include "gossip/gossip_module.hpp"
 #include "scenario/scale_preset.hpp"
 #include "scenario/sweep_runner.hpp"
@@ -181,105 +175,10 @@ void print_rows(const std::vector<ArmRow>& rows) {
   std::printf("%s\n", t.render().c_str());
 }
 
-// ---------------------------------------------------------------------------
-// GF(256) kernel timings (in-process, wall-clock — stripped in CI diffs)
-// ---------------------------------------------------------------------------
-
-struct KernelReport {
-  const char* simd_level = "scalar";
-  double mul_add_scalar_ns_per_byte = 0;
-  double mul_add_simd_ns_per_byte = 0;
-  double mul_add_speedup = 0;
-  double encode_ns_per_byte = 0;
-  double decode_ns_per_byte = 0;
-};
-
-// Fixed-iteration timing over deterministic buffers; the checksum keeps the
-// optimizer honest.
-template <class Fn>
-double time_ns_per_byte(std::size_t iters, std::size_t bytes_per_iter, Fn&& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  volatile std::uint8_t sink = 0;
-  for (std::size_t i = 0; i < iters; ++i) sink = sink ^ fn(i);
-  const double ns =
-      std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return ns / static_cast<double>(iters * bytes_per_iter);
-}
-
-KernelReport measure_kernels() {
-  std::fprintf(stderr, "[bench] gf256 kernels (%s dispatch)...\n",
-               fec::GF256::simd_level_name());
-  KernelReport k;
-  k.simd_level = fec::GF256::simd_level_name();
-
-  constexpr std::size_t kLen = 1316;  // one stream packet
-  std::vector<std::uint8_t> src(kLen), dst(kLen, 0);
-  for (std::size_t i = 0; i < kLen; ++i) src[i] = static_cast<std::uint8_t>(i * 37 + 11);
-
-  constexpr std::size_t kMulIters = 40'000;
-  k.mul_add_scalar_ns_per_byte = time_ns_per_byte(kMulIters, kLen, [&](std::size_t i) {
-    fec::GF256::mul_add_slice_scalar(dst.data(), src.data(), kLen,
-                                     static_cast<std::uint8_t>(i | 1));
-    return dst[0];
-  });
-  k.mul_add_simd_ns_per_byte = time_ns_per_byte(kMulIters, kLen, [&](std::size_t i) {
-    fec::GF256::mul_add_slice(dst.data(), src.data(), kLen,
-                              static_cast<std::uint8_t>(i | 1));
-    return dst[0];
-  });
-  k.mul_add_speedup = k.mul_add_simd_ns_per_byte > 0
-                          ? k.mul_add_scalar_ns_per_byte / k.mul_add_simd_ns_per_byte
-                          : 0.0;
-
-  // Whole-window coding at the paper geometry (101 + 9, 1316 B packets).
-  const fec::WindowCodecConfig cfg{
-      .data_per_window = 101, .parity_per_window = 9, .packet_bytes = kLen};
-  fec::WindowCodec codec(cfg);
-  std::vector<std::vector<std::uint8_t>> data(cfg.data_per_window,
-                                              std::vector<std::uint8_t>(kLen));
-  for (std::size_t p = 0; p < data.size(); ++p) {
-    for (std::size_t i = 0; i < kLen; ++i) {
-      data[p][i] = static_cast<std::uint8_t>(p * 131 + i * 7 + 3);
-    }
-  }
-  const std::size_t window_bytes = cfg.data_per_window * kLen;
-  k.encode_ns_per_byte = time_ns_per_byte(20, window_bytes, [&](std::size_t) {
-    return codec.encode_window(data)[0][0];
-  });
-
-  auto parity = codec.encode_window(data);
-  std::vector<std::optional<std::vector<std::uint8_t>>> received(codec.window_packets());
-  for (std::size_t i = 0; i < cfg.data_per_window; ++i) received[i] = data[i];
-  for (std::size_t i = 0; i < cfg.parity_per_window; ++i) {
-    received[cfg.data_per_window + i] = parity[i];
-  }
-  for (std::size_t i = 0; i < cfg.parity_per_window; ++i) received[i * 11].reset();
-  k.decode_ns_per_byte = time_ns_per_byte(20, window_bytes, [&](std::size_t) {
-    return (*codec.decode_window(received))[0][0];
-  });
-  return k;
-}
-
-void print_kernels(const KernelReport& k) {
-  std::printf("GF(256) kernels (%s dispatch):\n", k.simd_level);
-  std::printf("  mul_add_slice  scalar %.3f ns/B | simd %.3f ns/B | %.2fx\n",
-              k.mul_add_scalar_ns_per_byte, k.mul_add_simd_ns_per_byte, k.mul_add_speedup);
-  std::printf("  window (101+9) encode %.3f ns/B | decode(9 erasures) %.3f ns/B\n\n",
-              k.encode_ns_per_byte, k.decode_ns_per_byte);
-}
-
-void write_json(const std::vector<ArmRow>& rows, const KernelReport& k) {
+void write_json(const std::vector<ArmRow>& rows) {
   std::FILE* f = hg::bench::open_bench_json();
   if (f == nullptr) return;
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n", hg::bench::bench_binary_name());
-  std::fprintf(f,
-               "  \"kernels\": {\"simd_level\": \"%s\", "
-               "\"mul_add_scalar_ns_per_byte\": %.4f, "
-               "\"mul_add_simd_ns_per_byte\": %.4f, \"mul_add_speedup\": %.3f, "
-               "\"encode_ns_per_byte\": %.4f, \"decode_ns_per_byte\": %.4f},\n",
-               k.simd_level, k.mul_add_scalar_ns_per_byte, k.mul_add_simd_ns_per_byte,
-               k.mul_add_speedup, k.encode_ns_per_byte, k.decode_ns_per_byte);
   std::fprintf(f, "  \"runs\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ArmRow& r = rows[i];
@@ -341,8 +240,6 @@ int main(int argc, char** argv) {
     for (ArmRow& r : rung_rows) rows.push_back(std::move(r));
   }
 
-  const KernelReport kernels = measure_kernels();
-  print_kernels(kernels);
-  write_json(rows, kernels);
+  write_json(rows);
   return 0;
 }

@@ -22,19 +22,11 @@ struct GossipConfig {
   sim::SimTime retransmit_period = sim::SimTime::ms(1000);
   int max_retransmits = 8;
 
-  // The source proposes each published event immediately (Algorithm 1 line
-  // 5: publish -> gossip({e.id})); relaying nodes batch per period (line 6).
-  bool immediate_publish = true;
-
   // State horizon: per-event bookkeeping (delivered payloads, proposer
   // lists, requested flags) is garbage-collected once the event's window is
   // this many windows behind the newest seen (40 windows ~= 77 s of stream,
   // beyond the largest lag the paper plots).
   std::uint32_t gc_window_horizon = 40;
-
-  // Keep at most this many distinct proposers per event as retransmission
-  // fallbacks.
-  std::size_t max_proposers_tracked = 8;
 
   // Stream coding geometry: ids with a packet index at or beyond this are
   // malformed and never materialize state. Drives the slot count of every

@@ -22,10 +22,7 @@ ThreePhaseGossip::ThreePhaseGossip(sim::Simulator& simulator, net::NetworkFabric
       proposers_(RingGeometry{config.request_ring_windows(), config.packets_per_window}),
       retransmit_(simulator, config.retransmit_period, config.max_retransmits,
                   [this](EventId id, int retry) { on_retransmit_fire(id, retry); },
-                  RingGeometry{config.request_ring_windows(), config.packets_per_window}) {
-  HG_ASSERT_MSG(config_.max_proposers_tracked <= ProposerSlot::kCapacity,
-                "proposer slots are fixed-capacity arrays");
-}
+                  RingGeometry{config.request_ring_windows(), config.packets_per_window}) {}
 
 void ThreePhaseGossip::start() {
   // Random phase: nodes must not propose in lockstep. Drawn identically in
@@ -67,13 +64,12 @@ void ThreePhaseGossip::arm_round() {
 void ThreePhaseGossip::publish(Event event) {
   const EventId id = event.id;
   deliver_event(std::move(event));
-  if (config_.immediate_publish) {
-    // Algorithm 1 line 5: the source gossips {e.id} right away...
-    gossip_ids({id});
-    // ...and must not re-propose it in the next periodic round.
-    to_propose_.erase(std::remove(to_propose_.begin(), to_propose_.end(), id),
-                      to_propose_.end());
-  }
+  // Algorithm 1 line 5: the source gossips {e.id} right away (relaying
+  // nodes batch per period, line 6)...
+  gossip_ids({id});
+  // ...and must not re-propose it in the next periodic round.
+  to_propose_.erase(std::remove(to_propose_.begin(), to_propose_.end(), id),
+                    to_propose_.end());
 }
 
 void ThreePhaseGossip::gossip_round() {
@@ -138,7 +134,7 @@ void ThreePhaseGossip::on_datagram(const net::Datagram& d) {
 
 void ThreePhaseGossip::record_proposer(EventId id, NodeId proposer) {
   auto [slot, inserted] = proposers_.insert(id);
-  if (slot->count >= config_.max_proposers_tracked) return;
+  if (slot->count >= ProposerSlot::kCapacity) return;
   const auto begin = slot->nodes.begin();
   const auto end = begin + slot->count;
   if (std::find(begin, end, proposer) == end) {

@@ -137,7 +137,7 @@ class ThreePhaseGossip {
   // require a *different* target; with no alternate the timer re-arms
   // silently and waits for new proposers.
   struct ProposerSlot {
-    static constexpr std::size_t kCapacity = 8;
+    static constexpr std::size_t kCapacity = 8;  // proposers kept per event
     std::array<NodeId, kCapacity> nodes;
     std::uint32_t count = 0;
     std::uint32_t next = 1;              // index of the proposer for the next retry

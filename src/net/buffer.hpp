@@ -30,8 +30,7 @@
 // determinism suites at HG_WORKERS=4, where a ref leaking across the
 // boundary shows up as a data race on `refs`. The determinism linter
 // separately keeps address-ordered logic out of the exchange path, so the
-// deep-copy import order stays canonical (src partition, index), never
-// pointer-valued.
+// import order stays canonical (src partition, index), never pointer-valued.
 #pragma once
 
 #include <cstdint>
@@ -185,16 +184,6 @@ class BufferRef {
 
   // Pooled copy of arbitrary bytes (cold paths, tests).
   [[nodiscard]] static BufferRef copy_of(std::span<const std::uint8_t> src);
-
-  // Takes ownership of a chunk freshly obtained from BufferPool::acquire
-  // (refs == 1): no refcount bump; the chunk recycles when the returned ref
-  // (and every slice taken from it) drops. For components that fill pooled
-  // chunks manually rather than through ByteWriter — the sharded fabric
-  // packs cross-partition exchange segments this way.
-  [[nodiscard]] static BufferRef adopt(detail::BufferCtl* ctl, std::uint32_t len) {
-    HG_ASSERT(ctl != nullptr && ctl->refs == 1 && len <= ctl->capacity);
-    return BufferRef(ctl, 0, len);
-  }
 
   [[nodiscard]] std::vector<std::uint8_t> to_vector() const {
     return {data(), data() + size()};

@@ -1,7 +1,6 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/assert.hpp"
 
@@ -42,9 +41,7 @@ NetworkFabric::NetworkFabric(sim::ShardedEngine& engine, std::unique_ptr<Latency
   loss_->prepare(engine.node_count());
   parts_.reserve(engine.partitions());
   for (std::uint32_t p = 0; p < engine.partitions(); ++p) {
-    parts_.emplace_back(&engine.sim_of(p), engine.sim_of(p).make_rng(kFabricStream));
-    parts_.back().blocks.resize(engine.partitions());
-    parts_.back().import_segs.resize(engine.partitions());
+    parts_.emplace_back(&engine.sim_of(p));
   }
   tiebreak_salt_ = engine.make_rng(kTiebreakStream).next();
   sender_seed_base_ = engine.make_rng(kSenderStream).next();
@@ -168,34 +165,7 @@ void NetworkFabric::on_wire(Datagram&& d) {
   }
   ++part.xpart_datagrams;
   part.xpart_bytes += d.bytes.size();
-  const sim::SimTime arrive = part.sim->now() + delay;
-  if (config_.exchange == FabricConfig::ExchangeMode::kBatched) {
-    pack_outgoing(part.blocks[dp], arrive, tb, d);
-    // `d` dies here: the original buffer recycles into this worker's pool
-    // immediately instead of pinning until the barrier.
-  } else {
-    part.outbox.push_back(OutMsg{std::move(d), arrive, tb, sp, dp});
-  }
-}
-
-void NetworkFabric::pack_outgoing(PackBlock& block, sim::SimTime arrive, std::uint64_t tiebreak,
-                                  const Datagram& d) {
-  const std::size_t n = d.bytes.size();
-  if (block.segs.empty() || block.segs.back().used + n > block.segs.back().capacity) {
-    const std::size_t cap = std::max(kPackSegmentBytes, n);
-    detail::BufferCtl* ctl = BufferPool::local().acquire(cap);
-    PackSeg seg;
-    seg.fill = ctl->data();
-    seg.capacity = static_cast<std::uint32_t>(cap);
-    seg.ref = BufferRef::adopt(ctl, static_cast<std::uint32_t>(cap));
-    block.segs.push_back(std::move(seg));
-  }
-  PackSeg& seg = block.segs.back();
-  std::memcpy(seg.fill + seg.used, d.bytes.data(), n);
-  block.recs.push_back(PackRec{arrive, tiebreak, d.src, d.dst,
-                               static_cast<std::uint32_t>(block.segs.size() - 1), seg.used,
-                               static_cast<std::uint32_t>(n), d.phantom_bytes, d.cls});
-  seg.used += static_cast<std::uint32_t>(n);
+  part.outbox.push_back(OutMsg{std::move(d), part.sim->now() + delay, tb, dp});
 }
 
 void NetworkFabric::deliver_parallel(const Datagram& d) {
@@ -212,65 +182,10 @@ void NetworkFabric::begin_epoch(std::uint32_t partition) {
   // their buffers recycle into this thread's pool (refcounts are non-atomic,
   // so only the allocating thread may drop them while the run is hot).
   // Importers copied the bytes at the barrier.
-  Partition& p = parts_[partition];
-  for (PackBlock& b : p.blocks) {
-    b.recs.clear();
-    b.segs.clear();
-  }
-  p.outbox.clear();
+  parts_[partition].outbox.clear();
 }
 
 void NetworkFabric::exchange(std::uint32_t partition) {
-  if (config_.exchange == FabricConfig::ExchangeMode::kBatched) {
-    exchange_batched(partition);
-  } else {
-    exchange_deep_copy(partition);
-  }
-}
-
-void NetworkFabric::exchange_batched(std::uint32_t partition) {
-  Partition& dst = parts_[partition];
-  dst.import_order.clear();
-  // Copy every inbound segment wholesale into this worker's pool — one
-  // memcpy + one pooled allocation per <=256 KiB block, not per message —
-  // then schedule zero-copy slices of the copies. The sender's originals
-  // stay untouched until it releases them in its next begin_epoch.
-  for (std::uint32_t sp = 0; sp < parts_.size(); ++sp) {
-    const PackBlock& block = parts_[sp].blocks[partition];
-    std::vector<BufferRef>& segs = dst.import_segs[sp];
-    segs.clear();
-    for (const PackSeg& s : block.segs) {
-      segs.push_back(BufferRef::copy_of({s.fill, static_cast<std::size_t>(s.used)}));
-    }
-    for (std::uint32_t i = 0; i < block.recs.size(); ++i) dst.import_order.emplace_back(sp, i);
-  }
-  // Deterministic import order, independent of the worker count: arrival
-  // time, then the seed-derived tiebreak, then source partition, then send
-  // order (record index within one source's block is send order).
-  const auto rec = [&](const std::pair<std::uint32_t, std::uint32_t>& e) -> const PackRec& {
-    return parts_[e.first].blocks[partition].recs[e.second];
-  };
-  std::sort(dst.import_order.begin(), dst.import_order.end(),
-            [&rec](const auto& a, const auto& b) {
-              const PackRec& ra = rec(a);
-              const PackRec& rb = rec(b);
-              if (ra.arrive != rb.arrive) return ra.arrive < rb.arrive;
-              if (ra.tiebreak != rb.tiebreak) return ra.tiebreak < rb.tiebreak;
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
-  for (const auto& e : dst.import_order) {
-    const PackRec& r = rec(e);
-    Datagram d{r.src, r.dst, r.cls, dst.import_segs[e.first][r.seg].slice(r.off, r.len),
-               r.phantom};
-    dst.sim->at_keyed(r.arrive, r.tiebreak, [this, d = std::move(d)]() { deliver_parallel(d); });
-  }
-  dst.import_order.clear();
-  // The scheduled slices pin the segment copies; the scratch refs can drop.
-  for (std::vector<BufferRef>& segs : dst.import_segs) segs.clear();
-}
-
-void NetworkFabric::exchange_deep_copy(std::uint32_t partition) {
   Partition& dst = parts_[partition];
   dst.import_order.clear();
   for (std::uint32_t sp = 0; sp < parts_.size(); ++sp) {
@@ -279,8 +194,9 @@ void NetworkFabric::exchange_deep_copy(std::uint32_t partition) {
       if (outbox[i].dst_partition == partition) dst.import_order.emplace_back(sp, i);
     }
   }
-  // Same canonical order as the batched path: arrival, tiebreak, source
-  // partition, send order (outbox index order is send order).
+  // Deterministic import order, independent of the worker count: arrival
+  // time, then the seed-derived tiebreak, then source partition, then send
+  // order (outbox index order is send order).
   const auto msg = [&](const std::pair<std::uint32_t, std::uint32_t>& e) -> const OutMsg& {
     return parts_[e.first].outbox[e.second];
   };
@@ -295,8 +211,8 @@ void NetworkFabric::exchange_deep_copy(std::uint32_t partition) {
             });
   for (const auto& e : dst.import_order) {
     const OutMsg& m = msg(e);
-    // Deep copy on the importing worker's thread: destination-held bytes
-    // must belong to the destination's thread-local pool.
+    // Copy on the importing worker's thread: destination-held bytes must
+    // belong to the destination's thread-local pool.
     Datagram copy{m.d.src, m.d.dst, m.d.cls, BufferRef::copy_of(m.d.bytes.bytes()),
                   m.d.phantom_bytes};
     dst.sim->at_keyed(m.arrive, m.tiebreak, [this, c = std::move(copy)]() { deliver_parallel(c); });
@@ -341,15 +257,6 @@ void NetworkFabric::kill(NodeId id) {
   s.alive[i] = 0;
   s.links[i].shutdown();
   s.receive[i] = nullptr;
-}
-
-void NetworkFabric::set_capacity(NodeId id, BitRate capacity) {
-  // Same discipline as kill(): the capacity feeds concurrent transmit-time
-  // math on the owner's worker; reconfigure only between epochs.
-  HG_ASSERT_MSG(engine_ == nullptr || engine_->quiescent(),
-                "NetworkFabric::set_capacity outside a barrier: reconfigure links from "
-                "a control task, never from a worker-driven event");
-  link_mut(id).set_capacity(capacity);
 }
 
 }  // namespace hg::net

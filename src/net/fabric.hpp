@@ -29,19 +29,13 @@
 //    partition count or placement produces bit-identical results.
 //
 //    Intra-partition sends go straight to the local event queue;
-//    cross-partition sends are packed into per-(source, destination)
-//    partition pair blocks: the payload is memcpy'd into a pooled segment
-//    (the original buffer recycles immediately instead of pinning until the
-//    barrier) and a fixed-size record carries (arrival, tiebreak, src, dst,
-//    segment offset, length, phantom bytes, class). As the engine's
-//    PartitionBridge the fabric exchanges blocks at every epoch barrier:
-//    the importer copies each segment wholesale into its own thread-local
-//    pool (one memcpy per <=256 KiB block instead of one allocation per
-//    message), sorts records by (arrival, tiebreak, source partition, send
-//    order), and schedules zero-copy slices of its segment copies.
-//    FabricConfig::ExchangeMode::kDeepCopy retains the per-message deep-copy
-//    import (same determinism machinery, same results) as a benchmark
-//    baseline.
+//    cross-partition sends wait in the sender partition's outbox until the
+//    epoch barrier. As the engine's PartitionBridge the fabric then imports
+//    them on each destination partition's worker: it gathers the outbox
+//    entries addressed to that partition, sorts them by (arrival, tiebreak,
+//    source partition, send order), and schedules one copy of each datagram
+//    drawn from the importer's own thread-local pool. The sender releases
+//    its outbox on its own worker at the start of the next epoch.
 //
 //    Sends to already-crashed destinations are filtered at the sender —
 //    *after* the loss/latency draws, so stream consumption never depends on
@@ -71,14 +65,7 @@ namespace hg::net {
 using ReceiveFn = std::function<void(const Datagram&)>;
 
 struct FabricConfig {
-  // Cross-partition import strategy (sharded mode only; results identical):
-  // kBatched packs pooled segment blocks per partition pair, kDeepCopy
-  // copies every message individually (the pre-pooling baseline, kept for
-  // benchmark comparison).
-  enum class ExchangeMode : std::uint8_t { kBatched, kDeepCopy };
-
   QueueDiscipline discipline = QueueDiscipline::kFifo;
-  ExchangeMode exchange = ExchangeMode::kBatched;
 };
 
 class NetworkFabric final : public sim::PartitionBridge {
@@ -111,7 +98,6 @@ class NetworkFabric final : public sim::PartitionBridge {
     return shard(id).alive[index_in_shard(id)] != 0;
   }
 
-  void set_capacity(NodeId id, BitRate capacity);
   [[nodiscard]] BitRate capacity(NodeId id) const { return link(id).capacity(); }
 
   [[nodiscard]] const TrafficMeter& meter(NodeId id) const {
@@ -146,11 +132,6 @@ class NetworkFabric final : public sim::PartitionBridge {
   // a shard is reserved to this capacity up front and never reallocates.
   static constexpr std::size_t kShardSize = 4096;
 
-  // Pooled pack segment size for batched exchange. Matches the pool's top
-  // size class so a full segment recycles through a free list; an oversized
-  // message gets a dedicated segment of its exact length.
-  static constexpr std::size_t kPackSegmentBytes = BufferPool::kMaxClassBytes;
-
  private:
   struct Shard {
     Shard();
@@ -164,67 +145,33 @@ class NetworkFabric final : public sim::PartitionBridge {
     std::vector<std::uint64_t> xmit_seq;
   };
 
-  // A cross-partition datagram parked until the next epoch barrier
-  // (kDeepCopy exchange mode).
+  // A cross-partition datagram parked until the next epoch barrier.
   struct OutMsg {
     Datagram d;
     sim::SimTime arrive;
     std::uint64_t tiebreak;      // seed-derived; independent of worker count
-    std::uint32_t src_partition;
     std::uint32_t dst_partition;
   };
 
-  // Batched exchange: one record per packed cross-partition datagram.
-  struct PackRec {
-    sim::SimTime arrive;
-    std::uint64_t tiebreak;
-    NodeId src;
-    NodeId dst;
-    std::uint32_t seg;           // index into the block's segment list
-    std::uint32_t off;           // offset within that segment
-    std::uint32_t len;           // stored payload bytes
-    std::int64_t phantom;
-    MsgClass cls;
-  };
-
-  // A pooled segment being filled by the sender. `fill` aliases the chunk's
-  // payload (sole owner until the barrier seals it); `ref` recycles the
-  // chunk on the sender's thread when the block clears next epoch.
-  struct PackSeg {
-    BufferRef ref;
-    std::uint8_t* fill = nullptr;
-    std::uint32_t capacity = 0;
-    std::uint32_t used = 0;
-  };
-
-  // Everything sender partition sp accumulates for destination partition dp
-  // during one epoch.
-  struct PackBlock {
-    std::vector<PackRec> recs;
-    std::vector<PackSeg> segs;
-  };
-
   // Everything one partition touches while its worker runs an epoch. Loss,
-  // latency jitter, counters, and the outboxes are partition-private, so no
-  // state is shared between concurrently running partitions.
-  struct Partition {
-    Partition(sim::Simulator* s, Rng r) : sim(s), rng(std::move(r)) {}
+  // latency jitter, counters, and the outbox are partition-private, so no
+  // state is shared between concurrently running partitions. Cache-line
+  // aligned so neighbouring partitions' hot counters never share a line.
+  struct alignas(64) Partition {
+    explicit Partition(sim::Simulator* s) : sim(s) {}
     sim::Simulator* sim;
-    Rng rng;  // P == 1 sequential-semantics stream (unused when P >= 2)
     std::uint64_t lost = 0;
     std::uint64_t delivered = 0;
     std::uint64_t local_datagrams = 0;
     std::uint64_t xpart_datagrams = 0;
     std::uint64_t filtered_dead = 0;
     std::uint64_t xpart_bytes = 0;
-    std::vector<PackBlock> blocks;  // indexed by destination partition
-    std::vector<OutMsg> outbox;     // kDeepCopy mode
+    std::vector<OutMsg> outbox;
     // Exchange-side scratch (owned by this partition's worker): (source
-    // partition, record/outbox index) pairs. Indices, not pointers — the
-    // canonical import order must never rest on address comparisons (the
-    // determinism linter's pointer-order rule enforces this tree-wide).
+    // partition, outbox index) pairs. Indices, not pointers — the canonical
+    // import order must never rest on address comparisons (the determinism
+    // linter's pointer-order rule enforces this tree-wide).
     std::vector<std::pair<std::uint32_t, std::uint32_t>> import_order;
-    std::vector<std::vector<BufferRef>> import_segs;  // per source partition
   };
 
   [[nodiscard]] Shard& shard(NodeId id) {
@@ -238,7 +185,6 @@ class NetworkFabric final : public sim::PartitionBridge {
   [[nodiscard]] static std::size_t index_in_shard(NodeId id) {
     return id.value() % kShardSize;
   }
-  [[nodiscard]] UploadLink& link_mut(NodeId id) { return shard(id).links[index_in_shard(id)]; }
   [[nodiscard]] sim::Simulator& sim_for(NodeId id) {
     return engine_ != nullptr ? engine_->sim_of_node(id.value()) : *sim_;
   }
@@ -250,10 +196,6 @@ class NetworkFabric final : public sim::PartitionBridge {
 
   void on_wire(Datagram&& d);
   void deliver_parallel(const Datagram& d);
-  void pack_outgoing(PackBlock& block, sim::SimTime arrive, std::uint64_t tiebreak,
-                     const Datagram& d);
-  void exchange_batched(std::uint32_t partition);
-  void exchange_deep_copy(std::uint32_t partition);
   [[nodiscard]] std::uint64_t cross_tiebreak(NodeId src, NodeId dst,
                                              std::uint64_t seq) const;
 

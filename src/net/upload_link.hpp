@@ -44,8 +44,6 @@ class UploadLink {
 
   void enqueue(Datagram d);
 
-  // Live capacity changes (PlanetLab background-load noise model).
-  void set_capacity(BitRate capacity) { capacity_ = capacity; }
   [[nodiscard]] BitRate capacity() const { return capacity_; }
 
   // Halts the link (node crash): queued datagrams are discarded.

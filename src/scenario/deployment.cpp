@@ -11,7 +11,6 @@ namespace hg::scenario {
 
 namespace {
 constexpr std::uint64_t kAssignStream = 0x41535347;  // "ASSG"
-constexpr std::uint64_t kNoiseStream = 0x4e4f4953;   // "NOIS"
 constexpr std::uint64_t kChurnStream = 0x4348524e;   // "CHRN"
 }  // namespace
 
@@ -176,8 +175,6 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
   d->source_node_->attach(population_.source_capability);
 
   // --- receivers ----------------------------------------------------------
-  Rng noise_rng = Rng(seed_).fork(kNoiseStream);
-
   d->receivers_.reserve(population_.node_count);
   for (std::size_t i = 0; i < population_.node_count; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i + 1)};
@@ -185,12 +182,6 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
     r.info.id = id;
     r.info.class_index = assignment[i].class_index;
     r.info.capability = assignment[i].capability;
-    r.info.actual_capacity = assignment[i].capability;
-    if (population_.noise_fraction > 0 && noise_rng.chance(population_.noise_fraction) &&
-        !r.info.capability.is_unlimited()) {
-      // A background-loaded PlanetLab node: delivers only part of its cap.
-      r.info.actual_capacity = r.info.capability * noise_rng.uniform(0.3, 0.7);
-    }
 
     core::NodeConfig node_cfg = node_template;
     node_cfg.capability = r.info.capability;
@@ -212,7 +203,7 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
       // the FEC layer existed.
       r.node->emplace_module<stream::FecModule>(*d->codec_, stream_.windows);
     }
-    r.node->attach(r.info.actual_capacity);
+    r.node->attach(r.info.capability);
     d->receivers_.push_back(std::move(r));
   }
 

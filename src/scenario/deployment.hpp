@@ -51,9 +51,6 @@ struct PopulationPlan {
   // The source is a well-provisioned peer; it gossips with the same average
   // fanout but does not adapt (its capability would dwarf the estimate).
   BitRate source_capability = BitRate::mbps(10);
-  // PlanetLab background-load noise: this share of nodes actually delivers
-  // only 30-70% of its nominal capability (paper §3.1 observed 5-7%).
-  double noise_fraction = 0.0;
   bool smart_receivers = true;
   // Large-N runs: players record seen-bitmaps + per-window decode times
   // instead of per-packet arrival timestamps (see stream::Player::Recording).
@@ -109,8 +106,7 @@ struct ParallelPlan {
 struct ReceiverInfo {
   NodeId id;
   int class_index = 0;
-  BitRate capability;          // declared/advertised
-  BitRate actual_capacity;     // enforced by the fabric (noise may derate)
+  BitRate capability;  // declared, and enforced by the fabric
   bool crashed = false;
   sim::SimTime crashed_at = sim::SimTime::max();
   // Wire bytes this node had uploaded when the stream ended.

@@ -17,7 +17,6 @@ PopulationPlan ExperimentConfig::population_plan() const {
   plan.node_count = node_count;
   plan.distribution = distribution;
   plan.source_capability = source_capability;
-  plan.noise_fraction = noise_fraction;
   plan.smart_receivers = smart_receivers;
 
   plan.node.mode = mode;
@@ -29,7 +28,7 @@ PopulationPlan ExperimentConfig::population_plan() const {
   // Gossip and stream must agree on the (window, index) geometry: the ring
   // slabs are sized by it, and ids indexing past it are malformed.
   plan.node.gossip.packets_per_window = static_cast<std::uint32_t>(stream.window_packets());
-  plan.node.gossip.virtual_payloads = virtual_payloads || stream.virtual_payloads;
+  plan.node.gossip.virtual_payloads = stream.virtual_payloads;
   plan.node.aggregation = aggregation;
   plan.node.max_fanout = max_fanout;
   plan.node.rounding = rounding;
@@ -38,9 +37,7 @@ PopulationPlan ExperimentConfig::population_plan() const {
 }
 
 StreamPlan ExperimentConfig::stream_plan() const {
-  StreamPlan plan{stream, stream_windows, stream_start};
-  if (virtual_payloads) plan.stream.virtual_payloads = true;
-  return plan;
+  return StreamPlan{stream, stream_windows, stream_start};
 }
 
 ChurnPlan ExperimentConfig::churn_plan() const { return ChurnPlan{churn, detection}; }
@@ -86,10 +83,10 @@ void Experiment::run() {
 
 double Experiment::upload_usage(std::size_t i) const {
   const ReceiverInfo& info = deployment_->info(i);
-  if (info.actual_capacity.is_unlimited()) return 0.0;
+  if (info.capability.is_unlimited()) return 0.0;
   const double bits = static_cast<double>(info.uploaded_bytes_at_stream_end) * 8.0;
   const double capacity_bits =
-      static_cast<double>(info.actual_capacity.bits_per_sec()) *
+      static_cast<double>(info.capability.bits_per_sec()) *
       config_.stream_end().as_sec();
   return bits / capacity_bits;
 }

@@ -42,10 +42,6 @@ struct ExperimentConfig {
   net::QueueDiscipline discipline = net::QueueDiscipline::kFifo;
   std::optional<net::PlanetLabLatencyConfig> latency = net::PlanetLabLatencyConfig{};
 
-  // PlanetLab background-load noise: this share of nodes actually delivers
-  // only 30-70% of its nominal capability (paper §3.1 observed 5-7%).
-  double noise_fraction = 0.0;
-
   // Churn (Fig. 10): crashes + failure-detection latency.
   std::vector<ChurnEvent> churn;
   membership::DetectionConfig detection;
@@ -60,10 +56,9 @@ struct ExperimentConfig {
   gossip::FanoutRounding rounding = gossip::FanoutRounding::kRandomized;
   bool smart_receivers = true;
 
-  // Large-scale switches (see scenario::ScalePreset for the tuned bundle):
-  // virtual_payloads drops all payload bytes from the run (identical clock,
-  // no storage); lean_players drops per-packet arrival timestamps.
-  bool virtual_payloads = false;
+  // Large-scale switch (see scenario::ScalePreset for the tuned bundle,
+  // which also sets stream.virtual_payloads): drops per-packet arrival
+  // timestamps.
   bool lean_players = false;
 
   // Intra-run parallelism (see ParallelPlan): workers == 0 runs the classic
@@ -134,7 +129,7 @@ class Experiment {
     return deployment_->events_executed();
   }
 
-  // Mean upload usage (fraction of actual capacity) over the stream
+  // Mean upload usage (fraction of the upload capability) over the stream
   // interval, including all protocol overhead — Fig. 4's quantity.
   [[nodiscard]] double upload_usage(std::size_t i) const;
 

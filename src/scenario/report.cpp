@@ -36,7 +36,7 @@ std::vector<ClassStat> per_class_mean(const Experiment& e, Fn&& fn) {
 
 std::vector<ClassStat> usage_by_class(const Experiment& e) {
   return per_class_mean(e, [&](std::size_t i) -> std::optional<double> {
-    if (e.info(i).actual_capacity.is_unlimited()) return std::nullopt;
+    if (e.info(i).capability.is_unlimited()) return std::nullopt;
     return e.upload_usage(i);
   });
 }

@@ -33,11 +33,6 @@ struct ScalePreset {
   [[nodiscard]] static ExperimentConfig config(std::size_t nodes,
                                                core::Mode mode = core::Mode::kHeap,
                                                std::uint64_t seed = 2009);
-
-  // The bench_fig_scale ladder.
-  [[nodiscard]] static ExperimentConfig nodes_10k() { return config(10'000); }
-  [[nodiscard]] static ExperimentConfig nodes_50k() { return config(50'000); }
-  [[nodiscard]] static ExperimentConfig nodes_100k() { return config(100'000); }
 };
 
 }  // namespace hg::scenario

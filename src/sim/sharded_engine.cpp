@@ -135,6 +135,12 @@ std::uint64_t ShardedEngine::run_until(SimTime until) {
   if (partitions_ == 1) return partition_sims_[0]->run_until(until);
   HG_ASSERT_MSG(until >= now_, "cannot run into the past");
   const std::uint64_t before = events_executed();
+  // Exchange phase: import cross-partition messages on their destination's
+  // worker, in deterministic order.
+  const auto exchange = [&] {
+    if (bridge_ == nullptr) return;
+    run_parallel_phase([&](std::size_t p) { bridge_->exchange(static_cast<std::uint32_t>(p)); });
+  };
   run_controls_due();  // tasks armed at exactly now_ (e.g. time zero)
   while (now_ < until) {
     const SimTime next = next_barrier(until);
@@ -148,22 +154,22 @@ std::uint64_t ShardedEngine::run_until(SimTime until) {
       if (bridge_ != nullptr) bridge_->begin_epoch(static_cast<std::uint32_t>(p));
       partition_sims_[p]->run_before(next);
     });
-    // Exchange phase: import cross-partition messages on their destination's
-    // worker, in deterministic order. Arrivals are >= next by the epoch
-    // invariant (send time >= epoch start, delay >= epoch width).
-    if (bridge_ != nullptr) {
-      run_parallel_phase([&](std::size_t p) { bridge_->exchange(static_cast<std::uint32_t>(p)); });
-    }
+    // Arrivals are >= next by the epoch invariant (send time >= epoch
+    // start, delay >= epoch width).
+    exchange();
     now_ = next;
     run_controls_due();
   }
   // Inclusive tail: events scheduled exactly at `until` run (the sequential
   // run_until contract). Cross-partition messages they emit arrive strictly
-  // after `until` and stay queued, as they would in a sequential run.
+  // after `until`; exchanging them here leaves them queued at their
+  // destination, as they would be in a sequential run. Left in the outbox,
+  // the next call's begin_epoch would release them undelivered.
   run_parallel_phase([&](std::size_t p) {
     if (bridge_ != nullptr) bridge_->begin_epoch(static_cast<std::uint32_t>(p));
     partition_sims_[p]->run_until(until);
   });
+  exchange();
   return events_executed() - before;
 }
 

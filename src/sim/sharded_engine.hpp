@@ -145,7 +145,9 @@ class ShardedEngine {
   void schedule_control(SimTime when, std::function<void()> fn);
 
   // Advances every partition to `until` in lockstepped epochs; events
-  // scheduled exactly at `until` are processed (matching Simulator::run_until).
+  // scheduled exactly at `until` are processed (matching Simulator::run_until)
+  // and the cross-partition messages they send are exchanged before it
+  // returns, so splitting a run across calls loses no message.
   // Returns the number of events executed by this call.
   std::uint64_t run_until(SimTime until);
 
@@ -167,7 +169,7 @@ class ShardedEngine {
 
   // True between epochs (workers parked at the barrier) and outside run_until
   // — the only states in which engine/fabric mutation (schedule_control,
-  // kill, set_capacity) is legal. False exactly while a parallel phase runs.
+  // kill) is legal. False exactly while a parallel phase runs.
   // Relaxed atomic: the flag is written by the driving thread only; a read
   // from a worker can only be a contract violation about to abort, and the
   // atomic keeps that misuse detection itself race-free.

@@ -4,6 +4,13 @@
 
 namespace hg::stream {
 
+namespace {
+// Extra requests granted beyond the k needed for decode.
+constexpr std::uint32_t kRequestSlack = 3;
+// Grants not answered within this TTL stop counting as outstanding.
+constexpr sim::SimTime kGrantTtl = sim::SimTime::sec(10.0);
+}  // namespace
+
 Player::Player(sim::Simulator& simulator, StreamConfig config, std::uint32_t windows_total,
                Recording recording)
     : sim_(simulator),
@@ -58,10 +65,10 @@ bool Player::should_request(gossip::EventId id) {
   // Budget: any k of n packets decode; asking for many more than k only
   // buys duplicate serve traffic. Expired grants free their slot (the
   // serve was lost or is hopelessly late; retransmission handles it).
-  const sim::SimTime cutoff = sim_.now() - grant_ttl_;
+  const sim::SimTime cutoff = sim_.now() - kGrantTtl;
   std::erase_if(rec.grant_times, [&](sim::SimTime t) { return t < cutoff; });
   const std::uint32_t outstanding = static_cast<std::uint32_t>(rec.grant_times.size());
-  if (rec.received + outstanding >= config_.data_per_window + request_slack_) {
+  if (rec.received + outstanding >= config_.data_per_window + kRequestSlack) {
     ++requests_deferred_;
     return false;
   }

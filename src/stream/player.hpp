@@ -55,10 +55,6 @@ class Player {
   // Smart-receiver hook: invoked once per window when it becomes decodable.
   void set_cancel_window(CancelWindowFn fn) { cancel_window_ = std::move(fn); }
   void set_smart(bool smart) { smart_ = smart; }
-  // Extra requests granted beyond the k needed for decode (default 3).
-  void set_request_slack(std::uint32_t slack) { request_slack_ = slack; }
-  // Grants not answered within this TTL stop counting as outstanding.
-  void set_grant_ttl(sim::SimTime ttl) { grant_ttl_ = ttl; }
 
   // --- post-run queries -------------------------------------------------
   struct WindowRecord {
@@ -104,8 +100,6 @@ class Player {
   // advances. Empty (zero windows) in full-recording mode.
   gossip::WindowRing<void> seen_;
   bool smart_ = true;
-  std::uint32_t request_slack_ = 3;
-  sim::SimTime grant_ttl_ = sim::SimTime::sec(10.0);
   CancelWindowFn cancel_window_;
   std::uint64_t packets_received_ = 0;
   std::uint64_t duplicates_ = 0;

@@ -184,7 +184,7 @@ TEST(Experiment, VirtualPayloadRunIsClockIdenticalToSizedRun) {
   sized.run();
 
   auto virt_cfg = base;
-  virt_cfg.virtual_payloads = true;
+  virt_cfg.stream.virtual_payloads = true;
   virt_cfg.lean_players = true;
   Experiment virt(virt_cfg);
   virt.run();
@@ -227,7 +227,7 @@ TEST(Experiment, VirtualRunsStayClockIdenticalAcrossParityLevels) {
     sized.run();
 
     auto virt_cfg = base;
-    virt_cfg.virtual_payloads = true;
+    virt_cfg.stream.virtual_payloads = true;
     virt_cfg.lean_players = true;
     Experiment virt(virt_cfg);
     virt.run();

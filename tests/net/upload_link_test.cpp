@@ -127,20 +127,5 @@ TEST(UploadLink, UnlimitedCapacityIsImmediate) {
   for (const auto& t : at) EXPECT_EQ(t, sim::SimTime::zero());
 }
 
-TEST(UploadLink, CapacityChangeAffectsSubsequentTransmissions) {
-  sim::Simulator s(1);
-  std::vector<sim::SimTime> at;
-  UploadLink link(s, BitRate::bps(1000), QueueDiscipline::kFifo,
-                  [&](Datagram&&) { at.push_back(s.now()); });
-  link.enqueue(make_datagram(97));  // 1 s at 1000 bps
-  s.run_until(sim::SimTime::sec(1));
-  link.set_capacity(BitRate::bps(2000));
-  link.enqueue(make_datagram(222));  // 250 B = 2000 bits -> 1 s at 2000 bps
-  s.run_until(sim::SimTime::sec(10));
-  ASSERT_EQ(at.size(), 2u);
-  EXPECT_EQ(at[0], sim::SimTime::sec(1));
-  EXPECT_EQ(at[1], sim::SimTime::sec(2));
-}
-
 }  // namespace
 }  // namespace hg::net

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -216,63 +218,83 @@ TEST(ShardedEngineDeathTest, WideningPastAControlTaskIsFatal) {
   EXPECT_DEATH(e.assert_widen_safe(SimTime::ms(6)), "control");
 }
 
-// --- exchange modes ----------------------------------------------------------
+// --- cross-partition exchange -------------------------------------------------
 
-// Digest of every delivery: receiver, payload length, and payload contents
-// (first/last bytes). Distinct per-sender payload sizes make any packing
-// offset bug (wrong slice, wrong segment) visible, not just ordering bugs.
-std::string exchange_digest(net::FabricConfig::ExchangeMode mode, std::size_t workers) {
-  constexpr std::size_t kNodes = 24;
-  ShardedEngine engine(123, kNodes, {/*partitions=*/4, workers, SimTime::ms(5)});
-  net::FabricConfig cfg;
-  cfg.exchange = mode;
+// One delivery as the receiver saw it: sender, payload length, and the first
+// and last payload bytes.
+using Delivery = std::tuple<std::uint32_t, std::size_t, std::uint8_t, std::uint8_t>;
+
+struct ExchangeRun {
+  std::vector<std::vector<Delivery>> sent;       // per receiver, in send order
+  std::vector<std::vector<Delivery>> delivered;  // per receiver, in delivery order
+};
+
+// `len` bytes of `first`, ending in `last`.
+std::vector<std::uint8_t> payload_of(std::size_t len, std::uint8_t first, std::uint8_t last) {
+  std::vector<std::uint8_t> payload(len, first);
+  payload.back() = last;
+  return payload;
+}
+
+// Two bursts of cross-partition traffic among 24 nodes: a permutation with a
+// distinct payload size per sender (a wrong offset or a truncated copy shows
+// up in the length or the edge bytes), plus a hub that every other node hits
+// at the same instant (its arrivals must tie-break alike at every layout).
+ExchangeRun exchange_run(std::uint32_t partitions, std::size_t workers) {
+  constexpr std::uint32_t kNodes = 24;
+  ShardedEngine engine(123, kNodes, {partitions, workers, SimTime::ms(5)});
   net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(10)),
-                            std::make_unique<net::NoLoss>(), cfg);
-  // Per-receiver logs: a node's deliveries run on its partition's worker, so
-  // each slot is written by one thread only; concatenating in id order at
-  // the end gives a layout- and worker-independent digest.
-  std::vector<std::string> per_node(kNodes);
+                            std::make_unique<net::NoLoss>());
+  ExchangeRun run;
+  run.sent.resize(kNodes);
+  // A node's deliveries run on its partition's worker, so each slot is
+  // written by one thread only.
+  run.delivered.resize(kNodes);
   for (std::uint32_t i = 0; i < kNodes; ++i) {
-    fabric.register_node(NodeId{i}, BitRate::unlimited(),
-                         [&per_node, i](const net::Datagram& d) {
-                           per_node[i] += std::to_string(d.src.value()) + ":" +
-                                          std::to_string(d.bytes.size()) + ":" +
-                                          std::to_string(d.bytes.data()[0]) + ":" +
-                                          std::to_string(d.bytes.data()[d.bytes.size() - 1]) +
-                                          "\n";
-                         });
+    fabric.register_node(NodeId{i}, BitRate::unlimited(), [&run, i](const net::Datagram& d) {
+      run.delivered[i].emplace_back(d.src.value(), d.bytes.size(), d.bytes.data()[0],
+                                    d.bytes.data()[d.bytes.size() - 1]);
+    });
   }
-  // Two bursts so sender-side segment recycling across epochs is exercised;
-  // sizes vary per sender so records land at distinct offsets.
-  for (int burst = 0; burst < 2; ++burst) {
+  const auto send = [&](std::uint32_t src, std::uint32_t dst, std::vector<std::uint8_t> payload) {
+    run.sent[dst].emplace_back(src, payload.size(), payload.front(), payload.back());
+    fabric.send(NodeId{src}, NodeId{dst}, net::MsgClass::kServe, net::BufferRef::copy_of(payload));
+  };
+  for (std::uint32_t burst = 0; burst < 2; ++burst) {
+    const std::uint32_t hub = 5 + 8 * burst;
+    const auto last = static_cast<std::uint8_t>(0xF0 + burst);
     for (std::uint32_t i = 0; i < kNodes; ++i) {
-      std::vector<std::uint8_t> payload(64 + 97 * i % 1500 + 1,
-                                        static_cast<std::uint8_t>(i + burst));
-      payload.back() = static_cast<std::uint8_t>(0xF0 + burst);
-      fabric.send(NodeId{i}, NodeId{(i * 7 + 1 + static_cast<std::uint32_t>(burst)) % kNodes},
-                  net::MsgClass::kServe, net::BufferRef::copy_of(payload));
+      const auto first = static_cast<std::uint8_t>(i + burst);
+      send(i, (i * 7 + 1 + burst) % kNodes, payload_of(64 + 97 * i % 1500 + 1, first, last));
+      if (i != hub) send(i, hub, payload_of(32 + i, static_cast<std::uint8_t>(0x80 + i), last));
     }
     engine.run_until(engine.now() + SimTime::ms(25));
   }
-  std::string digest;
-  for (std::uint32_t i = 0; i < kNodes; ++i) {
-    digest += std::to_string(i) + "[" + per_node[i] + "]";
-  }
-  return digest;
+  return run;
 }
 
-TEST(ShardedEngine, BatchedAndDeepCopyExchangeAreByteIdentical) {
-  const std::string base = exchange_digest(net::FabricConfig::ExchangeMode::kBatched, 1);
-  EXPECT_NE(base.find(":"), std::string::npos);
-  for (std::size_t workers : {1u, 4u}) {
-    EXPECT_EQ(exchange_digest(net::FabricConfig::ExchangeMode::kBatched, workers), base);
-    EXPECT_EQ(exchange_digest(net::FabricConfig::ExchangeMode::kDeepCopy, workers), base);
+TEST(ShardedEngine, ExchangeDeliversWhatWasSentInOneOrderAtEveryLayout) {
+  const ExchangeRun base = exchange_run(/*partitions=*/4, /*workers=*/1);
+  for (std::size_t dst = 0; dst < base.sent.size(); ++dst) {
+    std::vector<Delivery> sent = base.sent[dst];
+    std::vector<Delivery> got = base.delivered[dst];
+    std::sort(sent.begin(), sent.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_FALSE(sent.empty()) << "node " << dst;
+    EXPECT_EQ(got, sent) << "node " << dst;
+  }
+  // 24 partitions put one node in each: every datagram crosses a boundary.
+  for (const std::uint32_t partitions : {2u, 4u, 24u}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      EXPECT_EQ(exchange_run(partitions, workers).delivered, base.delivered)
+          << "partitions=" << partitions << " workers=" << workers;
+    }
   }
 }
 
-TEST(ShardedEngine, OversizedPayloadSurvivesBatchedExchange) {
-  // A payload larger than the 256 KiB pack segment gets a dedicated
-  // exact-size segment; contents must arrive intact.
+TEST(ShardedEngine, OversizedPayloadSurvivesExchange) {
+  // A payload beyond the buffer pool's largest size class (256 KiB) takes
+  // the unpooled allocation path on import; contents must arrive intact.
   constexpr std::size_t kBig = 300 * 1024;
   ShardedEngine engine(5, 4, {/*partitions=*/2, /*workers=*/1, SimTime::ms(1)});
   net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(2)),
@@ -288,6 +310,32 @@ TEST(ShardedEngine, OversizedPayloadSurvivesBatchedExchange) {
   fabric.send(NodeId{0}, NodeId{3}, net::MsgClass::kServe, net::BufferRef::copy_of(payload));
   engine.run_until(SimTime::ms(10));
   EXPECT_EQ(got, payload);
+}
+
+TEST(ShardedEngine, SplitRunKeepsDatagramsSentAtTheBound) {
+  // A cross-partition datagram that goes on the wire exactly at a run_until
+  // bound is emitted by the inclusive tail; it must reach its destination
+  // whether or not the run is split at that bound.
+  for (const bool split : {false, true}) {
+    ShardedEngine engine(3, 4, {/*partitions=*/2, /*workers=*/1, SimTime::ms(1)});
+    net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(2)),
+                              std::make_unique<net::NoLoss>());
+    std::vector<SimTime> arrivals;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      fabric.register_node(NodeId{i}, BitRate::unlimited(), [&](const net::Datagram&) {
+        arrivals.push_back(engine.sim_of_node(3).now());
+      });
+    }
+    engine.sim_of_node(0).at(SimTime::ms(10), [&fabric] {
+      fabric.send(NodeId{0}, NodeId{3}, net::MsgClass::kPropose,
+                  net::BufferRef::copy_of(std::vector<std::uint8_t>(8, 0x42)));
+    });
+    if (split) engine.run_until(SimTime::ms(10));
+    engine.run_until(SimTime::ms(20));
+    ASSERT_EQ(arrivals.size(), 1u) << "split=" << split;
+    EXPECT_EQ(arrivals[0], SimTime::ms(12)) << "split=" << split;
+    EXPECT_EQ(fabric.datagrams_delivered(), 1u) << "split=" << split;
+  }
 }
 
 }  // namespace
