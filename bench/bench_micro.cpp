@@ -247,13 +247,13 @@ BENCHMARK(BM_SerializePropose)->Arg(11)->Arg(100);
 
 void BM_DeserializeServe(benchmark::State& state) {
   auto payload = net::BufferRef::copy_of(std::vector<std::uint8_t>(1316, 0xab));
-  const auto buf =
+  const auto wire =
       gossip::encode(gossip::ServeMsg{NodeId{1}, {gossip::EventId{3, 4}, payload}});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gossip::decode_serve(buf));
+    benchmark::DoNotOptimize(gossip::decode_serve(wire.header, wire.body));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(buf.size()));
+                          static_cast<std::int64_t>(wire.header.size() + wire.body.size()));
 }
 BENCHMARK(BM_DeserializeServe);
 
@@ -262,9 +262,9 @@ BENCHMARK(BM_DeserializeServe);
 //
 // ServeMix models one request round of the steady state: `batch` stored
 // MTU-sized events are encoded as serves for a peer, pass through a delivery
-// queue, and are decoded on arrival. The batch is encoded into one recycled
-// buffer, sent as zero-copy slices, and decoded as slices of the arrival
-// buffer.
+// queue, and are decoded on arrival. The headers share one recycled buffer,
+// and each datagram's body is the stored payload chunk itself, which the
+// receiver keeps as its payload.
 // --------------------------------------------------------------------------
 
 void BM_WirePathPooledServeMix(benchmark::State& state) {
@@ -281,13 +281,14 @@ void BM_WirePathPooledServeMix(benchmark::State& state) {
   std::int64_t t = 1;
   std::vector<gossip::ServeSpan> spans;
   for (auto _ : state) {
-    // Sender: the production batching path — one pooled buffer per request.
-    const net::BufferRef all = gossip::encode_serve_batch(NodeId{1}, store, spans);
+    // Sender: the production batching path — one header buffer per request.
+    const net::BufferRef headers = gossip::encode_serve_batch(NodeId{1}, store, spans);
     // Wire: one delivery event per datagram; receiver decodes zero-copy.
-    for (const auto& [off, len, phantom] : spans) {
+    for (std::size_t k = 0; k < spans.size(); ++k) {
       q.schedule_fire_and_forget(
-          sim::SimTime::us(t++), [slice = all.slice(off, len), &sink]() {
-            const auto msg = gossip::decode_serve(slice);
+          sim::SimTime::us(t++), [header = headers.slice(spans[k].offset, spans[k].length),
+                                  body = gossip::serve_body(store[k]), &sink]() {
+            const auto msg = gossip::decode_serve(header, body);
             sink += msg->event.payload.size();
           });
     }
@@ -318,8 +319,8 @@ void BM_AggregationEstimate(benchmark::State& state) {
     records.push_back({NodeId{i}, 512'000 + i, sim::SimTime::ms(i)});
     if (records.size() == 10 || i + 1 == n) {
       const auto bytes = gossip::encode(gossip::AggregationMsg{NodeId{i}, records});
-      agg.on_datagram(net::Datagram{NodeId{i}, NodeId{0}, net::MsgClass::kAggregation,
-                                    bytes});
+      agg.on_datagram(
+          net::Datagram{NodeId{i}, NodeId{0}, net::MsgClass::kAggregation, 0, bytes, {}});
       records.clear();
     }
   }

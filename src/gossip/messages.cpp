@@ -46,48 +46,56 @@ net::BufferRef encode(const ProposeMsg& m) { return encode_propose(m.sender, m.i
 
 net::BufferRef encode(const RequestMsg& m) { return encode_request(m.sender, m.ids); }
 
-std::size_t encoded_serve_size(const Event& event) {
-  // tag + sender + id + payload length varint + payload bytes. For a
-  // virtual payload the bytes are phantom (never stored), but they are part
-  // of the serve's *wire* size all the same.
-  const std::size_t n = event.payload_size();
+namespace {
+
+// tag + sender + id + payload length varint.
+[[nodiscard]] std::size_t serve_header_size(const Event& event) {
   std::size_t varint_len = 1;
-  for (std::uint64_t v = n; v >= 0x80; v >>= 7) ++varint_len;
-  return 1 + 4 + 8 + varint_len + n;
+  for (std::uint64_t v = event.payload_size(); v >= 0x80; v >>= 7) ++varint_len;
+  return 1 + 4 + 8 + varint_len;
 }
 
-void encode_serve_into(net::ByteWriter& w, NodeId sender, const Event& event) {
+void write_serve_header(net::ByteWriter& w, NodeId sender, const Event& event) {
   w.u8(static_cast<std::uint8_t>(MsgTag::kServe));
   w.u32(sender.value());
   w.u64(event.id.raw());
-  if (event.virtual_payload()) {
-    // Declared length, no bytes: the datagram carries the difference as
-    // phantom wire bytes (see Datagram::phantom_bytes).
-    w.varint(event.virtual_size);
-  } else {
-    w.bytes(event.payload.bytes());
-  }
+  // The declared length: the body's size for a real payload, the phantom
+  // byte count for a virtual one.
+  w.varint(event.payload_size());
 }
 
-net::BufferRef encode(const ServeMsg& m) {
-  net::ByteWriter w(encoded_serve_size(m.event));
-  encode_serve_into(w, m.sender, m.event);
-  return w.finish();
+[[nodiscard]] std::uint32_t serve_phantom_bytes(const Event& event) {
+  return event.virtual_payload() ? event.virtual_size : 0;
+}
+
+}  // namespace
+
+std::size_t encoded_serve_size(const Event& event) {
+  return serve_header_size(event) + event.payload_size();
+}
+
+net::ChunkRef serve_body(const Event& event) {
+  if (event.payload.whole()) return event.payload.chunk();
+  return net::ChunkRef::copy_of(event.payload.bytes());
+}
+
+ServeDatagram encode(const ServeMsg& m) {
+  net::ByteWriter w(serve_header_size(m.event));
+  write_serve_header(w, m.sender, m.event);
+  return ServeDatagram{w.finish(), serve_body(m.event), serve_phantom_bytes(m.event)};
 }
 
 net::BufferRef encode_serve_batch(NodeId sender, std::span<const Event> events,
                                   std::vector<ServeSpan>& spans) {
   std::size_t total = 0;
-  for (const Event& e : events) {
-    total += encoded_serve_size(e) - (e.virtual_payload() ? e.virtual_size : 0);
-  }
+  for (const Event& e : events) total += serve_header_size(e);
   net::ByteWriter w(total);
   spans.clear();
   for (const Event& e : events) {
     const auto begin = static_cast<std::uint32_t>(w.size());
-    encode_serve_into(w, sender, e);
+    write_serve_header(w, sender, e);
     spans.push_back(ServeSpan{begin, static_cast<std::uint32_t>(w.size()) - begin,
-                              e.virtual_payload() ? e.virtual_size : 0});
+                              serve_phantom_bytes(e)});
   }
   return w.finish();
 }
@@ -126,21 +134,6 @@ namespace {
   return true;
 }
 
-// Shared serve parse: on success, `payload` is the payload's span within
-// `buf` (the caller decides whether to slice or copy it out).
-[[nodiscard]] bool parse_serve(std::span<const std::uint8_t> buf, ServeMsg& m,
-                               std::span<const std::uint8_t>& payload) {
-  net::ByteReader r(buf);
-  if (!read_header(r, MsgTag::kServe, m.sender)) return false;
-  const auto raw = r.u64();
-  if (!raw) return false;
-  m.event.id = EventId::from_raw(*raw);
-  const auto p = r.bytes();
-  if (!p) return false;
-  payload = *p;
-  return true;
-}
-
 }  // namespace
 
 std::optional<ProposeMsg> decode_propose(std::span<const std::uint8_t> buf) {
@@ -159,35 +152,28 @@ std::optional<RequestMsg> decode_request(std::span<const std::uint8_t> buf) {
   return m;
 }
 
-std::optional<ServeMsg> decode_serve(const net::BufferRef& buf, bool virtual_payloads) {
+std::optional<ServeMsg> decode_serve(std::span<const std::uint8_t> header,
+                                     const net::ChunkRef& body, bool virtual_payloads,
+                                     MsgTag tag) {
+  net::ByteReader r(header);
   ServeMsg m;
+  if (!read_header(r, tag, m.sender)) return std::nullopt;
+  const auto raw = r.u64();
+  if (!raw) return std::nullopt;
+  m.event.id = EventId::from_raw(*raw);
+  const auto declared = r.varint();
+  // The header ends at the declared length; anything after it is a framing
+  // bug, not a loss event to shrug off.
+  if (!declared || !r.exhausted()) return std::nullopt;
   if (virtual_payloads) {
-    net::ByteReader r(buf.bytes());
-    if (!read_header(r, MsgTag::kServe, m.sender)) return std::nullopt;
-    const auto raw = r.u64();
-    if (!raw) return std::nullopt;
-    m.event.id = EventId::from_raw(*raw);
-    const auto declared = r.varint();
-    // The declared length must fit virtual_size, and no payload bytes may
-    // actually follow — a real-payload serve in a virtual deployment is a
-    // framing bug, not a loss event we can shrug off.
-    if (!declared || *declared > 0xffffffffULL || !r.exhausted()) return std::nullopt;
+    // A body here is a real-payload serve in a virtual deployment.
+    if (body || *declared > 0xffffffffULL) return std::nullopt;
     m.event.virtual_size = static_cast<std::uint32_t>(*declared);
     return m;
   }
-  std::span<const std::uint8_t> payload;
-  if (!parse_serve(buf.bytes(), m, payload)) return std::nullopt;
-  // Zero copy: the payload keeps the arrival buffer alive via the slice.
-  m.event.payload = buf.slice(static_cast<std::size_t>(payload.data() - buf.data()),
-                              payload.size());
-  return m;
-}
-
-std::optional<ServeMsg> decode_serve(std::span<const std::uint8_t> buf) {
-  ServeMsg m;
-  std::span<const std::uint8_t> payload;
-  if (!parse_serve(buf, m, payload)) return std::nullopt;
-  m.event.payload = net::BufferRef::copy_of(payload);
+  if (*declared != body.size()) return std::nullopt;
+  // Zero copy: the receiver stores the sender's chunk itself.
+  m.event.payload = net::BufferRef(body);
   return m;
 }
 

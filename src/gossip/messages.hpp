@@ -35,9 +35,9 @@ enum class MsgTag : std::uint8_t {
 using ::hg::EventId;
 
 // A disseminated event: id + payload. The payload is a refcounted pooled
-// slice — fan-out to many peers and storage for later serves never copy it,
-// and a payload decoded from a serve pins the arrival buffer instead of
-// copying out of it.
+// chunk that storage and serves never copy: a serve carries the sender's
+// stored chunk as its datagram body, and the receiver stores that same
+// chunk (only a partition crossing in the sharded engine copies it).
 //
 // Virtual payloads (large-scale simulation): an event may instead carry only
 // a declared payload *size*. Serve datagrams of such events ship the header
@@ -68,12 +68,24 @@ struct RequestMsg {
 };
 
 // One event per serve *datagram*: stream packets are MTU-sized (1316 B), so
-// a multi-packet serve would not fit a UDP datagram anyway. All serves of
-// one request are still encoded back-to-back into a single pooled buffer
-// and sent as zero-copy slices of it (see ThreePhaseGossip::on_request).
+// a multi-packet serve would not fit a UDP datagram anyway. A serve travels
+// in two parts (see net::Datagram):
+//  * the header — tag, sender, event id, and a varint declaring the payload
+//    length — as the datagram's bytes;
+//  * the body — the payload chunk itself, shared with the sender's store.
+// A virtual payload has no body: the declared length travels as phantom
+// wire bytes instead. Either way the wire size is what one contiguous
+// encoding of header and payload would be.
 struct ServeMsg {
   NodeId sender;
   Event event;
+};
+
+// One serve datagram's parts, as NetworkFabric::send takes them.
+struct ServeDatagram {
+  net::BufferRef header;
+  net::ChunkRef body;               // null for virtual (and empty) payloads
+  std::uint32_t phantom_bytes = 0;  // the virtual payload's declared size
 };
 
 // One capability observation flowing through the aggregation protocol.
@@ -95,7 +107,7 @@ struct AggregationMsg {
 
 [[nodiscard]] net::BufferRef encode(const ProposeMsg& m);
 [[nodiscard]] net::BufferRef encode(const RequestMsg& m);
-[[nodiscard]] net::BufferRef encode(const ServeMsg& m);
+[[nodiscard]] ServeDatagram encode(const ServeMsg& m);
 [[nodiscard]] net::BufferRef encode(const AggregationMsg& m);
 
 // Hot-path forms: encode straight from scratch storage without constructing
@@ -104,39 +116,49 @@ struct AggregationMsg {
 [[nodiscard]] net::BufferRef encode_propose(NodeId sender, std::span<const EventId> ids);
 [[nodiscard]] net::BufferRef encode_request(NodeId sender, std::span<const EventId> ids);
 
-// Exact wire size of one serve of `event` (virtual payload bytes included:
-// this is what the datagram *accounts*, not what the buffer stores), and the
-// batched-serve building block: appends a complete, standalone ServeMsg
-// encoding to `w`, so a slice of the finished buffer is bit-identical to
-// encode(ServeMsg{...}).
+// Exact wire size of one serve of `event`, header plus payload (virtual
+// payload bytes included: this is what the datagram *accounts*, not what it
+// stores).
 [[nodiscard]] std::size_t encoded_serve_size(const Event& event);
-void encode_serve_into(net::ByteWriter& w, NodeId sender, const Event& event);
 
-// One batched-serve datagram: a slice of the shared buffer plus the phantom
-// byte count a virtual payload adds to its wire size (0 for real payloads).
+// The body a serve of `event` carries: its stored payload chunk, shared.
+// Stored payloads are whole chunks (the source's copy_of, or a received
+// body); a payload viewing part of a larger chunk is copied once, so the
+// receiver still stores exactly the payload's bytes.
+[[nodiscard]] net::ChunkRef serve_body(const Event& event);
+
+// One batched serve's header: a span of the shared header buffer, plus the
+// phantom byte count a virtual payload adds to its wire size (0 for real
+// payloads).
 struct ServeSpan {
   std::uint32_t offset = 0;
   std::uint32_t length = 0;
   std::uint32_t phantom_bytes = 0;
 };
 
-// The batched serve: all of `events` encoded back-to-back into one pooled
-// buffer. `spans` (cleared first) receives each event's span; every slice of
-// the result at a span is a standalone serve datagram.
+// The batched serve: the headers of all of `events` encoded back-to-back
+// into one pooled buffer. `spans` (cleared first) receives each event's
+// span; the datagram for events[i] is the slice of the result at spans[i]
+// plus serve_body(events[i]), bit-identical to encode(ServeMsg{...}).
 [[nodiscard]] net::BufferRef encode_serve_batch(NodeId sender, std::span<const Event> events,
                                                 std::vector<ServeSpan>& spans);
 
 [[nodiscard]] std::optional<MsgTag> peek_tag(std::span<const std::uint8_t> buf);
 [[nodiscard]] std::optional<ProposeMsg> decode_propose(std::span<const std::uint8_t> buf);
 [[nodiscard]] std::optional<RequestMsg> decode_request(std::span<const std::uint8_t> buf);
-// Zero-copy: the decoded payload is a slice pinning `buf`'s backing chunk.
-// `virtual_payloads` selects the deployment's serve framing: with it set,
-// the payload length is declared but no bytes follow, and the decoded event
-// carries virtual_size instead of a payload slice.
-[[nodiscard]] std::optional<ServeMsg> decode_serve(const net::BufferRef& buf,
-                                                   bool virtual_payloads = false);
-// Copying overload for callers without a pooled buffer (tests, fuzzing).
-[[nodiscard]] std::optional<ServeMsg> decode_serve(std::span<const std::uint8_t> buf);
+// Decodes a serve from its header bytes and body. Zero copy: a real
+// payload is the body chunk itself. `virtual_payloads` selects the
+// deployment's framing, and a serve is malformed when
+//  * its header is truncated or bytes trail after the declared length;
+//  * (real) the declared length differs from the body size — a missing body
+//    counts as zero bytes, so a real serve without one is malformed unless
+//    it declares an empty payload;
+//  * (virtual) a body arrives, or the declared length exceeds 32 bits.
+// `tag` lets the static tree's kTreePush share the framing.
+[[nodiscard]] std::optional<ServeMsg> decode_serve(std::span<const std::uint8_t> header,
+                                                   const net::ChunkRef& body,
+                                                   bool virtual_payloads = false,
+                                                   MsgTag tag = MsgTag::kServe);
 [[nodiscard]] std::optional<AggregationMsg> decode_aggregation(
     std::span<const std::uint8_t> buf);
 

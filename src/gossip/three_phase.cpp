@@ -118,8 +118,8 @@ void ThreePhaseGossip::on_datagram(const net::Datagram& d) {
       break;
     }
     case MsgTag::kServe: {
-      // Zero copy: the decoded payload is a slice of the arrival buffer.
-      if (auto m = decode_serve(d.bytes, config_.virtual_payloads)) {
+      // Zero copy: the decoded payload is the datagram's body chunk.
+      if (auto m = decode_serve(d.bytes, d.body, config_.virtual_payloads)) {
         on_serve(*m);
       } else {
         ++stats_.malformed;
@@ -180,9 +180,10 @@ void ThreePhaseGossip::on_propose(const ProposeMsg& m) {
 void ThreePhaseGossip::on_request(const RequestMsg& m) {
   // Phase 3 (lines 14-17): serve what we have. Each event stays its own
   // datagram (stream packets are MTU-sized; per-datagram loss, latency, and
-  // wire accounting are untouched), but all serves answering this request
-  // are encoded back-to-back into ONE pooled buffer and sent as zero-copy
-  // slices of it — one allocation per request instead of one per event.
+  // wire accounting are untouched). Its body is the stored payload chunk
+  // itself, shared by refcount, and the headers of all serves answering
+  // this request share ONE pooled buffer — no payload copy, and one header
+  // allocation per request instead of one per event.
   serve_events_scratch_.clear();
   for (EventId id : m.ids) {
     const Event* stored = delivered_.find(id);
@@ -193,11 +194,12 @@ void ThreePhaseGossip::on_request(const RequestMsg& m) {
     serve_events_scratch_.push_back(*stored);  // refcounted payload, no byte copy
   }
   if (serve_events_scratch_.empty()) return;
-  const net::BufferRef batch =
+  const net::BufferRef headers =
       encode_serve_batch(self_, serve_events_scratch_, serve_spans_scratch_);
-  for (const ServeSpan& span : serve_spans_scratch_) {
-    fabric_.send(self_, m.sender, net::MsgClass::kServe, batch.slice(span.offset, span.length),
-                 span.phantom_bytes);
+  for (std::size_t i = 0; i < serve_spans_scratch_.size(); ++i) {
+    const ServeSpan& span = serve_spans_scratch_[i];
+    fabric_.send(self_, m.sender, net::MsgClass::kServe, headers.slice(span.offset, span.length),
+                 serve_body(serve_events_scratch_[i]), span.phantom_bytes);
     ++stats_.serves_sent;
   }
   if (serve_events_scratch_.size() > 1) ++stats_.serve_batches;

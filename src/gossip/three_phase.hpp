@@ -6,9 +6,10 @@
 //          fanout-many uniformly random peers.
 // Phase 2: a peer receiving a [Propose] immediately [Request]s the ids it
 //          has not requested yet from the proposer.
-// Phase 3: the proposer [Serve]s the payloads; one datagram per event, but
-//          all serves answering one request are encoded into a single
-//          pooled buffer and sent as zero-copy slices of it.
+// Phase 3: the proposer [Serve]s the payloads; one datagram per event,
+//          whose body is the stored payload chunk itself (never a copy),
+//          and the headers of all serves answering one request share a
+//          single pooled buffer.
 //
 // The fanout comes from a FanoutPolicy: a constant for standard gossip, the
 // capability-proportional rule for HEAP — this single indirection is the

@@ -65,15 +65,19 @@ void BufferPool::recycle(detail::BufferCtl* ctl) {
     ++mine.stats_.pool_returns;
     return;
   }
-  if (ctl->size_class != kUnpooledClass) ++mine.stats_.foreign_frees;
+  if (ctl->size_class == kUnpooledClass) {
+    ++mine.stats_.unpooled_frees;
+  } else {
+    ++mine.stats_.foreign_frees;
+  }
   ::operator delete(ctl);
 }
 
-BufferRef BufferRef::copy_of(std::span<const std::uint8_t> src) {
+ChunkRef ChunkRef::copy_of(std::span<const std::uint8_t> src) {
   detail::BufferCtl* ctl = BufferPool::local().acquire(src.size());
   if (!src.empty()) std::memcpy(ctl->data(), src.data(), src.size());
   ctl->size = static_cast<std::uint32_t>(src.size());
-  return BufferRef(ctl, 0, ctl->size);
+  return ChunkRef(ctl);
 }
 
 }  // namespace hg::net

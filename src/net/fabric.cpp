@@ -81,15 +81,14 @@ void NetworkFabric::register_node(NodeId id, BitRate upload_capacity, ReceiveFn 
   ++node_count_;
 }
 
-void NetworkFabric::send(NodeId src, NodeId dst, MsgClass cls, BufferRef bytes,
-                         std::int64_t phantom_bytes) {
+void NetworkFabric::send(NodeId src, NodeId dst, MsgClass cls, BufferRef bytes, ChunkRef body,
+                         std::uint32_t phantom_bytes) {
   HG_ASSERT_MSG(static_cast<bool>(bytes), "send requires an encoded message");
-  HG_ASSERT(phantom_bytes >= 0);
   Shard& s = shard(src);
   const std::size_t i = index_in_shard(src);
   if (s.alive[i] == 0) return;
   HG_ASSERT_MSG(src != dst, "self-sends indicate a peer-selection bug");
-  Datagram d{src, dst, cls, std::move(bytes), phantom_bytes};
+  Datagram d{src, dst, cls, phantom_bytes, std::move(bytes), std::move(body)};
   s.meters[i].on_offered(cls, d.wire_bytes());
   s.links[i].enqueue(std::move(d));
 }
@@ -164,7 +163,7 @@ void NetworkFabric::on_wire(Datagram&& d) {
     return;
   }
   ++part.xpart_datagrams;
-  part.xpart_bytes += d.bytes.size();
+  part.xpart_bytes += d.bytes.size() + d.body.size();
   part.outbox.push_back(OutMsg{std::move(d), part.sim->now() + delay, tb, dp});
 }
 
@@ -179,9 +178,9 @@ void NetworkFabric::deliver_parallel(const Datagram& d) {
 
 void NetworkFabric::begin_epoch(std::uint32_t partition) {
   // Release last epoch's cross-partition datagrams on the owning worker:
-  // their buffers recycle into this thread's pool (refcounts are non-atomic,
-  // so only the allocating thread may drop them while the run is hot).
-  // Importers copied the bytes at the barrier.
+  // their headers and bodies recycle into this thread's pool (refcounts are
+  // non-atomic, so only the owning thread may drop them while the run is
+  // hot). Importers copied the bytes at the barrier.
   parts_[partition].outbox.clear();
 }
 
@@ -212,9 +211,11 @@ void NetworkFabric::exchange(std::uint32_t partition) {
   for (const auto& e : dst.import_order) {
     const OutMsg& m = msg(e);
     // Copy on the importing worker's thread: destination-held bytes must
-    // belong to the destination's thread-local pool.
-    Datagram copy{m.d.src, m.d.dst, m.d.cls, BufferRef::copy_of(m.d.bytes.bytes()),
-                  m.d.phantom_bytes};
+    // belong to the destination's thread-local pool. The body is copied too
+    // (read, never referenced): the sender's refcount stays on its worker.
+    Datagram copy{m.d.src, m.d.dst, m.d.cls, m.d.phantom_bytes,
+                  BufferRef::copy_of(m.d.bytes.bytes()),
+                  m.d.body ? ChunkRef::copy_of(m.d.body.bytes()) : ChunkRef{}};
     dst.sim->at_keyed(m.arrive, m.tiebreak, [this, c = std::move(copy)]() { deliver_parallel(c); });
   }
   dst.import_order.clear();

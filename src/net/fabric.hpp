@@ -33,9 +33,10 @@
 //    epoch barrier. As the engine's PartitionBridge the fabric then imports
 //    them on each destination partition's worker: it gathers the outbox
 //    entries addressed to that partition, sorts them by (arrival, tiebreak,
-//    source partition, send order), and schedules one copy of each datagram
-//    drawn from the importer's own thread-local pool. The sender releases
-//    its outbox on its own worker at the start of the next epoch.
+//    source partition, send order), and schedules one copy of each datagram,
+//    header and body, drawn from the importer's own thread-local pool: no
+//    refcount ever crosses a partition. The sender releases its outbox on its
+//    own worker at the start of the next epoch.
 //
 //    Sends to already-crashed destinations are filtered at the sender —
 //    *after* the loss/latency draws, so stream consumption never depends on
@@ -83,10 +84,12 @@ class NetworkFabric final : public sim::PartitionBridge {
   // contract is enforced: registering out of order aborts.
   void register_node(NodeId id, BitRate upload_capacity, ReceiveFn receive);
 
-  // Sends `bytes` (already-encoded message) from src to dst. `phantom_bytes`
-  // adds wire bytes the buffer does not store (virtual payloads).
-  void send(NodeId src, NodeId dst, MsgClass cls, BufferRef bytes,
-            std::int64_t phantom_bytes = 0);
+  // Sends `bytes` (already-encoded message) from src to dst. A payload
+  // datagram passes its header as `bytes` and the sender's stored payload
+  // chunk as `body`, which travels shared, not copied (see Datagram).
+  // `phantom_bytes` adds wire bytes nothing stores (virtual payloads).
+  void send(NodeId src, NodeId dst, MsgClass cls, BufferRef bytes, ChunkRef body = {},
+            std::uint32_t phantom_bytes = 0);
 
   // Crash-stop: the node neither sends nor receives from now on. In sharded
   // mode this must run from a barrier control task (workers quiescent) —
@@ -120,7 +123,7 @@ class NetworkFabric final : public sim::PartitionBridge {
     std::uint64_t local_datagrams = 0;   // delivered within the sender's partition
     std::uint64_t xpart_datagrams = 0;   // crossed a partition boundary
     std::uint64_t filtered_dead = 0;     // destination already crashed at send
-    std::uint64_t xpart_exchange_bytes = 0;  // stored payload bytes exchanged
+    std::uint64_t xpart_exchange_bytes = 0;  // stored bytes exchanged (header + body)
   };
   [[nodiscard]] SuperstepCounters superstep_counters() const;
 

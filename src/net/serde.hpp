@@ -15,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -28,14 +29,10 @@ class ByteWriter {
   // BufferPool::local() on release, so that is the only pool that can ever
   // get them back.
   explicit ByteWriter(std::size_t reserve = 64)
-      : ctl_(BufferPool::local().acquire(reserve < 1 ? 1 : reserve)) {}
+      : chunk_(BufferPool::local().acquire(reserve < 1 ? 1 : reserve)) {}
 
   ByteWriter(const ByteWriter&) = delete;
   ByteWriter& operator=(const ByteWriter&) = delete;
-
-  ~ByteWriter() {
-    if (ctl_ != nullptr && --ctl_->refs == 0) BufferPool::recycle(ctl_);
-  }
 
   void u8(std::uint8_t v) { append(&v, sizeof v); }
   void u16(std::uint16_t v) { append(&v, sizeof v); }
@@ -71,43 +68,40 @@ class ByteWriter {
   // Hands the encoded bytes off as a zero-copy pooled reference. The writer
   // must not be written to afterwards.
   [[nodiscard]] BufferRef finish() {
-    HG_ASSERT(ctl_ != nullptr);
-    ctl_->size = size_;
-    BufferRef out(ctl_, 0, size_);  // adopts the writer's reference
-    ctl_ = nullptr;
-    return out;
+    HG_ASSERT(chunk_);
+    chunk_.ctl_->size = size_;
+    return BufferRef(std::move(chunk_));  // hands off the writer's reference
   }
 
   // Copying accessors for tests and cold paths.
   [[nodiscard]] std::vector<std::uint8_t> take() {
-    HG_ASSERT(ctl_ != nullptr);
-    return {ctl_->data(), ctl_->data() + size_};
+    HG_ASSERT(chunk_);
+    return {chunk_.data(), chunk_.data() + size_};
   }
   [[nodiscard]] std::span<const std::uint8_t> view() const {
-    HG_ASSERT(ctl_ != nullptr);
-    return {ctl_->data(), static_cast<std::size_t>(size_)};
+    HG_ASSERT(chunk_);
+    return {chunk_.data(), static_cast<std::size_t>(size_)};
   }
 
  private:
+  // The writer is the chunk's only owner until finish(), so it alone may
+  // write into it (see ChunkRef on immutability).
   void append(const void* p, std::size_t n) {
-    HG_ASSERT(ctl_ != nullptr);  // finish() ends the writer's lifetime
-    if (n == 0) return;          // empty spans may carry a null pointer
-    if (size_ + n > ctl_->capacity) grow(size_ + n);
-    std::memcpy(ctl_->data() + size_, p, n);
+    HG_ASSERT(chunk_);   // finish() ends the writer's lifetime
+    if (n == 0) return;  // empty spans may carry a null pointer
+    if (size_ + n > chunk_.ctl_->capacity) grow(size_ + n);
+    std::memcpy(chunk_.ctl_->data() + size_, p, n);
     size_ += static_cast<std::uint32_t>(n);
   }
 
   void grow(std::size_t needed) {
-    detail::BufferCtl* bigger =
-        BufferPool::local().acquire(needed > 2 * std::size_t{ctl_->capacity}
-                                        ? needed
-                                        : 2 * std::size_t{ctl_->capacity});
-    std::memcpy(bigger->data(), ctl_->data(), size_);
-    if (--ctl_->refs == 0) BufferPool::recycle(ctl_);
-    ctl_ = bigger;
+    const std::size_t doubled = 2 * std::size_t{chunk_.ctl_->capacity};
+    ChunkRef bigger(BufferPool::local().acquire(needed > doubled ? needed : doubled));
+    std::memcpy(bigger.ctl_->data(), chunk_.data(), size_);
+    chunk_ = std::move(bigger);
   }
 
-  detail::BufferCtl* ctl_;
+  ChunkRef chunk_;
   std::uint32_t size_ = 0;
 };
 

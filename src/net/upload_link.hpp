@@ -13,9 +13,10 @@
 // *unbounded queue growth at poor nodes* ("congested queues ... increases
 // the transmission delays"), which an artificial cap would mask.
 //
-// Queued datagrams carry pooled BufferRef slices, so a deep queue of
-// batched serves holds refcounts into a handful of shared chunks rather
-// than one heap vector per datagram.
+// Queued datagrams carry pooled, refcounted buffers: a deep queue of
+// batched serves holds refcounts into a handful of shared header chunks and
+// the payload chunks the node already stores, rather than one heap vector
+// per datagram.
 #pragma once
 
 #include <cstdint>

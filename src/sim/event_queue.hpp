@@ -7,11 +7,13 @@
 //    nothing). Freed slots go on a free list and are reused; each slot
 //    carries a generation counter so stale handles and stale heap entries
 //    are detected after reuse.
-//  * a 4-ary heap of plain-old-data entries keyed by (time, sequence
-//    number): events at equal times fire in scheduling order, which keeps
-//    runs deterministic. Sift operations move 24-byte PODs, never callbacks;
-//    the 4-way branching halves the tree height and keeps sibling groups in
-//    one cache line, which is where a 100k-event backlog spends its time.
+//  * a 4-ary heap of plain-old-data entries keyed by (time, key2, sequence
+//    number): events at equal times fire in key2 order (0 for plain events),
+//    then in scheduling order, which keeps runs deterministic. Sift
+//    operations move 32-byte PODs (time, key2, seq, slot, generation), never
+//    callbacks; the 4-way branching halves the tree height, and a sibling
+//    group spans two cache lines — where a 100k-event backlog spends its
+//    time.
 //
 // Cancellation frees the slot immediately (the callback dies right away) and
 // leaves the heap entry behind as a tombstone — detected by generation

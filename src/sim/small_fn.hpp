@@ -4,8 +4,9 @@
 // nullary alias the event queue stores every scheduled callback in.
 // Callables up to kInlineBytes that are nothrow-move-constructible live
 // inside the object itself — the common simulation callbacks (datagram
-// delivery captures ~40 bytes: a fabric pointer plus a Datagram) therefore
-// cost zero heap allocations. Larger or throwing-move callables fall back
+// transmit and delivery capture 48 bytes: an 8-byte fabric pointer plus a
+// 40-byte net::Datagram, exactly the inline budget) therefore cost zero heap
+// allocations. Larger or throwing-move callables fall back
 // to a single heap allocation, exactly like std::function — but with a
 // 48-byte threshold instead of libstdc++'s 16. The signal bus
 // (core/signal.hpp) stores its subscribers in the non-nullary

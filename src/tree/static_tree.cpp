@@ -41,35 +41,27 @@ void StaticTree::publish(const gossip::Event& event) {
 }
 
 void StaticTree::forward(NodeId from, const gossip::Event& event) {
-  // Same wire format as a gossip serve, tagged kTreePush. Encoded once into
-  // a pooled buffer shared across all children.
-  net::ByteWriter w(16 + event.payload_size());
+  // The serve framing, tagged kTreePush: a header encoded once and shared
+  // across all children, and the payload chunk itself as the body.
+  net::ByteWriter w(16);
   w.u8(static_cast<std::uint8_t>(gossip::MsgTag::kTreePush));
   w.u32(from.value());
   w.u64(event.id.raw());
-  w.bytes(event.payload.bytes());
-  const net::BufferRef bytes = w.finish();
+  w.varint(event.payload.size());
+  const net::BufferRef header = w.finish();
+  const net::ChunkRef body = gossip::serve_body(event);
   for (NodeId child : children_of(from)) {
-    fabric_.send(from, child, net::MsgClass::kTree, bytes);
+    fabric_.send(from, child, net::MsgClass::kTree, header, body);
   }
 }
 
 void StaticTree::on_datagram(NodeId node, const net::Datagram& d) {
-  net::ByteReader r(d.bytes);
-  const auto tag = r.u8();
-  if (!tag || *tag != static_cast<std::uint8_t>(gossip::MsgTag::kTreePush)) return;
-  const auto from = r.u32();
-  const auto raw = r.u64();
-  if (!from || !raw) return;
-  const auto payload = r.bytes();
-  if (!payload) return;
-  gossip::Event event;
-  event.id = gossip::EventId::from_raw(*raw);
-  // Zero copy: pin the arrival buffer instead of copying the payload out.
-  event.payload = d.bytes.slice(static_cast<std::size_t>(payload->data() - d.bytes.data()),
-                                payload->size());
-  deliver_(node, event);
-  forward(node, event);
+  // Zero copy: the delivered payload is the datagram's body chunk.
+  const auto m = gossip::decode_serve(d.bytes, d.body, /*virtual_payloads=*/false,
+                                      gossip::MsgTag::kTreePush);
+  if (!m) return;
+  deliver_(node, m->event);
+  forward(node, m->event);
 }
 
 }  // namespace hg::tree

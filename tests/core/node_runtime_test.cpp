@@ -127,9 +127,10 @@ TEST(NodeRuntime, TagRegistrationDeregistersOnDestruction) {
   NodeRuntime rt(sim, fabric, directory, NodeId{0}, NodeConfig{});
 
   int hits = 0;
-  const net::Datagram d{NodeId{0}, NodeId{0}, net::MsgClass::kTree,
+  const net::Datagram d{NodeId{0}, NodeId{0}, net::MsgClass::kTree, 0,
                         net::BufferRef::copy_of(std::vector<std::uint8_t>{
-                            static_cast<std::uint8_t>(gossip::MsgTag::kTreePush)})};
+                            static_cast<std::uint8_t>(gossip::MsgTag::kTreePush)}),
+                        {}};
   {
     TagRegistration reg = rt.register_handler(
         gossip::MsgTag::kTreePush, &hits,

@@ -52,9 +52,13 @@ TEST(Messages, RequestRoundTrip) {
 TEST(Messages, ServeRoundTripWithPayload) {
   auto payload = make_payload(1316, 0x5a);
   ServeMsg m{NodeId{3}, Event{EventId{4, 77}, payload}};
-  auto buf = encode(m);
-  EXPECT_GT(buf.size(), 1316u);
-  auto out = decode_serve(buf);
+  const ServeDatagram wire = encode(m);
+  // Header: tag + sender + id + 2-byte length varint. The payload is the body.
+  EXPECT_EQ(wire.header.size(), 1u + 4u + 8u + 2u);
+  EXPECT_EQ(wire.body.size(), 1316u);
+  EXPECT_EQ(wire.phantom_bytes, 0u);
+  EXPECT_EQ(wire.header.size() + wire.body.size(), encoded_serve_size(m.event));
+  auto out = decode_serve(wire.header, wire.body);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->sender, NodeId{3});
   EXPECT_EQ(out->event.id, (EventId{4, 77}));
@@ -63,40 +67,60 @@ TEST(Messages, ServeRoundTripWithPayload) {
 }
 
 TEST(Messages, DecodeServeFromBufferIsZeroCopy) {
-  auto buf = encode(ServeMsg{NodeId{3}, Event{EventId{4, 77}, make_payload(256, 0x5a)}});
-  auto out = decode_serve(buf);
+  const net::BufferRef payload = make_payload(256, 0x5a);
+  const ServeDatagram wire = encode(ServeMsg{NodeId{3}, Event{EventId{4, 77}, payload}});
+  // The body is the sender's stored chunk itself, not a copy...
+  EXPECT_EQ(wire.body.data(), payload.data());
+  EXPECT_EQ(payload.ref_count(), 2u);
+  auto out = decode_serve(wire.header, wire.body);
   ASSERT_TRUE(out.has_value());
-  // The payload points into the encoded buffer itself and pins it.
-  EXPECT_GE(out->event.payload.data(), buf.data());
-  EXPECT_LT(out->event.payload.data(), buf.data() + buf.size());
-  EXPECT_EQ(buf.ref_count(), 2u);
+  // ...and the receiver stores that same chunk.
+  EXPECT_EQ(out->event.payload.data(), payload.data());
+  EXPECT_TRUE(out->event.payload.whole());
+  EXPECT_EQ(payload.ref_count(), 3u);
+}
+
+TEST(Messages, ServeOfASlicedPayloadCarriesExactlyItsBytes) {
+  // A payload viewing part of a larger chunk cannot travel as that chunk:
+  // the body is a copy of just the payload's bytes.
+  const net::BufferRef backing = net::BufferRef::copy_of(std::vector<std::uint8_t>{1, 2, 3, 4, 5});
+  const Event e{EventId{1, 2}, backing.slice(1, 3)};
+  const ServeDatagram wire = encode(ServeMsg{NodeId{3}, e});
+  EXPECT_EQ(wire.body.size(), 3u);
+  EXPECT_EQ(backing.ref_count(), 2u);  // the test's and the event's: the body is a copy
+  auto out = decode_serve(wire.header, wire.body);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->event.payload.to_vector(), (std::vector<std::uint8_t>{2, 3, 4}));
 }
 
 TEST(Messages, ServeRoundTripEmptyPayload) {
   ServeMsg m{NodeId{3}, Event{EventId{4, 77}, net::BufferRef{}}};
-  auto out = decode_serve(encode(m));
+  const ServeDatagram wire = encode(m);
+  EXPECT_FALSE(wire.body);
+  auto out = decode_serve(wire.header, wire.body);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->event.payload_size(), 0u);
 }
 
 TEST(Messages, BatchedServeSlicesMatchIndividualEncodes) {
-  // The serve batch path writes N standalone ServeMsg encodings into one
-  // buffer; each slice must be bit-identical to a solo encode(ServeMsg).
+  // The serve batch writes N standalone serve headers into one buffer; each
+  // slice at a span must be bit-identical to a solo encode's header, and
+  // the solo encode's body is the event's own chunk.
   std::vector<Event> events;
   for (std::uint16_t k = 0; k < 5; ++k) {
     events.push_back(Event{EventId{7, k}, make_payload(100 + k * 40u, 0x21 + k)});
-  }
-  for (const Event& e : events) {
-    EXPECT_EQ(encoded_serve_size(e), encode(ServeMsg{NodeId{9}, e}).size());
   }
   std::vector<ServeSpan> spans;
   const net::BufferRef batch = encode_serve_batch(NodeId{9}, events, spans);
   ASSERT_EQ(spans.size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
+    const ServeDatagram solo = encode(ServeMsg{NodeId{9}, events[i]});
     EXPECT_EQ(spans[i].phantom_bytes, 0u);  // real payloads: nothing phantom
-    const net::BufferRef slice = batch.slice(spans[i].offset, spans[i].length);
-    EXPECT_EQ(slice.to_vector(), encode(ServeMsg{NodeId{9}, events[i]}).to_vector());
-    auto out = decode_serve(slice);
+    const net::BufferRef header = batch.slice(spans[i].offset, spans[i].length);
+    EXPECT_EQ(header.to_vector(), solo.header.to_vector());
+    EXPECT_EQ(solo.body.data(), events[i].payload.data());
+    EXPECT_EQ(header.size() + solo.body.size(), encoded_serve_size(events[i]));
+    auto out = decode_serve(header, serve_body(events[i]));
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->event.id, events[i].id);
     EXPECT_EQ(out->event.payload.to_vector(), events[i].payload.to_vector());
@@ -104,9 +128,9 @@ TEST(Messages, BatchedServeSlicesMatchIndividualEncodes) {
 }
 
 TEST(Messages, VirtualServeRoundTripAndPhantomAccounting) {
-  // A virtual-payload serve ships the header + declared length only; the
-  // span carries the missing bytes as phantom, and header+phantom together
-  // account exactly what the real-payload encoding would put on the wire.
+  // A virtual-payload serve ships the header + declared length only, with
+  // the missing bytes as phantom: header + phantom account exactly what the
+  // real-payload serve puts on the wire.
   const Event real{EventId{7, 3}, make_payload(1316, 0x5a)};
   Event virt;
   virt.id = real.id;
@@ -120,22 +144,46 @@ TEST(Messages, VirtualServeRoundTripAndPhantomAccounting) {
   const net::BufferRef batch = encode_serve_batch(NodeId{9}, events, spans);
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].phantom_bytes, 1316u);
+  EXPECT_FALSE(serve_body(virt));
   EXPECT_EQ(spans[0].length + spans[0].phantom_bytes, encoded_serve_size(real));
+  const net::BufferRef header = batch.slice(spans[0].offset, spans[0].length);
+  const ServeDatagram real_wire = encode(ServeMsg{NodeId{9}, real});
+  EXPECT_EQ(header.to_vector(), real_wire.header.to_vector());
 
-  const net::BufferRef slice = batch.slice(spans[0].offset, spans[0].length);
   // Virtual framing decodes only in virtual mode...
-  const auto out = decode_serve(slice, /*virtual_payloads=*/true);
+  const auto out = decode_serve(header, {}, /*virtual_payloads=*/true);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->sender, NodeId{9});
   EXPECT_EQ(out->event.id, virt.id);
   EXPECT_TRUE(out->event.virtual_payload());
   EXPECT_EQ(out->event.payload_size(), 1316u);
-  // ...while a real-mode decode sees a truncated payload and rejects it.
-  EXPECT_FALSE(decode_serve(slice).has_value());
+  // ...while a real-mode decode sees a declared payload with no body.
+  EXPECT_FALSE(decode_serve(header, {}).has_value());
   // And a real-payload serve is rejected by a virtual-mode decoder (framing
   // mismatch must be loud, not shrugged off as loss).
   EXPECT_FALSE(
-      decode_serve(encode(ServeMsg{NodeId{9}, real}), /*virtual_payloads=*/true).has_value());
+      decode_serve(real_wire.header, real_wire.body, /*virtual_payloads=*/true).has_value());
+}
+
+TEST(Messages, ServeFramingMismatchesAreMalformed) {
+  const Event e{EventId{4, 7}, make_payload(100, 1)};
+  const ServeDatagram wire = encode(ServeMsg{NodeId{3}, e});
+  ASSERT_TRUE(decode_serve(wire.header, wire.body).has_value());
+  // The declared length differs from the body size.
+  EXPECT_FALSE(decode_serve(wire.header, net::ChunkRef::copy_of(std::vector<std::uint8_t>(99, 1)))
+                   .has_value());
+  EXPECT_FALSE(decode_serve(wire.header, net::ChunkRef::copy_of(std::vector<std::uint8_t>(101, 1)))
+                   .has_value());
+  // A real serve without its body.
+  EXPECT_FALSE(decode_serve(wire.header, net::ChunkRef{}).has_value());
+  // Header bytes trailing after the length (the old contiguous framing).
+  net::ByteWriter w;
+  const auto header = wire.header.to_vector();
+  for (std::uint8_t b : header) w.u8(b);
+  w.u8(0);
+  EXPECT_FALSE(decode_serve(w.finish(), wire.body).has_value());
+  // The static tree's tag is not a serve, and vice versa.
+  EXPECT_FALSE(decode_serve(wire.header, wire.body, false, MsgTag::kTreePush).has_value());
 }
 
 TEST(Messages, AggregationRoundTrip) {
@@ -163,17 +211,22 @@ TEST(Messages, AggregationCostMatchesPaperClaim) {
 TEST(Messages, DecodeRejectsWrongTag) {
   auto buf = encode(ProposeMsg{NodeId{1}, {EventId{1, 1}}});
   EXPECT_FALSE(decode_request(buf).has_value());
-  EXPECT_FALSE(decode_serve(buf).has_value());
+  EXPECT_FALSE(decode_serve(buf, {}).has_value());
   EXPECT_FALSE(decode_aggregation(buf).has_value());
 }
 
 TEST(Messages, DecodeRejectsTruncation) {
-  auto buf = encode(ServeMsg{NodeId{3}, Event{EventId{4, 7}, make_payload(100, 1)}});
-  const auto whole = buf.to_vector();
+  const ServeDatagram wire =
+      encode(ServeMsg{NodeId{3}, Event{EventId{4, 7}, make_payload(200, 1)}});
+  const auto header = wire.header.to_vector();
+  for (std::size_t cut = 1; cut <= header.size(); ++cut) {
+    const std::span<const std::uint8_t> shorter(header.data(), header.size() - cut);
+    EXPECT_FALSE(decode_serve(shorter, wire.body).has_value()) << "header cut=" << cut;
+  }
+  const auto body = wire.body.bytes();
   for (std::size_t cut : {1UL, 5UL, 13UL, 50UL}) {
-    std::vector<std::uint8_t> shorter(whole.begin(), whole.end() - static_cast<long>(cut));
-    EXPECT_FALSE(decode_serve(std::span<const std::uint8_t>(shorter)).has_value())
-        << "cut=" << cut;
+    const auto shorter = net::ChunkRef::copy_of(body.first(body.size() - cut));
+    EXPECT_FALSE(decode_serve(wire.header, shorter).has_value()) << "body cut=" << cut;
   }
 }
 
@@ -223,7 +276,8 @@ TEST(MessagesFuzz, RandomizedRoundTripAllCodecs) {
                      Event{EventId{static_cast<std::uint32_t>(rng.below(1 << 16)),
                                    static_cast<std::uint16_t>(rng.below(110))},
                            net::BufferRef::copy_of(random_bytes(rng, rng.below(1400)))}};
-    auto sd = decode_serve(encode(s));
+    const ServeDatagram wire = encode(s);
+    auto sd = decode_serve(wire.header, wire.body);
     ASSERT_TRUE(sd.has_value());
     EXPECT_EQ(sd->event.id, s.event.id);
     EXPECT_EQ(sd->event.payload.to_vector(), s.event.payload.to_vector());
@@ -246,21 +300,24 @@ TEST(MessagesFuzz, RandomizedRoundTripAllCodecs) {
   }
 }
 
-void decode_all(std::span<const std::uint8_t> buf) {
+// Every decoder over `buf`; the serve decoder in both framings, with `body`.
+void decode_all(std::span<const std::uint8_t> buf, const net::ChunkRef& body = {}) {
   (void)peek_tag(buf);
   (void)decode_propose(buf);
   (void)decode_request(buf);
-  (void)decode_serve(buf);
+  (void)decode_serve(buf, body);
+  (void)decode_serve(buf, body, /*virtual_payloads=*/true);
   (void)decode_aggregation(buf);
 }
 
 TEST(MessagesFuzz, EveryPrefixOfEveryCodecIsSafe) {
   Rng rng(7);
+  const ServeDatagram serve = encode(
+      ServeMsg{NodeId{5}, Event{EventId{9, 9}, net::BufferRef::copy_of(random_bytes(rng, 300))}});
   std::vector<net::BufferRef> encoded{
       encode(random_propose(rng)),
       encode(RequestMsg{NodeId{3}, {EventId{1, 2}, EventId{1, 3}}}),
-      encode(ServeMsg{NodeId{5},
-                      Event{EventId{9, 9}, net::BufferRef::copy_of(random_bytes(rng, 300))}}),
+      serve.header,
       encode(AggregationMsg{NodeId{2},
                             {{NodeId{4}, 512'000, sim::SimTime::ms(9)},
                              {NodeId{5}, 128'000, sim::SimTime::ms(10)}}}),
@@ -269,26 +326,53 @@ TEST(MessagesFuzz, EveryPrefixOfEveryCodecIsSafe) {
     const auto whole = buf.to_vector();
     // Every strict prefix: decoders must reject without overreading.
     for (std::size_t len = 0; len < whole.size(); ++len) {
-      decode_all(std::span<const std::uint8_t>(whole.data(), len));
+      const std::span<const std::uint8_t> prefix(whole.data(), len);
+      decode_all(prefix, serve.body);
+      EXPECT_FALSE(decode_serve(prefix, serve.body).has_value());
     }
+  }
+  // Every strict prefix of the body, under the intact header.
+  const auto body = serve.body.bytes();
+  for (std::size_t len = 0; len < body.size(); ++len) {
+    EXPECT_FALSE(decode_serve(serve.header, net::ChunkRef::copy_of(body.first(len))).has_value());
   }
 }
 
 TEST(MessagesFuzz, CorruptedBytesNeverReadOutOfBounds) {
+  // Header and body are mutated separately: they are separate buffers on
+  // the wire, so each must survive corruption on its own.
   Rng rng(13);
   for (int iter = 0; iter < 300; ++iter) {
-    auto whole =
-        encode(ServeMsg{NodeId{5}, Event{EventId{9, 9},
-                                         net::BufferRef::copy_of(random_bytes(rng, 200))}})
-            .to_vector();
-    // Flip a few random bytes — length prefixes and varints included.
+    const ServeDatagram wire = encode(
+        ServeMsg{NodeId{5}, Event{EventId{9, 9}, net::BufferRef::copy_of(random_bytes(rng, 200))}});
+    // Flip a few random header bytes — the length varint included.
+    auto header = wire.header.to_vector();
     const std::size_t flips = 1 + rng.below(4);
     for (std::size_t f = 0; f < flips; ++f) {
-      whole[rng.below(whole.size())] = static_cast<std::uint8_t>(rng.below(256));
+      header[rng.below(header.size())] = static_cast<std::uint8_t>(rng.below(256));
     }
-    decode_all(whole);
-    // Pure noise, too.
-    decode_all(random_bytes(rng, rng.below(64)));
+    decode_all(header, wire.body);
+    // Flip, truncate, or extend the body under the intact header.
+    const auto body = wire.body.bytes();
+    std::vector<std::uint8_t> mutated(body.begin(), body.end());
+    switch (rng.below(3)) {
+      case 0:
+        mutated[rng.below(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+        break;
+      case 1:
+        mutated.resize(rng.below(mutated.size()));
+        break;
+      default:
+        mutated.resize(mutated.size() + 1 + rng.below(8));
+        break;
+    }
+    const net::ChunkRef mutated_body = net::ChunkRef::copy_of(mutated);
+    decode_all(wire.header, mutated_body);
+    // A same-length body decodes (the payload is opaque); any other is malformed.
+    EXPECT_EQ(decode_serve(wire.header, mutated_body).has_value(), mutated.size() == body.size());
+    // Both corrupted at once, and pure noise, too.
+    decode_all(header, mutated_body);
+    decode_all(random_bytes(rng, rng.below(64)), mutated_body);
   }
 }
 
@@ -302,7 +386,8 @@ TEST(MessagesFuzz, OversizedLengthClaimsAreRejected) {
   for (int i = 0; i < 9; ++i) w.u8(0xff);  // varint claiming ~2^63 payload bytes
   w.u8(0x7f);
   const auto buf = w.finish();
-  EXPECT_FALSE(decode_serve(buf).has_value());
+  EXPECT_FALSE(decode_serve(buf, {}).has_value());
+  EXPECT_FALSE(decode_serve(buf, {}, /*virtual_payloads=*/true).has_value());
 
   net::ByteWriter w2;
   w2.u8(static_cast<std::uint8_t>(MsgTag::kPropose));

@@ -50,6 +50,18 @@ struct Swarm {
   }
 };
 
+// Datagrams as the fabric delivers them, for injecting traffic directly.
+net::Datagram datagram(std::uint32_t from, std::uint32_t to, net::MsgClass cls,
+                       net::BufferRef bytes) {
+  return net::Datagram{NodeId{from}, NodeId{to}, cls, 0, std::move(bytes), {}};
+}
+
+net::Datagram serve_datagram(std::uint32_t from, std::uint32_t to, const Event& event) {
+  ServeDatagram wire = encode(ServeMsg{NodeId{from}, event});
+  return net::Datagram{NodeId{from}, NodeId{to}, net::MsgClass::kServe, wire.phantom_bytes,
+                       std::move(wire.header), std::move(wire.body)};
+}
+
 TEST(ThreePhase, SingleEventReachesEveryone) {
   Swarm s(30);
   s.nodes[0]->publish(s.make_event(0, 0));
@@ -84,6 +96,25 @@ TEST(ThreePhase, PayloadsSurviveDissemination) {
     ASSERT_TRUE(s.delivered[i][0].payload);
     EXPECT_EQ(s.delivered[i][0].payload.to_vector(), raw);
   }
+}
+
+TEST(ThreePhase, EveryNodeStoresTheSourcesPayloadChunk) {
+  // Serves forward the stored chunk itself: after any number of hops, every
+  // node's store holds the one chunk the source published, never a copy.
+  Swarm s(10);
+  const net::BufferRef payload =
+      net::BufferRef::copy_of(std::vector<std::uint8_t>(1316, 0x42));
+  s.nodes[0]->publish(Event{EventId{1, 1}, payload});
+  s.sim.run_until(sim::SimTime::sec(5));
+  for (std::size_t i = 0; i < 10; ++i) {
+    const Event* stored = s.nodes[i]->delivered_event(EventId{1, 1});
+    ASSERT_NE(stored, nullptr) << "node " << i;
+    EXPECT_EQ(stored->payload.data(), payload.data()) << "node " << i;
+  }
+  // Nothing else holds it once the datagrams are gone: the test's ref, and
+  // per node its store, this harness's delivery log, and the store's lookup
+  // scratch (delivered_event above).
+  EXPECT_EQ(payload.ref_count(), 1u + 10u * 3u);
 }
 
 TEST(ThreePhase, InfectAndDieProposesEachIdOnce) {
@@ -176,8 +207,8 @@ TEST(ThreePhase, RetransmitRetriesAlternateProposerUntilCancelled) {
   Swarm s(4, cfg);
   // Nodes 1 and 2 both propose (0,0) to node 3; nobody ever serves it.
   const auto inject_propose = [&](std::uint32_t from) {
-    s.nodes[3]->on_datagram(net::Datagram{NodeId{from}, NodeId{3}, net::MsgClass::kPropose,
-                                          encode(ProposeMsg{NodeId{from}, {EventId{0, 0}}})});
+    s.nodes[3]->on_datagram(datagram(from, 3, net::MsgClass::kPropose,
+                                     encode(ProposeMsg{NodeId{from}, {EventId{0, 0}}})));
   };
   inject_propose(1);
   inject_propose(2);
@@ -204,14 +235,13 @@ TEST(ThreePhase, DuplicateServesDeliverOnceAndProposeOnce) {
   // request answered twice) must neither re-deliver nor re-propose the id.
   Swarm s(4);
   const auto inject_propose = [&](std::uint32_t from) {
-    s.nodes[3]->on_datagram(net::Datagram{NodeId{from}, NodeId{3}, net::MsgClass::kPropose,
-                                          encode(ProposeMsg{NodeId{from}, {EventId{0, 0}}})});
+    s.nodes[3]->on_datagram(datagram(from, 3, net::MsgClass::kPropose,
+                                     encode(ProposeMsg{NodeId{from}, {EventId{0, 0}}})));
   };
   const auto inject_serve = [&](std::uint32_t from) {
     const Event ev{EventId{0, 0},
                    net::BufferRef::copy_of(std::vector<std::uint8_t>(64, 0x11))};
-    s.nodes[3]->on_datagram(net::Datagram{NodeId{from}, NodeId{3}, net::MsgClass::kServe,
-                                          encode(ServeMsg{NodeId{from}, ev})});
+    s.nodes[3]->on_datagram(serve_datagram(from, 3, ev));
   };
   inject_propose(1);
   inject_propose(2);
@@ -234,9 +264,9 @@ TEST(ThreePhase, BatchedServeAnswersMultiIdRequestInOneBuffer) {
   // Node 0 holds three events of one window, published in one round.
   for (std::uint16_t k = 0; k < 3; ++k) s.nodes[0]->publish(s.make_event(5, k));
   // Node 1 requests all three in a single Request datagram.
-  s.nodes[0]->on_datagram(net::Datagram{
-      NodeId{1}, NodeId{0}, net::MsgClass::kRequest,
-      encode(RequestMsg{NodeId{1}, {EventId{5, 0}, EventId{5, 1}, EventId{5, 2}}})});
+  s.nodes[0]->on_datagram(
+      datagram(1, 0, net::MsgClass::kRequest,
+               encode(RequestMsg{NodeId{1}, {EventId{5, 0}, EventId{5, 1}, EventId{5, 2}}})));
   EXPECT_EQ(s.nodes[0]->stats().serves_sent, 3u);   // one datagram per event...
   EXPECT_EQ(s.nodes[0]->stats().serve_batches, 1u); // ...sharing one pooled buffer
   s.sim.run_until(sim::SimTime::sec(5));
@@ -250,9 +280,9 @@ TEST(ThreePhase, ProposeWithOutOfRangePacketIndexIsMalformed) {
   // as malformed instead of materializing ring state.
   const std::uint16_t ppw =
       static_cast<std::uint16_t>(s.nodes[3]->config().packets_per_window);
-  s.nodes[3]->on_datagram(net::Datagram{
-      NodeId{1}, NodeId{3}, net::MsgClass::kPropose,
-      encode(ProposeMsg{NodeId{1}, {EventId{0, ppw}, EventId{0, 0}, EventId{0, 9999}}})});
+  s.nodes[3]->on_datagram(
+      datagram(1, 3, net::MsgClass::kPropose,
+               encode(ProposeMsg{NodeId{1}, {EventId{0, ppw}, EventId{0, 0}, EventId{0, 9999}}})));
   EXPECT_EQ(s.nodes[3]->stats().malformed, 2u);
   EXPECT_EQ(s.nodes[3]->stats().requests_sent, 1u);
   s.sim.run_until(sim::SimTime::sec(20));
@@ -267,8 +297,7 @@ TEST(ThreePhase, ServeWithOutOfRangePacketIndexIsMalformed) {
       static_cast<std::uint16_t>(s.nodes[1]->config().packets_per_window);
   const Event ev{EventId{0, ppw},
                  net::BufferRef::copy_of(std::vector<std::uint8_t>(64, 0x22))};
-  s.nodes[1]->on_datagram(net::Datagram{NodeId{0}, NodeId{1}, net::MsgClass::kServe,
-                                        encode(ServeMsg{NodeId{0}, ev})});
+  s.nodes[1]->on_datagram(serve_datagram(0, 1, ev));
   EXPECT_EQ(s.nodes[1]->stats().malformed, 1u);
   EXPECT_EQ(s.nodes[1]->stats().events_delivered, 0u);
   EXPECT_FALSE(s.nodes[1]->has_delivered(EventId{0, ppw}));
@@ -285,8 +314,8 @@ TEST(ThreePhase, ProposeBelowGcCutoffIsMalformed) {
   // Newest window 9, horizon 3: windows < 6 are gc'd on node 0.
   ASSERT_FALSE(s.nodes[0]->has_delivered(EventId{0, 0}));
   const auto requests_before = s.nodes[0]->stats().requests_sent;
-  s.nodes[0]->on_datagram(net::Datagram{NodeId{1}, NodeId{0}, net::MsgClass::kPropose,
-                                        encode(ProposeMsg{NodeId{1}, {EventId{0, 1}}})});
+  s.nodes[0]->on_datagram(datagram(1, 0, net::MsgClass::kPropose,
+                                   encode(ProposeMsg{NodeId{1}, {EventId{0, 1}}})));
   EXPECT_EQ(s.nodes[0]->stats().malformed, 1u);
   EXPECT_EQ(s.nodes[0]->stats().requests_sent, requests_before);
 }
@@ -307,8 +336,7 @@ TEST(ThreePhase, StaleServeDoesNotResurrectGcdEvent) {
   // resurrect gc'd state — and re-propose an id everyone forgot about.
   const Event stale{EventId{0, 0},
                     net::BufferRef::copy_of(std::vector<std::uint8_t>(64, 0x33))};
-  s.nodes[0]->on_datagram(net::Datagram{NodeId{1}, NodeId{0}, net::MsgClass::kServe,
-                                        encode(ServeMsg{NodeId{1}, stale})});
+  s.nodes[0]->on_datagram(serve_datagram(1, 0, stale));
   EXPECT_EQ(s.nodes[0]->stats().malformed, 1u);
   EXPECT_EQ(s.nodes[0]->stats().events_delivered, delivered_before);
   EXPECT_FALSE(s.nodes[0]->has_delivered(EventId{0, 0}));
@@ -328,8 +356,8 @@ TEST(ThreePhase, CancellingManyWindowsDoesNotAllocate) {
   s.nodes[1]->cancel_window_requests(1u << 20);
   EXPECT_EQ(s.nodes[1]->state_bytes(), idle);
   // And the flags actually suppress requests.
-  s.nodes[1]->on_datagram(net::Datagram{NodeId{0}, NodeId{1}, net::MsgClass::kPropose,
-                                        encode(ProposeMsg{NodeId{0}, {EventId{3, 0}}})});
+  s.nodes[1]->on_datagram(datagram(0, 1, net::MsgClass::kPropose,
+                                   encode(ProposeMsg{NodeId{0}, {EventId{3, 0}}})));
   EXPECT_EQ(s.nodes[1]->stats().requests_sent, 0u);
 }
 

@@ -62,6 +62,31 @@ TEST(BufferRef, SlicePinsTheBackingChunk) {
             std::vector<std::uint8_t>(expected.begin() + 24, expected.begin() + 32));
 }
 
+TEST(ChunkRef, CopiesShareTheChunkAndTheLastReleaseReturnsIt) {
+  BufferPool& pool = BufferPool::local();
+  const std::int64_t baseline = pool.live_chunks();
+  ChunkRef a = ChunkRef::copy_of(pattern(1316));
+  EXPECT_EQ(a.size(), 1316u);
+  EXPECT_EQ(a.bytes()[5], pattern(6)[5]);
+  ChunkRef b = a;
+  EXPECT_EQ(a.ref_count(), 2u);
+  // A BufferRef over the whole chunk shares it; a slice of it is not whole.
+  BufferRef view(b);
+  EXPECT_TRUE(view.whole());
+  EXPECT_EQ(view.data(), a.data());
+  EXPECT_EQ(view.size(), a.size());
+  EXPECT_EQ(a.ref_count(), 3u);
+  EXPECT_FALSE(view.slice(1, 10).whole());
+  EXPECT_EQ(view.chunk().data(), a.data());
+  a.reset();
+  b.reset();
+  EXPECT_EQ(pool.live_chunks(), baseline + 1);
+  view.reset();
+  EXPECT_EQ(pool.live_chunks(), baseline);
+  EXPECT_FALSE(a);
+  EXPECT_EQ(a.size(), 0u);
+}
+
 TEST(BufferPool, ReleasedChunksAreRecycled) {
   BufferPool& pool = BufferPool::local();
   { BufferRef warm = BufferRef::copy_of(pattern(1000)); }  // prime the 1 KiB class
@@ -82,6 +107,21 @@ TEST(BufferPool, OversizedRequestsBypassTheFreeLists) {
   { BufferRef ref = BufferRef::copy_of(big); }
   { BufferRef ref = BufferRef::copy_of(big); }
   EXPECT_EQ(pool.stats().oversized, oversized_before + 2);
+}
+
+TEST(BufferPool, LiveChunksCountsOversizedReleases) {
+  // An oversized chunk bypasses the free lists on release too; it must
+  // still count as released, or live_chunks() drifts up by one per chunk.
+  BufferPool& pool = BufferPool::local();
+  const std::int64_t baseline = pool.live_chunks();
+  const std::vector<std::uint8_t> big(BufferPool::kMaxClassBytes + 1, 0x42);
+  {
+    BufferRef ref = BufferRef::copy_of(big);
+    EXPECT_EQ(pool.live_chunks(), baseline + 1);
+  }
+  EXPECT_EQ(pool.live_chunks(), baseline);
+  { BufferRef small = BufferRef::copy_of(pattern(100)); }
+  EXPECT_EQ(pool.live_chunks(), baseline);
 }
 
 TEST(BufferPool, ForeignThreadReleaseIsSafe) {
@@ -130,25 +170,26 @@ TEST(BufferPool, SteadyStateWirePathIsAllocationFree) {
   constexpr std::size_t kBatch = 8;
   constexpr std::size_t kPayloadBytes = 1316;
 
-  // Node 1 stores delivered payloads (zero-copy slices of arrival buffers)
-  // with a bounded horizon, like the gossip engine's gc.
+  // Node 1 stores delivered payloads (the bodies the serves carried) with a
+  // bounded horizon, like the gossip engine's gc.
   std::deque<BufferRef> stored;
   std::uint64_t served_total = 0;
   std::vector<gossip::Event> events;
   std::vector<gossip::ServeSpan> spans;
   fabric.register_node(NodeId{0}, BitRate::unlimited(), [&](const Datagram& d) {
     // Node 0: answer a request with the production batched-serve path —
-    // one pooled buffer, one zero-copy slice per event.
+    // one pooled header buffer, one slice of it per event, and the event's
+    // payload chunk as the body.
     const auto req = gossip::decode_request(d.bytes);
     ASSERT_TRUE(req.has_value());
     events.clear();
     for (gossip::EventId id : req->ids) {
       events.push_back(gossip::Event{id, BufferRef::copy_of(pattern(kPayloadBytes))});
     }
-    const BufferRef batch = gossip::encode_serve_batch(NodeId{0}, events, spans);
-    for (const auto& span : spans) {
+    const BufferRef headers = gossip::encode_serve_batch(NodeId{0}, events, spans);
+    for (std::size_t i = 0; i < spans.size(); ++i) {
       fabric.send(NodeId{0}, NodeId{1}, MsgClass::kServe,
-                  batch.slice(span.offset, span.length));
+                  headers.slice(spans[i].offset, spans[i].length), gossip::serve_body(events[i]));
     }
   });
   fabric.register_node(NodeId{1}, BitRate::mbps(100), [&](const Datagram& d) {
@@ -160,9 +201,9 @@ TEST(BufferPool, SteadyStateWirePathIsAllocationFree) {
       fabric.send(NodeId{1}, NodeId{0}, MsgClass::kRequest,
                   gossip::encode(gossip::RequestMsg{NodeId{1}, prop->ids}));
     } else {
-      const auto serve = gossip::decode_serve(d.bytes);
+      const auto serve = gossip::decode_serve(d.bytes, d.body);
       ASSERT_TRUE(serve.has_value());
-      stored.push_back(serve->event.payload);  // pins the batch buffer
+      stored.push_back(serve->event.payload);  // the sender's chunk itself
       while (stored.size() > 5 * kBatch) stored.pop_front();
       ++served_total;
     }

@@ -12,7 +12,7 @@ BufferRef make_bytes(std::size_t n) {
 }
 
 Datagram make_datagram(std::size_t body, MsgClass cls = MsgClass::kServe) {
-  return Datagram{NodeId{0}, NodeId{1}, cls, make_bytes(body)};
+  return Datagram{NodeId{0}, NodeId{1}, cls, 0, make_bytes(body), {}};
 }
 
 TEST(UploadLink, TransmissionTakesWireTime) {

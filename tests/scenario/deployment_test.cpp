@@ -123,6 +123,45 @@ TEST(Deployment, RealPayloadsShareOneCodecAndDecodeByteExact) {
   EXPECT_GT(repaired, 0u);
 }
 
+// Teardown audit: payloads travel as shared chunks (the source's packet is
+// the body of every serve and sits in every receiver's store), so one
+// refcount leak would pin a chunk forever. Building, running, and destroying
+// a real-payload deployment must hand every pooled chunk back, on the
+// sequential engine and across the sharded exchange (one worker: every
+// partition runs on this thread, so this thread's pool sees every chunk).
+TEST(Deployment, RealPayloadTeardownReturnsEveryChunk) {
+  for (const std::uint32_t partitions : {0u, 4u}) {
+    ExperimentConfig cfg;
+    cfg.node_count = 30;
+    cfg.stream_windows = 3;
+    cfg.stream.real_payloads = true;
+    cfg.loss_rate = 0.02;
+    cfg.seed = 11;
+    cfg.workers = partitions == 0 ? 0 : 1;
+    cfg.partitions = partitions;
+    const std::int64_t baseline = net::BufferPool::local().live_chunks();
+    {
+      auto d = Deployment::Builder{}
+                   .seed(cfg.seed)
+                   .network(cfg.network_plan())
+                   .population(cfg.population_plan())
+                   .stream(cfg.stream_plan())
+                   .parallel(cfg.parallel_plan())
+                   .build();
+      EXPECT_EQ(d->parallel(), partitions != 0);
+      d->start();
+      d->run_until(cfg.run_end());
+      std::uint64_t decoded = 0;
+      for (std::size_t i = 0; i < d->receivers(); ++i) {
+        decoded += d->node(i).module<stream::FecModule>().stats().windows_decoded;
+      }
+      EXPECT_GT(decoded, 0u) << "partitions=" << partitions;
+      EXPECT_GT(net::BufferPool::local().live_chunks(), baseline);
+    }
+    EXPECT_EQ(net::BufferPool::local().live_chunks(), baseline) << "partitions=" << partitions;
+  }
+}
+
 // The tentpole's payoff scenario: a standard-gossip minority runs inside a
 // HEAP deployment via the node factory — and the deployment still delivers
 // the stream to (essentially) everyone.

@@ -4,11 +4,16 @@
 // HG_WORKERS vary freely across machines without bending any paper curve.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "scenario/deployment.hpp"
 #include "scenario/report.hpp"
+#include "stream/fec_module.hpp"
+#include "stream/packet.hpp"
 
 namespace hg::scenario {
 namespace {
@@ -132,6 +137,84 @@ TEST(ParallelDeterminism, EpochWideningPreservesChurnResults) {
     return std::stoull(s.substr(s.find("epochs_run=") + 11));
   };
   EXPECT_LT(epochs(widened), epochs(literal));
+}
+
+// Real payloads on the sharded engine. A serve's body is the sender's
+// stored chunk, and a serve crossing a partition boundary gets a copy of its
+// body in the importing partition's pool, so every partition's receivers
+// hold their own copies of the source's packets. Every decoded window must
+// still reach the sink byte-exact, and decode times, traffic meters and FEC
+// counters must not depend on the worker count.
+std::string real_payload_digest(std::size_t workers) {
+  ExperimentConfig cfg = parallel_cfg(workers);
+  cfg.stream.real_payloads = true;
+  cfg.loss_rate = 0.02;  // enough loss that some windows decode through parity
+  auto d = Deployment::Builder{}
+               .seed(cfg.seed)
+               .network(cfg.network_plan())
+               .population(cfg.population_plan())
+               .stream(cfg.stream_plan())
+               .parallel(cfg.parallel_plan())
+               .build();
+  EXPECT_TRUE(d->parallel());
+  // Sinks run on the receivers' partition workers: each writes only its own
+  // receiver's slots.
+  std::vector<std::uint64_t> sunk(d->receivers(), 0);
+  std::vector<std::uint64_t> mismatched(d->receivers(), 0);
+  for (std::size_t i = 0; i < d->receivers(); ++i) {
+    d->node(i).module<stream::FecModule>().set_window_sink(
+        [i, &sunk, &mismatched, &cfg](std::uint32_t w,
+                                      std::span<const std::span<const std::uint8_t>> data) {
+          ++sunk[i];
+          for (std::uint16_t k = 0; k < data.size(); ++k) {
+            const auto expected = stream::synth_payload_bytes(w, k, cfg.stream.packet_bytes);
+            if (!std::equal(data[k].begin(), data[k].end(), expected.begin(), expected.end())) {
+              ++mismatched[i];
+            }
+          }
+        });
+  }
+  d->start();
+  d->run_until(cfg.run_end());
+
+  std::string out;
+  char buf[128];
+  std::uint64_t decoded = 0, repaired = 0;
+  for (std::size_t i = 0; i < d->receivers(); ++i) {
+    const auto& fec = d->node(i).module<stream::FecModule>().stats();
+    EXPECT_EQ(mismatched[i], 0u) << "receiver " << i;
+    EXPECT_EQ(sunk[i], fec.windows_decoded) << "receiver " << i;
+    EXPECT_EQ(fec.decode_failures, 0u) << "receiver " << i;
+    decoded += fec.windows_decoded;
+    repaired += fec.erasures_repaired;
+    for (std::uint32_t w = 0; w < cfg.stream_windows; ++w) {
+      std::snprintf(buf, sizeof buf, "%lld ",
+                    static_cast<long long>(d->player(i).window(w).decode_time.as_us()));
+      out += buf;
+    }
+    std::snprintf(buf, sizeof buf, "sent=%lld recv=%lld decoded=%llu repaired=%llu\n",
+                  static_cast<long long>(d->meter(i).total_sent_bytes()),
+                  static_cast<long long>(d->meter(i).total_received_bytes()),
+                  static_cast<unsigned long long>(fec.windows_decoded),
+                  static_cast<unsigned long long>(fec.erasures_repaired));
+    out += buf;
+  }
+  // Nearly every (receiver, window) pair decodes, some through parity, and
+  // the exchange really carried bodies.
+  EXPECT_GT(decoded, d->receivers() * cfg.stream_windows * 9 / 10);
+  EXPECT_GT(repaired, 0u);
+  const auto xpart = d->fabric().superstep_counters();
+  EXPECT_GT(xpart.xpart_exchange_bytes, xpart.xpart_datagrams * cfg.stream.packet_bytes / 4);
+  std::snprintf(buf, sizeof buf, "delivered=%llu xpart_bytes=%llu",
+                static_cast<unsigned long long>(d->fabric().datagrams_delivered()),
+                static_cast<unsigned long long>(xpart.xpart_exchange_bytes));
+  out += buf;
+  return out;
+}
+
+TEST(ParallelDeterminism, RealPayloadsDecodeByteExactAcrossWorkerCounts) {
+  const std::string one = real_payload_digest(1);
+  EXPECT_EQ(real_payload_digest(4), one);
 }
 
 TEST(ParallelDeterminism, ChurnAndDetectionStayDeterministic) {

@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
+
+#include "net/datagram.hpp"
 
 namespace hg::sim {
 namespace {
@@ -192,16 +193,14 @@ TEST(SmallFnTest, InlineAndHeapStorage) {
 }
 
 TEST(SmallFnTest, DatagramSizedCaptureStaysInline) {
-  // The hot path captures a fabric pointer + a ~32-byte datagram; that must
-  // fit the inline buffer or the refactor's zero-allocation claim is void.
-  struct DatagramShaped {
-    std::uint32_t src, dst;
-    std::uint32_t msg_class;
-    std::shared_ptr<const std::vector<std::uint8_t>> bytes;
-  };
+  // The upload-link and delivery closures capture a fabric pointer and a
+  // net::Datagram by value; that must fit the inline buffer or every
+  // datagram hop allocates.
   void* fabric = nullptr;
-  DatagramShaped d{1, 2, 3, nullptr};
-  SmallFn fn([fabric, d] { (void)fabric; });
+  net::Datagram d{NodeId{1}, NodeId{2}, net::MsgClass::kServe, 0,
+                  net::BufferRef::copy_of(std::vector<std::uint8_t>(15, 3)),
+                  net::ChunkRef::copy_of(std::vector<std::uint8_t>(1316, 4))};
+  SmallFn fn([fabric, d = std::move(d)] { (void)fabric; });
   EXPECT_TRUE(fn.is_inline());
 }
 

@@ -24,11 +24,7 @@ fec::WindowCodecConfig codec_config(const StreamConfig& cfg) {
 }
 
 // Pooled chunks currently owned by someone on this thread.
-std::int64_t live_chunks() {
-  const auto& s = net::BufferPool::local().stats();
-  return static_cast<std::int64_t>(s.chunk_allocs + s.pool_hits) -
-         static_cast<std::int64_t>(s.pool_returns + s.foreign_frees);
-}
+std::int64_t live_chunks() { return net::BufferPool::local().live_chunks(); }
 
 std::vector<std::uint8_t> to_vector(std::span<const std::uint8_t> bytes) {
   return {bytes.begin(), bytes.end()};
