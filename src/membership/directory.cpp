@@ -38,7 +38,7 @@ void Directory::kill(NodeId id) {
   const std::int64_t tick = detection_.wheel_tick.as_us();
   HG_ASSERT_MSG(tick > 0, "DetectionConfig::wheel_tick must be positive");
   for (LocalView* view : views_) {
-    if (view->owner() == id) continue;
+    if (view == nullptr || view->owner() == id) continue;
     const NodeId observer = view->owner();
     const double factor = rng_.uniform(1.0 - detection_.spread, 1.0 + detection_.spread);
     const auto delay = sim::SimTime::us(
@@ -73,6 +73,7 @@ std::unique_ptr<LocalView> Directory::make_view(NodeId owner) {
 }
 
 void Directory::register_view(LocalView* view) {
+  view->registration_ = static_cast<std::uint32_t>(views_.size());
   views_.push_back(view);
   const std::size_t owner = view->owner().value();
   if (view_by_owner_.size() <= owner) view_by_owner_.resize(owner + 1, nullptr);
@@ -80,7 +81,7 @@ void Directory::register_view(LocalView* view) {
 }
 
 void Directory::unregister_view(LocalView* view) {
-  views_.erase(std::remove(views_.begin(), views_.end(), view), views_.end());
+  views_[view->registration_] = nullptr;
   const std::size_t owner = view->owner().value();
   if (owner < view_by_owner_.size() && view_by_owner_[owner] == view) {
     view_by_owner_[owner] = nullptr;

@@ -86,7 +86,9 @@ class Directory {
   std::size_t alive_count_ = 0;
   // Registration order (kill() draws per-observer detection delays in this
   // order — part of the deterministic contract) plus a dense owner-id index
-  // so a detection event resolves its view in O(1), not O(views).
+  // so a detection event resolves its view in O(1), not O(views). A
+  // destroyed view leaves a null hole, so tearing down N views costs O(N).
+  // Views die only at teardown, so the holes are never reclaimed.
   std::vector<LocalView*> views_;
   std::vector<LocalView*> view_by_owner_;
   Rng rng_;
@@ -141,6 +143,7 @@ class LocalView {
 
   Directory* dir_;
   NodeId owner_;
+  std::uint32_t registration_ = 0;       // index in the directory's views_
   std::size_t snapshot_size_;            // directory size when the view was built
   std::size_t believed_;                 // peers this view believes alive
   bool materialized_ = false;

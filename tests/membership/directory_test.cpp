@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -300,6 +302,59 @@ TEST(Directory, ViewOfKilledOwnerUnaffected) {
   dir.kill(NodeId{0});
   view.reset();  // destroyed before detection event fires
   s.run_until(sim::SimTime::sec(30));
+}
+
+TEST(Directory, DestroyedViewsLeaveKillDrawingAsIfNeverRegistered) {
+  // kill() draws one detection delay per registered view, in registration
+  // order. Destroying views 3 and 7 must leave every other view's draw
+  // exactly as in a directory that never had them, and a view destroyed
+  // while its detection is pending (8) must be skipped when the drain fires.
+  struct Run {
+    std::vector<sim::SimTime> drains;    // drain times, in firing order
+    std::vector<sim::SimTime> detected;  // per owner; max() = never
+  };
+  const auto run = [](const std::vector<std::uint32_t>& built,
+                      const std::vector<std::uint32_t>& destroyed) {
+    std::multimap<sim::SimTime, std::function<void()>> pending;
+    sim::SimTime now = sim::SimTime::sec(1.0);
+    Directory dir(
+        DetectionConfig{}, Rng(42),
+        [&](sim::SimTime at, std::function<void()> fn) { pending.emplace(at, std::move(fn)); },
+        [&] { return now; });
+    for (std::uint32_t i = 0; i < 10; ++i) dir.add_node(NodeId{i});
+    std::vector<std::unique_ptr<LocalView>> views(10);
+    for (const std::uint32_t i : built) views[i] = dir.make_view(NodeId{i});
+    for (const std::uint32_t i : destroyed) views[i].reset();
+    dir.kill(NodeId{5});
+    views[8].reset();
+    Run r;
+    r.detected.assign(10, sim::SimTime::max());
+    while (!pending.empty()) {
+      const auto it = pending.begin();
+      now = it->first;
+      const std::function<void()> drain = std::move(it->second);
+      pending.erase(it);
+      r.drains.push_back(now);
+      drain();
+      for (std::uint32_t i = 0; i < 10; ++i) {
+        if (views[i] != nullptr && views[i]->believed_peers() == 8 &&
+            r.detected[i] == sim::SimTime::max()) {
+          r.detected[i] = now;
+        }
+      }
+    }
+    return r;
+  };
+  const Run destroyed = run({0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {3, 7});
+  const Run never_built = run({0, 1, 2, 4, 5, 6, 8, 9}, {});
+  EXPECT_EQ(destroyed.drains, never_built.drains);
+  EXPECT_EQ(destroyed.detected, never_built.detected);
+  for (const std::uint32_t i : {0u, 1u, 2u, 4u, 6u, 9u}) {
+    EXPECT_NE(destroyed.detected[i], sim::SimTime::max()) << i;
+  }
+  // The surviving observers' draws are spread over more than one drain.
+  EXPECT_GT(std::set<sim::SimTime>(destroyed.detected.begin(), destroyed.detected.end()).size(),
+            2u);
 }
 
 }  // namespace

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/datagram.hpp"
+#include "sim/simulator.hpp"
 
 namespace hg::sim {
 namespace {
@@ -164,6 +171,228 @@ TEST(EventQueue, CancelledSlotReclaimedImmediately) {
   // ...but the slot is free for the next event.
   q.schedule_fire_and_forget(SimTime::ms(2), [] {});
   EXPECT_EQ(q.pool_slots(), 1u);
+}
+
+// The calendar's geometry, mirrored here so the edge cases below land on
+// bucket and ring boundaries: 4096 us buckets, 1024 of them in the ring.
+constexpr std::int64_t kBucketUs = 4096;
+constexpr std::int64_t kRingUs = 1024 * kBucketUs;
+
+// Schedules one event per time (in the order given), runs the queue dry,
+// and returns the times in the order the events ran.
+std::vector<std::int64_t> run_times(EventQueue& q, SimTime& now,
+                                    const std::vector<std::int64_t>& times) {
+  std::vector<std::int64_t> ran;
+  for (const std::int64_t t : times) {
+    q.schedule_fire_and_forget(SimTime::us(t), [&ran, t] { ran.push_back(t); });
+  }
+  while (q.run_next(now)) {
+  }
+  return ran;
+}
+
+TEST(EventQueue, EntriesAtTheRingWrapRunInOrder) {
+  EventQueue q;
+  SimTime now = SimTime::zero();
+  // The first pop builds the calendar with bucket 0 current.
+  q.schedule_fire_and_forget(SimTime::zero(), [] {});
+  ASSERT_TRUE(q.run_next(now));
+  // The ring's last bucket, the first bucket past it (which shares the
+  // current bucket's ring slot), and their neighbours.
+  std::vector<std::int64_t> times = {kRingUs,          kRingUs - 1, kRingUs - kBucketUs,
+                                     kRingUs + 1,      kBucketUs,   kBucketUs - 1,
+                                     kRingUs - kBucketUs - 1, 1};
+  std::vector<std::int64_t> sorted = times;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(run_times(q, now, times), sorted);
+
+  // Again from a current bucket late in the ring, so slot indices wrap past
+  // the end of the ring: now sits in bucket 1024 (slot 0) after the run.
+  const std::int64_t base = now.as_us();
+  times = {base + kRingUs, base + 30 * kBucketUs, base + kRingUs - 1, base + kBucketUs,
+           base + 1023 * kBucketUs, base + kRingUs + kBucketUs, base};
+  sorted = times;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(run_times(q, now, times), sorted);
+}
+
+TEST(EventQueue, OnlyEntriesBeyondTheRingStillRun) {
+  EventQueue q;
+  SimTime now = SimTime::zero();
+  std::vector<int> order;
+  // All beyond the ring, scheduled before the first pop.
+  q.schedule_fire_and_forget(SimTime::sec(100), [&] { order.push_back(100); });
+  q.schedule_fire_and_forget(SimTime::sec(10), [&] { order.push_back(10); });
+  EventHandle h = q.schedule(SimTime::sec(5), [&] { order.push_back(5); });
+  q.schedule_fire_and_forget(SimTime::sec(1000), [&] { order.push_back(1000); });
+  ASSERT_FALSE(q.prune_and_empty());
+  EXPECT_EQ(q.next_time(), SimTime::sec(5));
+  h.cancel();
+  ASSERT_FALSE(q.prune_and_empty());
+  EXPECT_EQ(q.next_time(), SimTime::sec(10));
+  ASSERT_TRUE(q.run_next(now));
+  EXPECT_EQ(now, SimTime::sec(10));
+  // And once the calendar is built, another one far ahead of the current
+  // bucket, and one that lands back inside the ring.
+  q.schedule_fire_and_forget(SimTime::sec(500), [&] { order.push_back(500); });
+  q.schedule_fire_and_forget(SimTime::sec(12), [&] { order.push_back(12); });
+  while (q.run_next(now)) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{10, 12, 100, 500, 1000}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueue, DestroyedWithPendingEntriesReleasesEveryCallback) {
+  // Callbacks that never ran, wherever their entries sit (heap, ring bucket,
+  // far heap) and however they are stored (inline or heap-allocated), die
+  // with the queue. The sanitizer build checks that nothing leaks.
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  struct Wide {
+    char pad[SmallFn::kInlineBytes] = {};
+    std::shared_ptr<int> token;
+  };
+  {
+    EventQueue q;
+    SimTime now = SimTime::zero();
+    q.schedule_fire_and_forget(SimTime::us(5), [token] {});
+    q.schedule_fire_and_forget(SimTime::sec(1), [wide = Wide{{}, token}] {});
+    q.schedule_fire_and_forget(SimTime::zero(), [] {});
+    ASSERT_TRUE(q.run_next(now));  // builds the calendar
+    for (const SimTime at : {SimTime::us(7), SimTime::ms(300), SimTime::sec(9)}) {
+      q.schedule_fire_and_forget(at, [token] {});
+      q.schedule_fire_and_forget(at, [wide = Wide{{}, token}] {});
+      q.schedule(at, [token] {}).cancel();
+    }
+    EXPECT_EQ(q.live_events(), 8u);
+    token.reset();
+    EXPECT_FALSE(watch.expired());
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(EventQueue, MatchesSortedReferenceModel) {
+  // A seeded random mix of scheduling, cancelling and running, checked
+  // step by step against a model that keeps every live event sorted by
+  // (time, key2, seq). Each event checks, as it runs, that it is the
+  // model's first; next_time() and prune_and_empty() must agree with the
+  // model after every step.
+  using Key = std::tuple<std::int64_t, std::uint64_t, std::uint64_t>;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    Simulator s(seed);
+    Rng rng(seed);
+    const auto below = [&rng](std::int64_t n) {
+      return static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n)));
+    };
+    std::map<Key, int> model;
+    std::vector<std::pair<EventHandle, Key>> handles;
+    std::uint64_t seq = 0;
+    int next_id = 0;
+    std::uint64_t ran = 0;
+    std::uint64_t cancelled = 0;
+
+    // Delays from 0 to well past the ring span, biased towards bucket and
+    // ring edges and towards same-microsecond ties.
+    const auto pick_time = [&]() -> std::int64_t {
+      const std::int64_t now = s.now().as_us();
+      const std::int64_t bucket = now / kBucketUs;
+      switch (below(7)) {
+        case 0: return now;
+        case 1: return now + below(64);
+        case 2: return (bucket + 1 + below(3)) * kBucketUs - 1 + below(3);
+        case 3: return now + below(2 * kBucketUs);
+        case 4: return now + below(kRingUs + kBucketUs);
+        case 5: return (bucket + 1024) * kBucketUs - 2 + below(4);
+        default: return now + kRingUs + below(4 * kRingUs);
+      }
+    };
+    std::function<void(bool)> schedule_one = [&](bool from_callback) {
+      // From inside a running event, often at the current time itself.
+      const std::int64_t at = from_callback && below(4) == 0 ? s.now().as_us() : pick_time();
+      const std::int64_t api = below(3);  // at(), at_keyed(), fire-and-forget
+      const std::uint64_t key2 = api == 0 || below(2) == 0 ? 0 : rng.below(4);
+      const Key key{at, key2, seq++};
+      const int id = next_id++;
+      model.emplace(key, id);
+      auto fn = [&, key, id] {
+        ASSERT_FALSE(model.empty());
+        EXPECT_EQ(model.begin()->first, key);
+        EXPECT_EQ(model.begin()->second, id);
+        model.erase(key);
+        ++ran;
+        if (below(3) == 0) {
+          for (std::int64_t n = 1 + below(2); n > 0; --n) schedule_one(true);
+        }
+      };
+      const SimTime when = SimTime::us(at);
+      switch (api) {
+        case 0: handles.emplace_back(s.at(when, fn), key); break;
+        case 1: handles.emplace_back(s.at_keyed(when, key2, fn), key); break;
+        default:
+          if (key2 == 0) {
+            s.after_fire_and_forget(when - s.now(), fn);
+          } else {
+            s.after_keyed_fire_and_forget(when - s.now(), key2, fn);
+          }
+      }
+    };
+    // Bounds on a bucket edge (or one microsecond either side), near or far.
+    const auto pick_bound = [&]() {
+      const std::int64_t buckets = below(8) != 0 ? below(4) : below(1500);
+      const std::int64_t edge = (s.now().as_us() / kBucketUs + buckets) * kBucketUs;
+      return SimTime::us(std::max(s.now().as_us(), edge - 1 + below(3)));
+    };
+
+    for (int i = 0; i < 300; ++i) schedule_one(false);  // pending before the first pop
+    for (int step = 0; step < 20000; ++step) {
+      const std::int64_t op = below(20);
+      if (op < 8) {
+        schedule_one(false);
+      } else if (op < 12) {
+        // Cancel a random pending event, dropping handles of events that ran.
+        while (!handles.empty()) {
+          const std::size_t i = rng.below(handles.size());
+          auto [handle, key] = handles[i];
+          handles[i] = handles.back();
+          handles.pop_back();
+          const bool pending = model.count(key) == 1;
+          EXPECT_EQ(handle.pending(), pending);
+          if (!pending) continue;
+          handle.cancel();
+          model.erase(key);
+          ++cancelled;
+          break;
+        }
+      } else if (op < 16) {
+        // Run the next timestamp.
+        if (!s.queue().prune_and_empty()) s.run_until(s.queue().next_time());
+      } else {
+        const SimTime bound = pick_bound();
+        if (below(2) == 0) {
+          s.run_until(bound);
+          EXPECT_TRUE(model.empty() || std::get<0>(model.begin()->first) > bound.as_us());
+        } else {
+          s.run_before(bound);
+          EXPECT_TRUE(model.empty() || std::get<0>(model.begin()->first) >= bound.as_us());
+        }
+        EXPECT_EQ(s.now(), bound);
+      }
+      const bool empty = s.queue().prune_and_empty();
+      ASSERT_EQ(empty, model.empty()) << "step " << step;
+      if (!empty) {
+        ASSERT_EQ(s.queue().next_time().as_us(), std::get<0>(model.begin()->first))
+            << "step " << step;
+      }
+      ASSERT_EQ(s.queue().live_events(), model.size()) << "step " << step;
+    }
+    s.run_to_completion();
+    EXPECT_TRUE(model.empty());
+    EXPECT_EQ(s.events_executed(), ran);
+    // The mix exercised both outcomes at scale.
+    EXPECT_GT(ran, 5000u);
+    EXPECT_GT(cancelled, 1000u);
+  }
 }
 
 TEST(SmallFnTest, InlineAndHeapStorage) {
