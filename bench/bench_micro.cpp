@@ -308,11 +308,12 @@ BENCHMARK(BM_WirePathPooledServeMix)->Arg(1)->Arg(11)->Arg(100);
 
 void BM_AggregationEstimate(benchmark::State& state) {
   // Cost of computing b̄ over `range` known origins.
-  sim::Simulator sim(3);
-  net::NetworkFabric fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
-                            std::make_unique<net::NoLoss>());
-  membership::Directory dir(sim, membership::DetectionConfig{});
   const auto n = static_cast<std::uint32_t>(state.range(0));
+  sim::ShardedEngine engine(3, n, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
+                            std::make_unique<net::NoLoss>());
+  membership::Directory dir(engine, membership::DetectionConfig{});
   for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{0});
   aggregation::FreshnessAggregator agg(sim, fabric, *view, NodeId{0}, BitRate::kbps(512),

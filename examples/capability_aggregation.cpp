@@ -13,12 +13,14 @@ int main() {
   using namespace hg;
 
   constexpr std::size_t kNodes = 200;
-  sim::Simulator sim(7);
-  net::NetworkFabric fabric(sim,
+  // One partition: the sequential event loop on this thread.
+  sim::ShardedEngine engine(7, kNodes, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  net::NetworkFabric fabric(engine,
                             std::make_unique<net::PlanetLabLatency>(
                                 net::PlanetLabLatencyConfig{}, sim.make_rng(1)),
                             std::make_unique<net::BernoulliLoss>(0.01));
-  membership::Directory directory(sim, membership::DetectionConfig{});
+  membership::Directory directory(engine, membership::DetectionConfig{});
 
   Rng assign_rng = sim.make_rng(2);
   const auto dist = scenario::BandwidthDistribution::ms691();

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   struct rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   std::printf("\n%.1f s wall | %.0f events/s | peak RSS %.0f MB\n", wall,
-              static_cast<double>(e.simulator().events_executed()) / wall,
+              static_cast<double>(e.events_executed()) / wall,
               static_cast<double>(ru.ru_maxrss) / 1024.0);
   return 0;
 }

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   const sim::SimTime run_end =
       stream_plan.start +
       sim::SimTime::sec(stream_plan.stream.window_duration_sec() * windows + 40.0);
-  deployment->sim().run_until(run_end);
+  deployment->run_until(run_end);
 
   std::printf("mixed population on ms-691: %zu receivers, %u standard + %zu HEAP\n\n",
               nodes, standard_count, nodes - standard_count);

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nsimulated %.1f s of wall-clock, %llu events\n\n",
               exp.config().run_end().as_sec(),
-              static_cast<unsigned long long>(exp.simulator().events_executed()));
+              static_cast<unsigned long long>(exp.events_executed()));
 
   // Stream quality at a 10 s playback lag, per capability class.
   auto quality = scenario::jitter_free_pct_by_class(exp, 10.0);

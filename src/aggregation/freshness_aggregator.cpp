@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/assert.hpp"
+
 namespace hg::aggregation {
 
 FreshnessAggregator::FreshnessAggregator(sim::Simulator& simulator, net::NetworkFabric& fabric,
@@ -13,7 +15,10 @@ FreshnessAggregator::FreshnessAggregator(sim::Simulator& simulator, net::Network
       self_(self),
       own_capability_(own_capability),
       config_(config),
-      rng_(simulator.make_rng(0x41474752ULL ^ (std::uint64_t{self.value()} << 24))) {}
+      rng_(simulator.make_rng(0x41474752ULL ^ (std::uint64_t{self.value()} << 24))) {
+  HG_ASSERT_MSG(config_.period > sim::SimTime::zero(),
+                "AggregationConfig::period must be positive");
+}
 
 void FreshnessAggregator::start() {
   const auto phase = sim::SimTime::us(static_cast<std::int64_t>(

@@ -33,7 +33,7 @@ class CapabilityEstimator {
 };
 
 struct AggregationConfig {
-  sim::SimTime period = sim::SimTime::ms(200);
+  sim::SimTime period = sim::SimTime::ms(200);  // > 0
   std::size_t records_per_gossip = 10;  // "the 10 freshest values"
   std::size_t fanout = 1;               // partners per period (see cost note)
   sim::SimTime record_expiry = sim::SimTime::sec(30.0);

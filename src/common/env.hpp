@@ -53,7 +53,7 @@ namespace hg {
 }
 
 // HG_WORKERS: intra-run worker threads for the superstep-sharded engine.
-// Unset/0 = the classic sequential event loop. Parsed as strictly as
+// Unset/0 = one partition on the calling thread. Parsed as strictly as
 // HG_SEEDS/HG_THREADS: garbage or out-of-range terminates with exit code 2.
 [[nodiscard]] inline std::size_t env_workers() {
   return static_cast<std::size_t>(env_int_or("HG_WORKERS", 0, 0, 4096));

@@ -9,7 +9,8 @@ namespace hg::gossip {
 
 struct GossipConfig {
   // Gossip period between [Propose] rounds (paper: 200 ms, which batches
-  // ~11.26 packet ids per propose at the 600 kbps stream rate).
+  // ~11.26 packet ids per propose at the 600 kbps stream rate). Must be
+  // positive.
   sim::SimTime period = sim::SimTime::ms(200);
 
   // The system-wide average fanout target f = ln(n) + c (paper: 7 for 270
@@ -30,8 +31,8 @@ struct GossipConfig {
 
   // Stream coding geometry: ids with a packet index at or beyond this are
   // malformed and never materialize state. Drives the slot count of every
-  // WindowRing slab; the scenario layer copies StreamConfig::window_packets()
-  // here so gossip and stream agree on one indexing scheme.
+  // WindowRing slab; a Deployment sets it from StreamConfig::window_packets()
+  // so gossip and stream agree on one indexing scheme.
   std::uint32_t packets_per_window = 110;
 
   // WindowRing capacities (in windows) derived from the GC horizon.
@@ -53,7 +54,7 @@ struct GossipConfig {
   // Large-scale runs: serves carry declared payload sizes instead of bytes
   // (see gossip::Event). Must match StreamConfig::virtual_payloads and be
   // uniform across the deployment — the flag selects the serve framing both
-  // when encoding and when decoding.
+  // when encoding and when decoding. A Deployment sets it from the stream.
   bool virtual_payloads = false;
 
   // Replace the free-running periodic round timer with one-shot rounds armed
@@ -62,9 +63,9 @@ struct GossipConfig {
   // events at all — which is what lets the sharded engine's epoch widening
   // fast-forward over quiescent stretches. Only valid under the sharded
   // P >= 2 engine (keyed delivery ordering makes a grid tick run before
-  // same-instant arrivals, matching the periodic timer exactly); the
-  // sequential engine keeps the periodic timer and its bitwise-frozen
-  // event interleaving. The scenario layer sets this, not users.
+  // same-instant arrivals, matching the periodic timer exactly); one
+  // partition keeps the periodic timer and its bitwise-frozen event
+  // interleaving. The scenario layer sets this, not users.
   bool park_idle_rounds = false;
 };
 

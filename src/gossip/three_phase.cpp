@@ -22,7 +22,9 @@ ThreePhaseGossip::ThreePhaseGossip(sim::Simulator& simulator, net::NetworkFabric
       proposers_(RingGeometry{config.request_ring_windows(), config.packets_per_window}),
       retransmit_(simulator, config.retransmit_period, config.max_retransmits,
                   [this](EventId id, int retry) { on_retransmit_fire(id, retry); },
-                  RingGeometry{config.request_ring_windows(), config.packets_per_window}) {}
+                  RingGeometry{config.request_ring_windows(), config.packets_per_window}) {
+  HG_ASSERT_MSG(config_.period > sim::SimTime::zero(), "GossipConfig::period must be positive");
+}
 
 void ThreePhaseGossip::start() {
   // Random phase: nodes must not propose in lockstep. Drawn identically in

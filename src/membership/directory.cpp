@@ -6,21 +6,19 @@
 
 namespace hg::membership {
 
-Directory::Directory(sim::Simulator& simulator, DetectionConfig detection)
-    : detection_(detection),
-      schedule_at_([sim = &simulator](sim::SimTime at, std::function<void()> fn) {
-        sim->after_fire_and_forget(at - sim->now(), std::move(fn));
-      }),
-      now_([sim = &simulator]() { return sim->now(); }),
-      rng_(simulator.make_rng(kDirectoryStream)) {}
+namespace {
+// Root stream tag of the detection-delay RNG.
+constexpr std::uint64_t kDirectoryStream = 0x4d454d42;  // "MEMB"
+}  // namespace
 
-Directory::Directory(DetectionConfig detection, Rng rng, ScheduleAtFn schedule_at, NowFn now)
-    : detection_(detection),
-      schedule_at_(std::move(schedule_at)),
-      now_(std::move(now)),
-      rng_(std::move(rng)) {
-  HG_ASSERT(schedule_at_ != nullptr);
-  HG_ASSERT(now_ != nullptr);
+Directory::Directory(sim::ShardedEngine& engine, DetectionConfig detection)
+    : engine_(engine), detection_(detection), rng_(engine.make_rng(kDirectoryStream)) {
+  HG_ASSERT_MSG(detection_.wheel_tick > sim::SimTime::zero(),
+                "DetectionConfig::wheel_tick must be positive");
+  HG_ASSERT_MSG(detection_.mean >= sim::SimTime::zero(),
+                "DetectionConfig::mean must not be negative");
+  HG_ASSERT_MSG(detection_.spread >= 0.0 && detection_.spread <= 1.0,
+                "DetectionConfig::spread must be within [0, 1]");
 }
 
 void Directory::add_node(NodeId id) {
@@ -34,9 +32,8 @@ void Directory::kill(NodeId id) {
   if (!alive_[id.value()]) return;
   alive_[id.value()] = false;
   --alive_count_;
-  const sim::SimTime now = now_();
+  const sim::SimTime now = engine_.now();
   const std::int64_t tick = detection_.wheel_tick.as_us();
-  HG_ASSERT_MSG(tick > 0, "DetectionConfig::wheel_tick must be positive");
   for (LocalView* view : views_) {
     if (view == nullptr || view->owner() == id) continue;
     const NodeId observer = view->owner();
@@ -51,7 +48,8 @@ void Directory::kill(NodeId id) {
     const auto [it, inserted] = wheel_.try_emplace(bucket);
     it->second.push_back(Detection{observer, id});
     if (inserted) {
-      schedule_at_(sim::SimTime::us(bucket * tick), [this, bucket]() { drain(bucket); });
+      engine_.schedule_control(sim::SimTime::us(bucket * tick),
+                               [this, bucket]() { drain(bucket); });
     }
   }
 }

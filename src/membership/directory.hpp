@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -17,40 +16,30 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace hg::membership {
 
 class LocalView;
 
-// Root stream tag of the directory's detection-delay RNG. The sequential
-// constructor forks it from its Simulator; engine-agnostic wiring should pass
-// engine.make_rng(kDirectoryStream) so both modes draw the same stream.
-inline constexpr std::uint64_t kDirectoryStream = 0x4d454d42;  // "MEMB"
-
 struct DetectionConfig {
-  // Detection latency is uniform in [mean*(1-spread), mean*(1+spread)].
+  // Detection latency is uniform in [mean*(1-spread), mean*(1+spread)]:
+  // mean >= 0 and spread within [0, 1], so no delay is negative.
   sim::SimTime mean = sim::SimTime::sec(10.0);
   double spread = 0.5;
   // Per-observer detections are rounded *up* to the next wheel tick and
   // drained from a shared bucket: one scheduled event per non-empty bucket
   // instead of one per (death, observer) — a mass crash at 100k views would
-  // otherwise flood the queue with 100k events per death.
+  // otherwise flood the queue with 100k events per death. Must be positive.
   sim::SimTime wheel_tick = sim::SimTime::ms(250);
 };
 
 class Directory {
  public:
-  // Schedules `fn` at the absolute time given (used for wheel drains).
-  using ScheduleAtFn = std::function<void(sim::SimTime, std::function<void()>)>;
-  using NowFn = std::function<sim::SimTime()>;
-
-  Directory(sim::Simulator& simulator, DetectionConfig detection);
-
-  // Engine-agnostic wiring (sharded runs schedule drains as barrier control
-  // tasks): `schedule_at` must execute callbacks single-threaded while the
-  // membership state is quiescent.
-  Directory(DetectionConfig detection, Rng rng, ScheduleAtFn schedule_at, NowFn now);
+  // Wheel drains run as `engine`'s control tasks: single-threaded, with the
+  // membership state quiescent (plain events at P == 1). Rejects a detection
+  // config that could schedule into the past.
+  Directory(sim::ShardedEngine& engine, DetectionConfig detection);
 
   // Adds a node; all ids must be consecutive from 0.
   void add_node(NodeId id);
@@ -79,9 +68,8 @@ class Directory {
   [[nodiscard]] LocalView* view_of(NodeId owner) const;
   void drain(std::int64_t bucket);
 
+  sim::ShardedEngine& engine_;
   DetectionConfig detection_;
-  ScheduleAtFn schedule_at_;
-  NowFn now_;
   std::vector<bool> alive_;
   std::size_t alive_count_ = 0;
   // Registration order (kill() draws per-observer detection delays in this

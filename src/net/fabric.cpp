@@ -13,20 +13,9 @@ constexpr std::uint64_t kSenderStream = 0x534e4452;    // "SNDR"
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
 }  // namespace
 
-NetworkFabric::NetworkFabric(sim::Simulator& simulator, std::unique_ptr<LatencyModel> latency,
-                             std::unique_ptr<LossModel> loss, FabricConfig config)
-    : sim_(&simulator),
-      latency_(std::move(latency)),
-      loss_(std::move(loss)),
-      config_(config),
-      rng_(simulator.make_rng(kFabricStream)) {
-  HG_ASSERT(latency_ != nullptr);
-  HG_ASSERT(loss_ != nullptr);
-}
-
 NetworkFabric::NetworkFabric(sim::ShardedEngine& engine, std::unique_ptr<LatencyModel> latency,
                              std::unique_ptr<LossModel> loss, FabricConfig config)
-    : engine_(&engine),
+    : engine_(engine),
       latency_(std::move(latency)),
       loss_(std::move(loss)),
       config_(config),
@@ -64,9 +53,9 @@ void NetworkFabric::register_node(NodeId id, BitRate upload_capacity, ReceiveFn 
                 "register nodes with consecutive ids from 0 (shards index by id)");
   if (id.value() / kShardSize == shards_.size()) shards_.push_back(std::make_unique<Shard>());
   Shard& s = *shards_.back();
-  // Node_count_ is bumped after sim_for (it asserts against the engine's
-  // node table, which already covers this id).
-  s.links.emplace_back(sim_for(id), upload_capacity, config_.discipline,
+  // Node_count_ is bumped after sim_of_node (it asserts against the
+  // engine's node table, which already covers this id).
+  s.links.emplace_back(engine_.sim_of_node(id.value()), upload_capacity, config_.discipline,
                        [this](Datagram&& d) { on_wire(std::move(d)); });
   s.receive.push_back(std::move(receive));
   s.meters.emplace_back();
@@ -105,33 +94,26 @@ void NetworkFabric::on_wire(Datagram&& d) {
   // bandwidth" means (Fig. 4), loss or not.
   shard(d.src).meters[index_in_shard(d.src)].on_sent(d.cls, d.wire_bytes());
   if (!sender_streams()) {
-    // Sequential semantics (also P == 1 sharded: everything is local, the
-    // shared stream draws in event order — bitwise the sequential engine).
-    // Loss is evaluated when the datagram leaves the sender.
+    // Sequential semantics (P == 1: everything is local, the shared stream
+    // draws in event order). Loss is evaluated when the datagram leaves the
+    // sender.
+    Partition& part = parts_[0];
     if (loss_->lost(d.src, d.dst, rng_)) {
-      ++lost_;
+      ++part.lost;
       shard(d.src).meters[index_in_shard(d.src)].on_dropped_in_flight(d.wire_bytes());
       return;
     }
     const sim::SimTime delay = latency_->sample(d.src, d.dst, rng_);
-    sim::Simulator& s = sim_ != nullptr ? *sim_ : *parts_[0].sim;
-    s.after_fire_and_forget(delay, [this, d = std::move(d)]() {
-      Shard& r = shard(d.dst);
-      const std::size_t i = index_in_shard(d.dst);
-      if (r.alive[i] == 0) return;  // crashed while in flight
-      ++delivered_;
-      r.meters[i].on_received(d.cls, d.wire_bytes());
-      if (r.receive[i]) r.receive[i](d);
-    });
+    part.sim->after_fire_and_forget(delay, [this, d = std::move(d)]() { deliver(d, parts_[0]); });
     return;
   }
 
-  // Sharded path (P >= 2): this runs on the *sender's* partition (the upload
-  // link schedules its transmit completions there). Loss and latency draw
-  // from the sender node's private stream, and the send sequence number
-  // counts per sender — both functions of the run alone, so every partition
-  // layout produces the same draws and the same delivery keys.
-  const std::uint32_t sp = engine_->partition_of(d.src.value());
+  // P >= 2: this runs on the *sender's* partition (the upload link
+  // schedules its transmit completions there). Loss and latency draw from
+  // the sender node's private stream, and the send sequence number counts
+  // per sender — both functions of the run alone, so every partition layout
+  // produces the same draws and the same delivery keys.
+  const std::uint32_t sp = engine_.partition_of(d.src.value());
   Partition& part = parts_[sp];
   Shard& ss = shard(d.src);
   const std::size_t si = index_in_shard(d.src);
@@ -152,7 +134,7 @@ void NetworkFabric::on_wire(Datagram&& d) {
     return;
   }
   const std::uint64_t tb = cross_tiebreak(d.src, d.dst, seq);
-  const std::uint32_t dp = engine_->partition_of(d.dst.value());
+  const std::uint32_t dp = engine_.partition_of(d.dst.value());
   if (dp == sp) {
     ++part.local_datagrams;
     // Keyed by the same tiebreak an exchange import would carry: same-time
@@ -167,13 +149,17 @@ void NetworkFabric::on_wire(Datagram&& d) {
   part.outbox.push_back(OutMsg{std::move(d), part.sim->now() + delay, tb, dp});
 }
 
-void NetworkFabric::deliver_parallel(const Datagram& d) {
+void NetworkFabric::deliver(const Datagram& d, Partition& part) {
   Shard& r = shard(d.dst);
   const std::size_t i = index_in_shard(d.dst);
   if (r.alive[i] == 0) return;  // crashed while in flight
-  ++parts_[engine_->partition_of(d.dst.value())].delivered;
+  ++part.delivered;
   r.meters[i].on_received(d.cls, d.wire_bytes());
   if (r.receive[i]) r.receive[i](d);
+}
+
+void NetworkFabric::deliver_parallel(const Datagram& d) {
+  deliver(d, parts_[engine_.partition_of(d.dst.value())]);
 }
 
 void NetworkFabric::begin_epoch(std::uint32_t partition) {
@@ -222,13 +208,13 @@ void NetworkFabric::exchange(std::uint32_t partition) {
 }
 
 std::uint64_t NetworkFabric::datagrams_lost() const {
-  std::uint64_t total = lost_;
+  std::uint64_t total = 0;
   for (const Partition& p : parts_) total += p.lost;
   return total;
 }
 
 std::uint64_t NetworkFabric::datagrams_delivered() const {
-  std::uint64_t total = delivered_;
+  std::uint64_t total = 0;
   for (const Partition& p : parts_) total += p.delivered;
   return total;
 }
@@ -249,7 +235,7 @@ void NetworkFabric::kill(NodeId id) {
   // only change while the workers are parked at a barrier (control tasks,
   // setup/teardown). A mid-epoch kill would be a data race AND a determinism
   // hole (delivery would depend on thread timing) — abort instead.
-  HG_ASSERT_MSG(engine_ == nullptr || engine_->quiescent(),
+  HG_ASSERT_MSG(engine_.quiescent(),
                 "NetworkFabric::kill outside a barrier: crash-stop must run from a "
                 "control task (ShardedEngine::schedule_control), never from a "
                 "worker-driven event");

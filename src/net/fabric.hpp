@@ -15,18 +15,18 @@
 // and meter bump of a delivery touch two small arrays instead of a scattered
 // 100-byte Entry.
 //
-// Two execution modes share this class:
-//  * sequential — one Simulator drives everything (the classic engine). A
-//    single-partition ShardedEngine uses this path too: one partition means
-//    every send is local, so the shared-stream sequential semantics apply
-//    unchanged and results are bit-identical to the sequential engine.
-//  * sharded (P >= 2) — a sim::ShardedEngine drives per-partition
-//    Simulators. Loss and latency then draw from *per-sender-node* streams
-//    (seeded from the run seed and the node id alone), send-order tiebreaks
-//    count per sender, and same-time deliveries are keyed by the tiebreak:
-//    every random draw and every event ordering becomes a function of the
-//    run seed and node ids — never of the partition layout — so any
-//    partition count or placement produces bit-identical results.
+// A sim::ShardedEngine drives the fabric, one Simulator per partition. The
+// partition count picks one of two ordering rules:
+//  * one partition (P == 1) — every send is local. Loss and latency draw
+//    from one shared stream in event order, and same-time deliveries run in
+//    scheduling order: the sequential semantics the recorded figure outputs
+//    and digests pin.
+//  * P >= 2 — loss and latency draw from *per-sender-node* streams (seeded
+//    from the run seed and the node id alone), send-order tiebreaks count
+//    per sender, and same-time deliveries are keyed by the tiebreak: every
+//    random draw and every event ordering becomes a function of the run
+//    seed and node ids — never of the partition layout — so any partition
+//    count >= 2 or placement produces bit-identical results.
 //
 //    Intra-partition sends go straight to the local event queue;
 //    cross-partition sends wait in the sender partition's outbox until the
@@ -71,17 +71,15 @@ struct FabricConfig {
 
 class NetworkFabric final : public sim::PartitionBridge {
  public:
-  NetworkFabric(sim::Simulator& simulator, std::unique_ptr<LatencyModel> latency,
-                std::unique_ptr<LossModel> loss, FabricConfig config = {});
-
-  // Sharded mode: registers itself as `engine`'s PartitionBridge and routes
-  // each node's traffic through its partition's Simulator. The latency
+  // Registers itself as `engine`'s PartitionBridge and routes each node's
+  // traffic through its partition's Simulator. With P >= 2 the latency
   // model's min_delay() must be >= the engine's epoch width.
   NetworkFabric(sim::ShardedEngine& engine, std::unique_ptr<LatencyModel> latency,
                 std::unique_ptr<LossModel> loss, FabricConfig config = {});
 
-  // Nodes must be registered with consecutive ids starting at 0. The
-  // contract is enforced: registering out of order aborts.
+  // Nodes must be registered with consecutive ids starting at 0, at most the
+  // engine's node count. The contract is enforced: registering out of order
+  // aborts.
   void register_node(NodeId id, BitRate upload_capacity, ReceiveFn receive);
 
   // Sends `bytes` (already-encoded message) from src to dst. A payload
@@ -91,8 +89,8 @@ class NetworkFabric final : public sim::PartitionBridge {
   void send(NodeId src, NodeId dst, MsgClass cls, BufferRef bytes, ChunkRef body = {},
             std::uint32_t phantom_bytes = 0);
 
-  // Crash-stop: the node neither sends nor receives from now on. In sharded
-  // mode this must run from a barrier control task (workers quiescent) —
+  // Crash-stop: the node neither sends nor receives from now on. With
+  // P >= 2 this must run from a barrier control task (workers quiescent) —
   // alive flags are read lock-free across partitions during epochs, so a
   // mid-epoch kill would be a data race. Enforced: killing while a parallel
   // phase runs aborts (ShardedEngine::quiescent).
@@ -114,7 +112,7 @@ class NetworkFabric final : public sim::PartitionBridge {
   [[nodiscard]] std::uint64_t datagrams_lost() const;
   [[nodiscard]] std::uint64_t datagrams_delivered() const;
 
-  // Sharded-mode traffic accounting (all zero for sequential / P == 1).
+  // Cross-partition traffic accounting (all zero at P == 1).
   // Counts are post-loss; `filtered_dead` are sends to already-crashed
   // destinations dropped at the sender. All are functions of the run seed —
   // identical at every worker count; the local/cross split (and therefore
@@ -142,7 +140,7 @@ class NetworkFabric final : public sim::PartitionBridge {
     std::vector<ReceiveFn> receive;
     std::vector<TrafficMeter> meters;
     std::vector<std::uint8_t> alive;     // hot: checked on every delivery
-    // Sharded P >= 2 only: per-sender loss/latency stream and send-order
+    // P >= 2 only: per-sender loss/latency stream and send-order
     // counter. Seeded from (run seed, node id) — partition-layout-invariant.
     std::vector<Rng> rngs;
     std::vector<std::uint64_t> xmit_seq;
@@ -188,31 +186,24 @@ class NetworkFabric final : public sim::PartitionBridge {
   [[nodiscard]] static std::size_t index_in_shard(NodeId id) {
     return id.value() % kShardSize;
   }
-  [[nodiscard]] sim::Simulator& sim_for(NodeId id) {
-    return engine_ != nullptr ? engine_->sim_of_node(id.value()) : *sim_;
-  }
   // Per-sender streams are the P >= 2 determinism mechanism; with one
   // partition the shared-stream sequential semantics apply.
-  [[nodiscard]] bool sender_streams() const {
-    return engine_ != nullptr && parts_.size() > 1;
-  }
+  [[nodiscard]] bool sender_streams() const { return parts_.size() > 1; }
 
   void on_wire(Datagram&& d);
+  void deliver(const Datagram& d, Partition& part);
   void deliver_parallel(const Datagram& d);
   [[nodiscard]] std::uint64_t cross_tiebreak(NodeId src, NodeId dst,
                                              std::uint64_t seq) const;
 
-  sim::Simulator* sim_ = nullptr;         // sequential mode only
-  sim::ShardedEngine* engine_ = nullptr;  // sharded mode only
+  sim::ShardedEngine& engine_;
   std::unique_ptr<LatencyModel> latency_;
   std::unique_ptr<LossModel> loss_;
   FabricConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t node_count_ = 0;
-  Rng rng_;                // sequential / P == 1: the single loss+latency stream
-  std::uint64_t lost_ = 0;       // sequential / P == 1 counters
-  std::uint64_t delivered_ = 0;
-  std::vector<Partition> parts_;  // sharded mode
+  Rng rng_;  // P == 1: the single shared loss+latency stream
+  std::vector<Partition> parts_;  // one per engine partition
   std::uint64_t tiebreak_salt_ = 0;
   std::uint64_t sender_seed_base_ = 0;  // roots the per-sender streams
 };

@@ -26,13 +26,7 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
                   "churn schedule must be sorted by time (non-monotone schedule rejected)");
     prev_churn = event.at;
   }
-
-  HG_ASSERT_MSG(population_.node.gossip.virtual_payloads == stream_.stream.virtual_payloads,
-                "virtual_payloads must be set on the gossip AND stream config (the flag "
-                "selects the serve wire framing deployment-wide)");
-  HG_ASSERT_MSG(population_.node.gossip.packets_per_window == stream_.stream.window_packets(),
-                "gossip.packets_per_window must equal the stream's window_packets() "
-                "(data_per_window + parity_per_window): the gossip rings are sized by it");
+  HG_ASSERT_MSG(stream_.windows > 0, "StreamPlan::windows must be positive");
 
   // make_unique can't reach the private constructor.
   std::unique_ptr<Deployment> d(new Deployment());
@@ -41,9 +35,9 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
 
   const std::size_t total = population_.node_count + 1;  // + source
 
-  // Latency first: the sharded engine's epoch width is the latency floor.
-  // Rng(seed).fork(tag) is exactly what both engines' make_rng(tag) returns,
-  // so the latency base stream is identical in every mode.
+  // Latency first: the engine's epoch width is the latency floor.
+  // Rng(seed).fork(tag) is exactly what the engine's make_rng(tag) returns,
+  // so the latency base stream is identical at every partition count.
   std::unique_ptr<net::LatencyModel> latency;
   if (network_.latency.has_value()) {
     latency = std::make_unique<net::PlanetLabLatency>(*network_.latency, Rng(seed_).fork(7));
@@ -63,73 +57,55 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
   Rng assign_rng = Rng(seed_).fork(kAssignStream);
   const auto assignment = population_.distribution.assign(population_.node_count, assign_rng);
 
-  if (parallel_.workers == 0) {
-    d->sim_ = std::make_unique<sim::Simulator>(seed_);
-  } else {
-    const sim::SimTime epoch = latency->min_delay();
-    std::uint32_t parts = parallel_.partitions;
-    if (parts == 0) {
-      // Auto: one partition per ~64 nodes, capped — tiny runs stay effectively
-      // sequential, big runs get enough blocks for 16 workers.
-      parts = static_cast<std::uint32_t>(
-          std::min<std::size_t>(16, std::max<std::size_t>(1, total / 64)));
-    }
-    if (epoch <= sim::SimTime::zero() && parts > 1) {
-      HG_LOG_WARN(
-          "latency model has a zero delay floor: superstep epochs cannot bound "
-          "cross-partition traffic, forcing partitions=1 (was %u)",
-          parts);
-      parts = 1;
-    }
-    std::vector<std::uint32_t> placement;
-    if (parallel_.placement == Placement::kClustered && parts > 1 && total >= parts) {
-      // Capability-sorted snake deal (see Placement::kClustered). The source
-      // (node 0) ranks by its own capability like everyone else.
-      std::vector<std::uint32_t> order(total);
-      for (std::uint32_t i = 0; i < total; ++i) order[i] = i;
-      auto capability_of = [&](std::uint32_t id) {
-        return id == 0 ? population_.source_capability : assignment[id - 1].capability;
-      };
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         const BitRate ca = capability_of(a);
-                         const BitRate cb = capability_of(b);
-                         if (ca.is_unlimited() != cb.is_unlimited()) return ca.is_unlimited();
-                         if (ca.bits_per_sec() != cb.bits_per_sec()) {
-                           return ca.bits_per_sec() > cb.bits_per_sec();
-                         }
-                         return a < b;  // id-stable ties
-                       });
-      placement.resize(total);
-      for (std::uint32_t rank = 0; rank < total; ++rank) {
-        const std::uint32_t lap = rank / parts;
-        const std::uint32_t step = rank % parts;
-        placement[order[rank]] = (lap % 2 == 0) ? step : parts - 1 - step;
-      }
-    }
-    d->engine_ = std::make_unique<sim::ShardedEngine>(
-        seed_, total,
-        sim::ShardedEngine::Config{parts, parallel_.workers, epoch, std::move(placement),
-                                   parallel_.epoch_widening});
+  const sim::SimTime epoch = latency->min_delay();
+  // workers == 0: one partition on the calling thread.
+  std::uint32_t parts = parallel_.workers == 0 ? 1 : parallel_.partitions;
+  if (parts == 0) {
+    // Auto: one partition per ~64 nodes, capped — tiny runs stay on one
+    // partition, big runs get enough blocks for 16 workers.
+    parts = static_cast<std::uint32_t>(
+        std::min<std::size_t>(16, std::max<std::size_t>(1, total / 64)));
   }
-
-  if (d->engine_ != nullptr) {
-    d->fabric_ = std::make_unique<net::NetworkFabric>(*d->engine_, std::move(latency),
-                                                      std::move(loss),
-                                                      net::FabricConfig{network_.discipline});
-    sim::ShardedEngine* engine = d->engine_.get();
-    d->directory_ = std::make_unique<membership::Directory>(
-        churn_.detection, engine->make_rng(membership::kDirectoryStream),
-        [engine](sim::SimTime at, std::function<void()> fn) {
-          engine->schedule_control(at, std::move(fn));
-        },
-        [engine]() { return engine->now(); });
-  } else {
-    d->fabric_ = std::make_unique<net::NetworkFabric>(*d->sim_, std::move(latency),
-                                                      std::move(loss),
-                                                      net::FabricConfig{network_.discipline});
-    d->directory_ = std::make_unique<membership::Directory>(*d->sim_, churn_.detection);
+  if (epoch <= sim::SimTime::zero() && parts > 1) {
+    HG_LOG_WARN(
+        "latency model has a zero delay floor: superstep epochs cannot bound "
+        "cross-partition traffic, forcing partitions=1 (was %u)",
+        parts);
+    parts = 1;
   }
+  std::vector<std::uint32_t> placement;
+  if (parallel_.placement == Placement::kClustered && parts > 1 && total >= parts) {
+    // Capability-sorted snake deal (see Placement::kClustered). The source
+    // (node 0) ranks by its own capability like everyone else.
+    std::vector<std::uint32_t> order(total);
+    for (std::uint32_t i = 0; i < total; ++i) order[i] = i;
+    auto capability_of = [&](std::uint32_t id) {
+      return id == 0 ? population_.source_capability : assignment[id - 1].capability;
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       const BitRate ca = capability_of(a);
+                       const BitRate cb = capability_of(b);
+                       if (ca.is_unlimited() != cb.is_unlimited()) return ca.is_unlimited();
+                       if (ca.bits_per_sec() != cb.bits_per_sec()) {
+                         return ca.bits_per_sec() > cb.bits_per_sec();
+                       }
+                       return a < b;  // id-stable ties
+                     });
+    placement.resize(total);
+    for (std::uint32_t rank = 0; rank < total; ++rank) {
+      const std::uint32_t lap = rank / parts;
+      const std::uint32_t step = rank % parts;
+      placement[order[rank]] = (lap % 2 == 0) ? step : parts - 1 - step;
+    }
+  }
+  sim::ShardedEngine::Config config{parts, parallel_.workers, epoch, std::move(placement),
+                                    parallel_.epoch_widening};
+  d->engine_ = std::make_unique<sim::ShardedEngine>(seed_, total, std::move(config));
+  d->fabric_ = std::make_unique<net::NetworkFabric>(*d->engine_, std::move(latency),
+                                                    std::move(loss),
+                                                    net::FabricConfig{network_.discipline});
+  d->directory_ = std::make_unique<membership::Directory>(*d->engine_, churn_.detection);
 
   for (std::uint32_t i = 0; i < total; ++i) d->directory_->add_node(NodeId{i});
 
@@ -142,11 +118,8 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
                                              .packet_bytes = s.packet_bytes});
   }
 
-  // Each node's stack runs on its own partition's simulator (the sequential
-  // engine is "one partition" here).
-  auto sim_of = [&d](NodeId id) -> sim::Simulator& {
-    return d->engine_ != nullptr ? d->engine_->sim_of_node(id.value()) : *d->sim_;
-  };
+  // Each node's stack runs on its own partition's simulator.
+  auto sim_of = [&d](NodeId id) -> sim::Simulator& { return d->engine_->sim_of_node(id.value()); };
 
   NodeFactory make_node = factory_;
   if (!make_node) {
@@ -156,15 +129,17 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
     };
   }
 
-  // Per-node template; park idle gossip rounds under the sharded P >= 2
-  // engine (message-identical there — see GossipConfig::park_idle_rounds —
-  // and quiescent nodes are what epoch widening fast-forwards over). The
-  // sequential and single-partition engines keep the periodic timer and its
-  // bitwise-frozen interleaving.
+  // Per-node template. The stream fixes the gossip window geometry: the
+  // rings are sized by its packets per window, and its payload mode selects
+  // the serve wire framing deployment-wide. Idle gossip rounds park at
+  // P >= 2 (message-identical there — see GossipConfig::park_idle_rounds —
+  // and quiescent nodes are what epoch widening fast-forwards over); one
+  // partition keeps the periodic timer and its bitwise-frozen interleaving.
   core::NodeConfig node_template = population_.node;
-  if (d->engine_ != nullptr && d->engine_->partitions() > 1) {
-    node_template.gossip.park_idle_rounds = true;
-  }
+  node_template.gossip.packets_per_window =
+      static_cast<std::uint32_t>(stream_.stream.window_packets());
+  node_template.gossip.virtual_payloads = stream_.stream.virtual_payloads;
+  if (d->engine_->partitions() > 1) node_template.gossip.park_idle_rounds = true;
 
   // --- source (node 0) ----------------------------------------------------
   core::NodeConfig source_cfg = node_template;
@@ -216,9 +191,9 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
       d->codec_.has_value() ? &*d->codec_ : nullptr);
 
   // --- churn ----------------------------------------------------------------
-  // Armed here, not in start(): same-time events fire in scheduling order,
-  // and crashes must preempt protocol timers tied to the same timestamp. The
-  // sharded engine gives the same guarantee structurally: control tasks run
+  // Armed here, not in start(): at P == 1 same-time events fire in
+  // scheduling order, and crashes must preempt protocol timers tied to the
+  // same timestamp. At P >= 2 the guarantee is structural: control tasks run
   // at the barrier before any partition's local events at that time.
   Deployment* dp = d.get();
   for (const ChurnEvent& event : churn_.schedule) {
@@ -226,26 +201,6 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
   }
 
   return d;
-}
-
-std::uint64_t Deployment::run_until(sim::SimTime until) {
-  return engine_ != nullptr ? engine_->run_until(until) : sim_->run_until(until);
-}
-
-void Deployment::schedule_control(sim::SimTime when, std::function<void()> fn) {
-  if (engine_ != nullptr) {
-    engine_->schedule_control(when, std::move(fn));
-  } else {
-    sim_->at(when, std::move(fn));
-  }
-}
-
-sim::SimTime Deployment::now() const {
-  return engine_ != nullptr ? engine_->now() : sim_->now();
-}
-
-std::uint64_t Deployment::events_executed() const {
-  return engine_ != nullptr ? engine_->events_executed() : sim_->events_executed();
 }
 
 void Deployment::start() {
@@ -259,7 +214,7 @@ void Deployment::start() {
 
 void Deployment::apply_churn(const ChurnEvent& event) {
   const std::uint64_t tag = kChurnStream ^ static_cast<std::uint64_t>(event.at.as_us());
-  Rng churn_rng = engine_ != nullptr ? engine_->make_rng(tag) : sim_->make_rng(tag);
+  Rng churn_rng = engine_->make_rng(tag);
   std::vector<std::size_t> alive_idx;
   for (std::size_t i = 0; i < receivers_.size(); ++i) {
     if (!receivers_[i].info.crashed) alive_idx.push_back(i);

@@ -1,4 +1,4 @@
-// Deployment: the assembled system under test — simulator, network fabric,
+// Deployment: the assembled system under test — engine, network fabric,
 // membership directory, one protocol stack + player per peer, a stream
 // source, and a churn schedule.
 //
@@ -16,13 +16,11 @@
 #include <optional>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "core/node_runtime.hpp"
 #include "membership/directory.hpp"
 #include "net/fabric.hpp"
 #include "scenario/distribution.hpp"
 #include "sim/sharded_engine.hpp"
-#include "sim/simulator.hpp"
 #include "stream/player.hpp"
 #include "stream/source.hpp"
 
@@ -46,7 +44,8 @@ struct PopulationPlan {
   std::size_t node_count = 270;  // receivers; the source is an extra node (id 0)
   BandwidthDistribution distribution = BandwidthDistribution::ref691();
   // Template for every receiver; capability is overwritten per node from the
-  // distribution (mode/gossip/aggregation/max_fanout/rounding are shared).
+  // distribution, and the gossip window geometry (packets_per_window,
+  // virtual_payloads) from the stream plan. The rest is shared.
   core::NodeConfig node;
   // The source is a well-provisioned peer; it gossips with the same average
   // fanout but does not adapt (its capability would dwarf the estimate).
@@ -59,7 +58,7 @@ struct PopulationPlan {
 
 struct StreamPlan {
   stream::StreamConfig stream;        // paper defaults (551 kbps, 101+9, 1316 B)
-  std::uint32_t windows = 16;         // ~31 s of stream at paper rates
+  std::uint32_t windows = 16;         // ~31 s of stream at paper rates; > 0
   sim::SimTime start = sim::SimTime::sec(2.0);
 };
 
@@ -85,11 +84,12 @@ enum class Placement : std::uint8_t {
 };
 
 struct ParallelPlan {
-  // 0 = classic sequential event loop (the default; bitwise-identical to all
-  // previous releases). >= 1 = superstep-sharded engine driven by this many
-  // worker threads. Results of a sharded run depend only on the seed —
-  // every workers >= 1 value and every partitions >= 2 count yields
-  // identical bytes (partitions == 1 matches the sequential engine instead).
+  // 0 = one partition on the calling thread: the sequential event loop (the
+  // default; bitwise-identical to all previous releases), whatever
+  // `partitions` says. >= 1 = this many worker threads drive `partitions`
+  // partitions (at most one thread per partition). Results depend only on
+  // the seed — every workers >= 1 value and every partitions >= 2 count
+  // yields identical bytes (partitions == 1 matches workers == 0 instead).
   std::size_t workers = 0;
   // Logical partition count; 0 = auto (scales with the population, capped at
   // 16). Fixed by configuration and never derived from `workers`, so the
@@ -155,10 +155,11 @@ class Deployment {
     }
 
     // Assembles the full system and arms the churn schedule; protocol and
-    // stream activity only begins at start(). Validates the plans first:
-    // a churn fraction outside [0, 1], a non-monotone churn schedule, or a
-    // gossip window geometry that differs from the stream's is rejected with
-    // a clear error.
+    // stream activity only begins at start(). Rejects a nonsense plan here,
+    // with an error naming the field, rather than mid-run: a churn fraction
+    // outside [0, 1], a non-monotone churn schedule, zero stream windows, and
+    // (checked by the components built here) a detection config that could
+    // schedule into the past or a non-positive gossip or aggregation period.
     [[nodiscard]] std::unique_ptr<Deployment> build() const;
 
    private:
@@ -179,30 +180,23 @@ class Deployment {
   // schedule is armed at build()). Call once, then drive run_until().
   void start();
 
-  // True when the deployment runs on the superstep-sharded engine. The
-  // engine-agnostic driver surface below works in both modes; sim() and
-  // engine() are mode-specific.
-  [[nodiscard]] bool parallel() const { return engine_ != nullptr; }
-  [[nodiscard]] sim::ShardedEngine& engine() {
-    HG_ASSERT_MSG(engine_ != nullptr, "engine() requires a parallel deployment");
-    return *engine_;
-  }
+  // True when the engine runs more than one partition (superstep epochs,
+  // barrier control tasks, cross-partition exchange).
+  [[nodiscard]] bool parallel() const { return engine_->partitions() > 1; }
+  [[nodiscard]] sim::ShardedEngine& engine() { return *engine_; }
 
-  // Advances the deployment to `until` (inclusive, like Simulator::run_until)
-  // on whichever engine drives it. Returns events executed by this call.
-  std::uint64_t run_until(sim::SimTime until);
-  // Schedules `fn` at absolute time `when`; in sharded mode it runs as a
-  // single-threaded barrier control task, before local events at that time.
-  void schedule_control(sim::SimTime when, std::function<void()> fn);
-  [[nodiscard]] sim::SimTime now() const;
-  [[nodiscard]] std::uint64_t events_executed() const;
-
-  [[nodiscard]] sim::Simulator& sim() {
-    HG_ASSERT_MSG(sim_ != nullptr,
-                  "no global simulator in a parallel deployment — drive it via "
-                  "run_until()/schedule_control()/now()");
-    return *sim_;
+  // Advances the deployment to `until` (inclusive, like Simulator::run_until).
+  // Returns events executed by this call.
+  std::uint64_t run_until(sim::SimTime until) { return engine_->run_until(until); }
+  // Schedules `fn` at absolute time `when` (ShardedEngine::schedule_control):
+  // at P >= 2 it runs as a single-threaded barrier control task, before
+  // local events at that time.
+  void schedule_control(sim::SimTime when, std::function<void()> fn) {
+    engine_->schedule_control(when, std::move(fn));
   }
+  [[nodiscard]] sim::SimTime now() const { return engine_->now(); }
+  [[nodiscard]] std::uint64_t events_executed() const { return engine_->events_executed(); }
+
   [[nodiscard]] net::NetworkFabric& fabric() { return *fabric_; }
   [[nodiscard]] const net::NetworkFabric& fabric() const { return *fabric_; }
   [[nodiscard]] membership::Directory& directory() { return *directory_; }
@@ -238,11 +232,9 @@ class Deployment {
 
   StreamPlan stream_;
   ChurnPlan churn_;
-  // Exactly one of engine_/sim_ is set. engine_ is declared first: the
-  // partition simulators it owns must outlive every component holding a
-  // Simulator reference (links, nodes, players).
+  // Declared first: the partition simulators the engine owns must outlive
+  // every component holding a Simulator reference (links, nodes, players).
   std::unique_ptr<sim::ShardedEngine> engine_;
-  std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::NetworkFabric> fabric_;
   std::unique_ptr<membership::Directory> directory_;
   // Real-payload runs only: the one codec the source and every receiver's

@@ -25,10 +25,6 @@ PopulationPlan ExperimentConfig::population_plan() const {
   plan.node.gossip.retransmit_period = retransmit_period;
   plan.node.gossip.max_retransmits = max_retransmits;
   plan.node.gossip.gc_window_horizon = gc_window_horizon;
-  // Gossip and stream must agree on the (window, index) geometry: the ring
-  // slabs are sized by it, and ids indexing past it are malformed.
-  plan.node.gossip.packets_per_window = static_cast<std::uint32_t>(stream.window_packets());
-  plan.node.gossip.virtual_payloads = stream.virtual_payloads;
   plan.node.aggregation = aggregation;
   plan.node.max_fanout = max_fanout;
   plan.node.rounding = rounding;
@@ -68,8 +64,8 @@ void Experiment::run() {
   analyzer_ = std::make_unique<stream::LagAnalyzer>(deployment_->source());
 
   // Snapshot upload counters when the stream ends: Fig. 4's usage is the
-  // mean upload rate while the stream is live. In parallel mode the snapshot
-  // is a barrier control task — every partition has drained to stream_end()
+  // mean upload rate while the stream is live. At P >= 2 the snapshot is a
+  // barrier control task — every partition has drained to stream_end()
   // before it reads the meters.
   deployment_->schedule_control(config_.stream_end(), [this]() {
     for (std::size_t i = 0; i < deployment_->receivers(); ++i) {

@@ -61,10 +61,11 @@ struct ExperimentConfig {
   // timestamps.
   bool lean_players = false;
 
-  // Intra-run parallelism (see ParallelPlan): workers == 0 runs the classic
-  // sequential loop; workers >= 1 runs the superstep-sharded engine, whose
-  // results depend only on the seed — never on workers, the partition
-  // count (any >= 2), or the placement policy.
+  // Intra-run parallelism (see ParallelPlan): workers == 0 runs one
+  // partition on the calling thread (the sequential loop); workers >= 1
+  // drives `partitions` partitions, whose results depend only on the seed —
+  // never on workers, the partition count (any >= 2), or the placement
+  // policy.
   std::size_t workers = 0;
   std::uint32_t partitions = 0;  // 0 = auto
   Placement placement = Placement::kContiguous;
@@ -121,9 +122,6 @@ class Experiment {
   }
   [[nodiscard]] const net::NetworkFabric& fabric() const { return deployment_->fabric(); }
   [[nodiscard]] const stream::StreamSource& source() const { return deployment_->source(); }
-  // Sequential runs only — asserts in parallel mode; prefer the
-  // engine-agnostic accessors below.
-  [[nodiscard]] sim::Simulator& simulator() { return deployment_->sim(); }
   [[nodiscard]] Deployment& deployment() { return *deployment_; }
   [[nodiscard]] std::uint64_t events_executed() const {
     return deployment_->events_executed();

@@ -8,21 +8,31 @@
 
 namespace hg::sim {
 
+namespace {
+
+std::uint32_t clamp_partitions(std::uint32_t requested, std::size_t node_count) {
+  const std::uint32_t partitions = requested == 0 ? 1 : requested;
+  if (node_count > 0 && partitions > node_count) {
+    // More partitions than nodes is a degenerate plan (empty shards would
+    // still pay every barrier). Collapse to the single-partition delegation
+    // shell, which runs the sequential loop.
+    HG_LOG_WARN("partitions (%u) exceed node count (%zu); clamping to 1", partitions, node_count);
+    return 1;
+  }
+  return partitions;
+}
+
+}  // namespace
+
 ShardedEngine::ShardedEngine(std::uint64_t seed, std::size_t node_count, Config config)
     : node_count_(node_count),
-      partitions_(config.partitions == 0 ? 1 : config.partitions),
+      partitions_(clamp_partitions(config.partitions, node_count)),
       epoch_(config.epoch),
       widen_(config.epoch_widening),
       root_rng_(seed),
-      pool_(config.workers == 0 ? 1 : config.workers) {
-  if (node_count_ > 0 && partitions_ > node_count_) {
-    // More partitions than nodes is a degenerate plan (empty shards would
-    // still pay every barrier). Collapse to the single-partition delegation
-    // shell, which is bit-identical to the sequential engine.
-    HG_LOG_WARN("partitions (%u) exceed node count (%zu); clamping to 1",
-                partitions_, node_count_);
-    partitions_ = 1;
-  }
+      // A thread beyond the partition count would wake at every phase with
+      // nothing to run.
+      pool_(std::clamp<std::size_t>(config.workers, 1, partitions_)) {
   HG_ASSERT_MSG(partitions_ == 1 || epoch_ > SimTime::zero(),
                 "multiple partitions require a positive epoch width (the minimum "
                 "cross-partition latency)");
@@ -148,8 +158,8 @@ std::uint64_t ShardedEngine::run_until(SimTime until) {
     // Epoch phase: each partition first releases the messages it handed out
     // last epoch, then drains its local events strictly before the barrier.
     // Events *at* the barrier time wait for control tasks carrying the same
-    // timestamp (churn preempts same-time protocol activity, as in the
-    // sequential engine).
+    // timestamp (churn preempts same-time protocol activity, as at one
+    // partition).
     run_parallel_phase([&](std::size_t p) {
       if (bridge_ != nullptr) bridge_->begin_epoch(static_cast<std::uint32_t>(p));
       partition_sims_[p]->run_before(next);

@@ -22,7 +22,9 @@
 //
 // P == 1 is a pure delegation shell around one Simulator: control tasks
 // become plain events and run_until forwards directly, so a single-partition
-// engine is bit-identical to the sequential engine by construction.
+// engine runs the sequential event loop exactly. Every deployment runs on
+// this class; workers == 0 in the run plan means P == 1 on the calling
+// thread, and unit tests build a one-partition engine of their node count.
 //
 // Adaptive epoch widening: before each epoch the barrier polls every
 // partition's next-event horizon. When the earliest pending event lies past
@@ -110,6 +112,8 @@ class ShardedEngine {
   ShardedEngine(std::uint64_t seed, std::size_t node_count, Config config);
 
   [[nodiscard]] std::uint32_t partitions() const { return partitions_; }
+  // Threads driving the partitions: config.workers clamped to
+  // [1, partitions()], so no thread exists without a partition to run.
   [[nodiscard]] std::size_t workers() const { return pool_.workers(); }
   [[nodiscard]] SimTime epoch() const { return epoch_; }
   [[nodiscard]] SimTime now() const {
@@ -128,9 +132,9 @@ class ShardedEngine {
     return sim_of(partition_of(node_index));
   }
 
-  // Same root streams as a sequential Simulator(seed) — component streams
-  // (population assignment, latency bases, churn) draw identical values in
-  // both engines.
+  // Same root streams as a Simulator(seed) — component streams (population
+  // assignment, latency bases, churn) draw identical values at every
+  // partition count.
   [[nodiscard]] Rng make_rng(std::uint64_t stream_tag) const {
     return root_rng_.fork(stream_tag);
   }

@@ -9,7 +9,8 @@ namespace hg::aggregation {
 namespace {
 
 struct AggSwarm {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   net::NetworkFabric fabric;
   membership::Directory directory;
   std::vector<std::unique_ptr<membership::LocalView>> views;
@@ -17,10 +18,11 @@ struct AggSwarm {
 
   AggSwarm(const std::vector<double>& capabilities_kbps, AggregationConfig cfg = {},
            std::uint64_t seed = 5)
-      : sim(seed),
-        fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(20)),
+      : engine(seed, capabilities_kbps.size(), {}),
+        sim(engine.sim_of(0)),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(20)),
                std::make_unique<net::NoLoss>()),
-        directory(sim, membership::DetectionConfig{}) {
+        directory(engine, membership::DetectionConfig{}) {
     const auto n = capabilities_kbps.size();
     for (std::uint32_t i = 0; i < n; ++i) directory.add_node(NodeId{i});
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -138,11 +140,12 @@ TEST(FreshnessAggregator, GossipCostIsMarginal) {
 }
 
 TEST(PushSum, ConvergesToAverage) {
-  sim::Simulator sim(9);
-  net::NetworkFabric fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
-                            std::make_unique<net::NoLoss>());
-  membership::Directory dir(sim, membership::DetectionConfig{});
   const std::size_t n = 64;
+  sim::ShardedEngine engine(9, n, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
+                            std::make_unique<net::NoLoss>());
+  membership::Directory dir(engine, membership::DetectionConfig{});
   std::vector<std::unique_ptr<membership::LocalView>> views;
   std::vector<std::unique_ptr<PushSumNode>> nodes;
   double truth = 0;
@@ -168,11 +171,12 @@ TEST(PushSum, ConvergesToAverage) {
 
 TEST(PushSum, MassConservation) {
   // Sum of (sum, weight) over all nodes is invariant without loss.
-  sim::Simulator sim(10);
-  net::NetworkFabric fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(5)),
-                            std::make_unique<net::NoLoss>());
-  membership::Directory dir(sim, membership::DetectionConfig{});
   const std::size_t n = 16;
+  sim::ShardedEngine engine(10, n, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(5)),
+                            std::make_unique<net::NoLoss>());
+  membership::Directory dir(engine, membership::DetectionConfig{});
   std::vector<std::unique_ptr<membership::LocalView>> views;
   std::vector<std::unique_ptr<PushSumNode>> nodes;
   for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
@@ -203,11 +207,12 @@ TEST(PushSum, MassConservation) {
 
 TEST(PushSum, SizeEstimation) {
   // value=1 everywhere, weight=1 only at node 0: estimate -> n at node 0.
-  sim::Simulator sim(11);
-  net::NetworkFabric fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(5)),
-                            std::make_unique<net::NoLoss>());
-  membership::Directory dir(sim, membership::DetectionConfig{});
   const std::size_t n = 32;
+  sim::ShardedEngine engine(11, n, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(5)),
+                            std::make_unique<net::NoLoss>());
+  membership::Directory dir(engine, membership::DetectionConfig{});
   std::vector<std::unique_ptr<membership::LocalView>> views;
   std::vector<std::unique_ptr<PushSumNode>> nodes;
   for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});

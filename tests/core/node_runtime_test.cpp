@@ -12,15 +12,18 @@ namespace hg::core {
 namespace {
 
 struct Swarm {
-  sim::Simulator sim{17};
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   net::NetworkFabric fabric;
   membership::Directory directory;
   std::vector<std::unique_ptr<NodeRuntime>> nodes;
 
   explicit Swarm(std::size_t n, Mode mode, BitRate cap = BitRate::kbps(1000))
-      : fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
+      : engine(17, n, {}),
+        sim(engine.sim_of(0)),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
                std::make_unique<net::NoLoss>()),
-        directory(sim, membership::DetectionConfig{}) {
+        directory(engine, membership::DetectionConfig{}) {
     for (std::uint32_t i = 0; i < n; ++i) directory.add_node(NodeId{i});
     for (std::uint32_t i = 0; i < n; ++i) {
       NodeConfig cfg;
@@ -104,13 +107,13 @@ TEST(NodeRuntimeDeathTest, StrictModeAbortsOnUnknownTag) {
 TEST(NodeRuntimeDeathTest, DuplicateTagRegistrationAborts) {
   ASSERT_DEATH(
       {
-        sim::Simulator sim{1};
-        net::NetworkFabric fabric(sim,
+        sim::ShardedEngine engine(1, 1, {});
+        net::NetworkFabric fabric(engine,
                                   std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
                                   std::make_unique<net::NoLoss>());
-        membership::Directory directory(sim, membership::DetectionConfig{});
+        membership::Directory directory(engine, membership::DetectionConfig{});
         directory.add_node(NodeId{0});
-        NodeRuntime rt(sim, fabric, directory, NodeId{0}, NodeConfig{});
+        NodeRuntime rt(engine.sim_of(0), fabric, directory, NodeId{0}, NodeConfig{});
         auto handler = [](void*, const net::Datagram&) {};
         auto a = rt.register_handler(gossip::MsgTag::kPropose, nullptr, handler);
         auto b = rt.register_handler(gossip::MsgTag::kPropose, nullptr, handler);
@@ -119,12 +122,12 @@ TEST(NodeRuntimeDeathTest, DuplicateTagRegistrationAborts) {
 }
 
 TEST(NodeRuntime, TagRegistrationDeregistersOnDestruction) {
-  sim::Simulator sim{1};
-  net::NetworkFabric fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
+  sim::ShardedEngine engine(1, 1, {});
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
                             std::make_unique<net::NoLoss>());
-  membership::Directory directory(sim, membership::DetectionConfig{});
+  membership::Directory directory(engine, membership::DetectionConfig{});
   directory.add_node(NodeId{0});
-  NodeRuntime rt(sim, fabric, directory, NodeId{0}, NodeConfig{});
+  NodeRuntime rt(engine.sim_of(0), fabric, directory, NodeId{0}, NodeConfig{});
 
   int hits = 0;
   const net::Datagram d{NodeId{0}, NodeId{0}, net::MsgClass::kTree, 0,
@@ -226,10 +229,11 @@ TEST(NodeRuntime, CustomStackMultiplexesGossipCyclonAndTreeOnOnePort) {
   // The payoff of tag routing: three protocols share each node's port, each
   // claiming its own tags, with zero coordination between the modules.
   constexpr std::size_t kN = 6;
-  sim::Simulator sim{31};
-  net::NetworkFabric fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
+  sim::ShardedEngine engine(31, kN, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
                             std::make_unique<net::NoLoss>());
-  membership::Directory directory(sim, membership::DetectionConfig{});
+  membership::Directory directory(engine, membership::DetectionConfig{});
   for (std::uint32_t i = 0; i < kN; ++i) directory.add_node(NodeId{i});
 
   std::vector<int> tree_got(kN, 0);
@@ -270,11 +274,12 @@ TEST(NodeRuntime, FreeriderAdvertisingLowCapabilityContributesLess) {
   // §5 "nodes would pretend to be poor in order not to contribute": a node
   // that *declares* a fraction of its true capability gets a matching
   // fanout reduction — the attack HEAP's incentive discussion worries about.
-  sim::Simulator sim(23);
-  net::NetworkFabric fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
-                            std::make_unique<net::NoLoss>());
-  membership::Directory directory(sim, membership::DetectionConfig{});
   constexpr std::size_t kN = 20;
+  sim::ShardedEngine engine(23, kN, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
+                            std::make_unique<net::NoLoss>());
+  membership::Directory directory(engine, membership::DetectionConfig{});
   std::vector<std::unique_ptr<NodeRuntime>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) directory.add_node(NodeId{i});
   for (std::uint32_t i = 0; i < kN; ++i) {

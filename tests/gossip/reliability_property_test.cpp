@@ -21,10 +21,11 @@ class ReliabilitySweep : public ::testing::TestWithParam<SweepParam> {};
 
 double run_delivery_fraction(std::size_t n, double fanout, std::uint64_t seed,
                              bool heterogeneous = false) {
-  sim::Simulator sim(seed);
-  net::NetworkFabric fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
+  sim::ShardedEngine engine(seed, n, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
                             std::make_unique<net::NoLoss>());
-  membership::Directory directory(sim, membership::DetectionConfig{});
+  membership::Directory directory(engine, membership::DetectionConfig{});
   std::vector<std::unique_ptr<membership::LocalView>> views;
   std::vector<std::unique_ptr<FixedFanout>> policies;
   std::vector<std::unique_ptr<ThreePhaseGossip>> nodes;

@@ -11,7 +11,8 @@ namespace {
 
 // A small swarm of raw dissemination engines over an ideal-ish network.
 struct Swarm {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   net::NetworkFabric fabric;
   membership::Directory directory;
   std::vector<std::unique_ptr<membership::LocalView>> views;
@@ -21,11 +22,12 @@ struct Swarm {
 
   explicit Swarm(std::size_t n, GossipConfig cfg = {}, double fanout = 4.0,
                  double loss = 0.0, std::uint64_t seed = 11)
-      : sim(seed),
-        fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(15)),
+      : engine(seed, n, {}),
+        sim(engine.sim_of(0)),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(15)),
                loss > 0 ? std::unique_ptr<net::LossModel>(std::make_unique<net::BernoulliLoss>(loss))
                         : std::unique_ptr<net::LossModel>(std::make_unique<net::NoLoss>())),
-        directory(sim, membership::DetectionConfig{}) {
+        directory(engine, membership::DetectionConfig{}) {
     delivered.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) directory.add_node(NodeId{i});
     for (std::uint32_t i = 0; i < n; ++i) {

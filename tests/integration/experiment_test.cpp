@@ -159,7 +159,7 @@ TEST(Experiment, DeterministicAcrossRuns) {
     EXPECT_EQ(a.player(i).packets_received(), b.player(i).packets_received()) << i;
     EXPECT_EQ(a.meter(i).total_sent_bytes(), b.meter(i).total_sent_bytes()) << i;
   }
-  EXPECT_EQ(a.simulator().events_executed(), b.simulator().events_executed());
+  EXPECT_EQ(a.events_executed(), b.events_executed());
 }
 
 TEST(Experiment, SeedChangesRealization) {
@@ -170,7 +170,7 @@ TEST(Experiment, SeedChangesRealization) {
   cfg.seed = 1234;
   Experiment b(cfg);
   b.run();
-  EXPECT_NE(a.simulator().events_executed(), b.simulator().events_executed());
+  EXPECT_NE(a.events_executed(), b.events_executed());
 }
 
 TEST(Experiment, VirtualPayloadRunIsClockIdenticalToSizedRun) {
@@ -190,7 +190,7 @@ TEST(Experiment, VirtualPayloadRunIsClockIdenticalToSizedRun) {
   virt.run();
 
   ASSERT_EQ(sized.receivers(), virt.receivers());
-  EXPECT_EQ(sized.simulator().events_executed(), virt.simulator().events_executed());
+  EXPECT_EQ(sized.events_executed(), virt.events_executed());
   EXPECT_EQ(sized.fabric().datagrams_delivered(), virt.fabric().datagrams_delivered());
   EXPECT_EQ(sized.fabric().datagrams_lost(), virt.fabric().datagrams_lost());
   for (std::size_t i = 0; i < sized.receivers(); ++i) {
@@ -233,8 +233,7 @@ TEST(Experiment, VirtualRunsStayClockIdenticalAcrossParityLevels) {
     virt.run();
 
     ASSERT_EQ(sized.receivers(), virt.receivers());
-    EXPECT_EQ(sized.simulator().events_executed(), virt.simulator().events_executed())
-        << "parity " << parity;
+    EXPECT_EQ(sized.events_executed(), virt.events_executed()) << "parity " << parity;
     EXPECT_EQ(sized.fabric().datagrams_delivered(), virt.fabric().datagrams_delivered())
         << "parity " << parity;
     for (std::size_t i = 0; i < sized.receivers(); ++i) {

@@ -5,18 +5,21 @@
 #include <set>
 
 #include "net/fabric.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace hg::membership {
 namespace {
 
 struct Swarm {
-  sim::Simulator sim{99};
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   net::NetworkFabric fabric;
   std::vector<std::unique_ptr<CyclonNode>> nodes;
 
   explicit Swarm(std::size_t n, CyclonConfig cfg = {})
-      : fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(20)),
+      : engine(99, n, {}),
+        sim(engine.sim_of(0)),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(20)),
                std::make_unique<net::NoLoss>()) {
     nodes.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {

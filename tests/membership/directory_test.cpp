@@ -3,19 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
-#include <map>
 #include <set>
 #include <vector>
 
-#include "sim/simulator.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace hg::membership {
 namespace {
 
 TEST(Directory, SelectNodesExcludesSelf) {
-  sim::Simulator s(1);
-  Directory dir(s, DetectionConfig{});
+  sim::ShardedEngine engine(1, 10, {});
+  Directory dir(engine, DetectionConfig{});
   for (std::uint32_t i = 0; i < 10; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{3});
   Rng rng(1);
@@ -28,8 +26,8 @@ TEST(Directory, SelectNodesExcludesSelf) {
 }
 
 TEST(Directory, SelectNodesDistinct) {
-  sim::Simulator s(2);
-  Directory dir(s, DetectionConfig{});
+  sim::ShardedEngine engine(2, 20, {});
+  Directory dir(engine, DetectionConfig{});
   for (std::uint32_t i = 0; i < 20; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{0});
   Rng rng(2);
@@ -40,8 +38,8 @@ TEST(Directory, SelectNodesDistinct) {
 }
 
 TEST(Directory, SelectNodesCappedByPopulation) {
-  sim::Simulator s(3);
-  Directory dir(s, DetectionConfig{});
+  sim::ShardedEngine engine(3, 4, {});
+  Directory dir(engine, DetectionConfig{});
   for (std::uint32_t i = 0; i < 4; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{0});
   Rng rng(3);
@@ -51,8 +49,8 @@ TEST(Directory, SelectNodesCappedByPopulation) {
 }
 
 TEST(Directory, SelectionIsUniform) {
-  sim::Simulator s(4);
-  Directory dir(s, DetectionConfig{});
+  sim::ShardedEngine engine(4, 11, {});
+  Directory dir(engine, DetectionConfig{});
   for (std::uint32_t i = 0; i < 11; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{0});
   Rng rng(4);
@@ -69,24 +67,24 @@ TEST(Directory, SelectionIsUniform) {
 }
 
 TEST(Directory, KillPropagatesAfterDetectionDelay) {
-  sim::Simulator s(5);
+  sim::ShardedEngine engine(5, 5, {});
   DetectionConfig det;
   det.mean = sim::SimTime::sec(10);
   det.spread = 0.0;  // deterministic delay for the test
-  Directory dir(s, det);
+  Directory dir(engine, det);
   for (std::uint32_t i = 0; i < 5; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{0});
 
-  s.run_until(sim::SimTime::sec(1));
+  engine.run_until(sim::SimTime::sec(1));
   dir.kill(NodeId{2});
   EXPECT_FALSE(dir.alive(NodeId{2}));
   EXPECT_EQ(dir.alive_count(), 4u);
 
   // Before detection: still believed alive.
-  s.run_until(sim::SimTime::sec(10));
+  engine.run_until(sim::SimTime::sec(10));
   EXPECT_EQ(view->believed_peers(), 4u);
   // After detection: removed.
-  s.run_until(sim::SimTime::sec(12));
+  engine.run_until(sim::SimTime::sec(12));
   EXPECT_EQ(view->believed_peers(), 3u);
 
   Rng rng(5);
@@ -98,25 +96,25 @@ TEST(Directory, KillPropagatesAfterDetectionDelay) {
 }
 
 TEST(Directory, DetectionDelayIsSpread) {
-  sim::Simulator s(6);
+  sim::ShardedEngine engine(6, 100, {});
   DetectionConfig det;
   det.mean = sim::SimTime::sec(10);
   det.spread = 0.5;
-  Directory dir(s, det);
+  Directory dir(engine, det);
   for (std::uint32_t i = 0; i < 100; ++i) dir.add_node(NodeId{i});
   std::vector<std::unique_ptr<LocalView>> views;
   for (std::uint32_t i = 0; i < 100; ++i) views.push_back(dir.make_view(NodeId{i}));
 
   dir.kill(NodeId{7});
   // At t=5s (min possible delay) nobody has detected yet.
-  s.run_until(sim::SimTime::sec(4.9));
+  engine.run_until(sim::SimTime::sec(4.9));
   int detected = 0;
   for (std::uint32_t i = 0; i < 100; ++i) {
     if (i != 7 && views[i]->believed_peers() == 98) ++detected;
   }
   EXPECT_EQ(detected, 0);
   // Half-way (t=10s): roughly half have detected.
-  s.run_until(sim::SimTime::sec(10));
+  engine.run_until(sim::SimTime::sec(10));
   detected = 0;
   for (std::uint32_t i = 0; i < 100; ++i) {
     if (i != 7 && views[i]->believed_peers() == 98) ++detected;
@@ -124,7 +122,7 @@ TEST(Directory, DetectionDelayIsSpread) {
   EXPECT_GT(detected, 25);
   EXPECT_LT(detected, 75);
   // By t=15s everyone has.
-  s.run_until(sim::SimTime::sec(15.1));
+  engine.run_until(sim::SimTime::sec(15.1));
   detected = 0;
   for (std::uint32_t i = 0; i < 100; ++i) {
     if (i != 7 && views[i]->believed_peers() == 98) ++detected;
@@ -133,8 +131,8 @@ TEST(Directory, DetectionDelayIsSpread) {
 }
 
 TEST(Directory, DoubleKillIsIdempotent) {
-  sim::Simulator s(7);
-  Directory dir(s, DetectionConfig{});
+  sim::ShardedEngine engine(7, 3, {});
+  Directory dir(engine, DetectionConfig{});
   for (std::uint32_t i = 0; i < 3; ++i) dir.add_node(NodeId{i});
   dir.kill(NodeId{1});
   dir.kill(NodeId{1});
@@ -145,8 +143,8 @@ TEST(Directory, LazyViewStoresNothingUntilADeathIsDetected) {
   // Copy-on-write views: over an all-alive population a view is the
   // implicit identity mapping; only the first detected death materializes
   // the private peer array.
-  sim::Simulator s(9);
-  Directory dir(s, DetectionConfig{});
+  sim::ShardedEngine engine(9, 1000, {});
+  Directory dir(engine, DetectionConfig{});
   for (std::uint32_t i = 0; i < 1000; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{500});
   EXPECT_FALSE(view->materialized());
@@ -166,9 +164,9 @@ TEST(Directory, CowViewMatchesClassicSnapshotAlgorithm) {
   // from the classic eager snapshot + swap-remove bookkeeping: same RNG
   // stream in, same peers out, before and after deaths. The reference
   // implementation lives right here.
-  sim::Simulator s(10);
-  Directory dir(s, DetectionConfig{});
   const std::uint32_t n = 50;
+  sim::ShardedEngine engine(10, n, {});
+  Directory dir(engine, DetectionConfig{});
   const NodeId owner{10};
   for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(owner);
@@ -215,8 +213,8 @@ TEST(Directory, CowViewMatchesClassicSnapshotAlgorithm) {
 TEST(Directory, ViewBuiltAfterDeathsMaterializesEagerly) {
   // The identity mapping only holds over an all-alive population; a view
   // built later must fall back to the snapshot and exclude the dead.
-  sim::Simulator s(11);
-  Directory dir(s, DetectionConfig{});
+  sim::ShardedEngine engine(11, 10, {});
+  Directory dir(engine, DetectionConfig{});
   for (std::uint32_t i = 0; i < 10; ++i) dir.add_node(NodeId{i});
   dir.kill(NodeId{4});
   auto view = dir.make_view(NodeId{0});
@@ -234,21 +232,21 @@ TEST(Directory, DetectionWheelSchedulesOneEventPerBucket) {
   // A death with N views must cost O(spread / wheel_tick) scheduled events,
   // not O(N): detections land in shared tick buckets. With spread 0 every
   // observer fires from the same bucket — exactly one event in the queue.
-  sim::Simulator s(3);
+  constexpr std::uint32_t kNodes = 200;
+  sim::ShardedEngine engine(3, kNodes, {});
   DetectionConfig det;
   det.mean = sim::SimTime::sec(10.0);
   det.spread = 0.0;
-  Directory dir(s, det);
-  constexpr std::uint32_t kNodes = 200;
+  Directory dir(engine, det);
   for (std::uint32_t i = 0; i < kNodes; ++i) dir.add_node(NodeId{i});
   std::vector<std::unique_ptr<LocalView>> views;
   for (std::uint32_t i = 0; i < kNodes; ++i) views.push_back(dir.make_view(NodeId{i}));
 
-  const std::uint64_t before = s.events_executed();
+  const std::uint64_t before = engine.events_executed();
   dir.kill(NodeId{7});
-  s.run_until(sim::SimTime::sec(30));
+  engine.run_until(sim::SimTime::sec(30));
   // One drain event total (plus nothing else pending in this run).
-  EXPECT_EQ(s.events_executed() - before, 1u);
+  EXPECT_EQ(engine.events_executed() - before, 1u);
   for (std::uint32_t i = 0; i < kNodes; ++i) {
     if (i == 7) continue;
     EXPECT_EQ(views[i]->believed_peers(), kNodes - 2) << i;
@@ -258,50 +256,50 @@ TEST(Directory, DetectionWheelSchedulesOneEventPerBucket) {
 TEST(Directory, WheelTickRoundsDetectionUpAtMostOneTick) {
   // Quantization contract: a detection fires at the first wheel tick at or
   // after its sampled delay — never before, never more than a tick late.
-  sim::Simulator s(5);
+  sim::ShardedEngine engine(5, 3, {});
   DetectionConfig det;
   det.mean = sim::SimTime::sec(10.0);
   det.spread = 0.0;
   det.wheel_tick = sim::SimTime::ms(250);
-  Directory dir(s, det);
+  Directory dir(engine, det);
   for (std::uint32_t i = 0; i < 3; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{0});
   dir.kill(NodeId{1});
   // Exactly 10 s is already a tick multiple: must not fire before 10 s.
-  s.run_until(sim::SimTime::sec(10.0) - sim::SimTime::us(1));
+  engine.run_until(sim::SimTime::sec(10.0) - sim::SimTime::us(1));
   EXPECT_EQ(view->believed_peers(), 2u);
-  s.run_until(sim::SimTime::sec(10.0));
+  engine.run_until(sim::SimTime::sec(10.0));
   EXPECT_EQ(view->believed_peers(), 1u);
 }
 
 TEST(Directory, WheelBucketsAreReusableAfterDrain) {
   // A second death whose detection maps to an already-drained bucket index
   // range must re-create buckets, not vanish.
-  sim::Simulator s(6);
+  sim::ShardedEngine engine(6, 4, {});
   DetectionConfig det;
   det.mean = sim::SimTime::sec(1.0);
   det.spread = 0.0;
-  Directory dir(s, det);
+  Directory dir(engine, det);
   for (std::uint32_t i = 0; i < 4; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{0});
   dir.kill(NodeId{1});
-  s.run_until(sim::SimTime::sec(5));
+  engine.run_until(sim::SimTime::sec(5));
   EXPECT_EQ(view->believed_peers(), 2u);
   dir.kill(NodeId{2});
-  s.run_until(sim::SimTime::sec(10));
+  engine.run_until(sim::SimTime::sec(10));
   EXPECT_EQ(view->believed_peers(), 1u);
 }
 
 TEST(Directory, ViewOfKilledOwnerUnaffected) {
   // A dead node's own view is not updated (it is dead), but destroying the
   // view must not crash pending detection events.
-  sim::Simulator s(8);
-  Directory dir(s, DetectionConfig{});
+  sim::ShardedEngine engine(8, 3, {});
+  Directory dir(engine, DetectionConfig{});
   for (std::uint32_t i = 0; i < 3; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{1});
   dir.kill(NodeId{0});
   view.reset();  // destroyed before detection event fires
-  s.run_until(sim::SimTime::sec(30));
+  engine.run_until(sim::SimTime::sec(30));
 }
 
 TEST(Directory, DestroyedViewsLeaveKillDrawingAsIfNeverRegistered) {
@@ -315,27 +313,23 @@ TEST(Directory, DestroyedViewsLeaveKillDrawingAsIfNeverRegistered) {
   };
   const auto run = [](const std::vector<std::uint32_t>& built,
                       const std::vector<std::uint32_t>& destroyed) {
-    std::multimap<sim::SimTime, std::function<void()>> pending;
-    sim::SimTime now = sim::SimTime::sec(1.0);
-    Directory dir(
-        DetectionConfig{}, Rng(42),
-        [&](sim::SimTime at, std::function<void()> fn) { pending.emplace(at, std::move(fn)); },
-        [&] { return now; });
+    sim::ShardedEngine engine(42, 10, {});
+    const DetectionConfig det;
+    Directory dir(engine, det);
     for (std::uint32_t i = 0; i < 10; ++i) dir.add_node(NodeId{i});
     std::vector<std::unique_ptr<LocalView>> views(10);
     for (const std::uint32_t i : built) views[i] = dir.make_view(NodeId{i});
     for (const std::uint32_t i : destroyed) views[i].reset();
+    engine.run_until(sim::SimTime::sec(1.0));
     dir.kill(NodeId{5});
     views[8].reset();
     Run r;
     r.detected.assign(10, sim::SimTime::max());
-    while (!pending.empty()) {
-      const auto it = pending.begin();
-      now = it->first;
-      const std::function<void()> drain = std::move(it->second);
-      pending.erase(it);
-      r.drains.push_back(now);
-      drain();
+    // Drains fire on wheel ticks only, so stepping one tick at a time from a
+    // tick multiple sees each drain run alone, at its own step's bound.
+    while (engine.sim_of(0).next_event_time().has_value()) {
+      const sim::SimTime now = engine.now() + det.wheel_tick;
+      if (engine.run_until(now) > 0) r.drains.push_back(now);
       for (std::uint32_t i = 0; i < 10; ++i) {
         if (views[i] != nullptr && views[i]->believed_peers() == 8 &&
             r.detected[i] == sim::SimTime::max()) {

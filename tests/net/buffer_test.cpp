@@ -164,8 +164,9 @@ TEST(ByteWriter, FinishTransfersOwnershipWithoutCopy) {
 // payloads evicted ring-buffer style. Sizes repeat exactly, so after warm-up
 // the pool must serve every chunk from its free lists — zero new allocs.
 TEST(BufferPool, SteadyStateWirePathIsAllocationFree) {
-  sim::Simulator sim(7);
-  NetworkFabric fabric(sim, std::make_unique<ConstantLatency>(sim::SimTime::ms(2)),
+  sim::ShardedEngine engine(7, 2, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::ms(2)),
                        std::make_unique<NoLoss>());
   constexpr std::size_t kBatch = 8;
   constexpr std::size_t kPayloadBytes = 1316;
@@ -237,11 +238,12 @@ TEST(BufferPool, SteadyStateWirePathIsAllocationFree) {
 // the allocation *rate* collapses: recycled chunks outnumber new allocations
 // by >= 100x once warm.
 TEST(BufferPool, GossipSwarmSteadyStateRecyclesChunks) {
-  sim::Simulator sim(99);
-  NetworkFabric fabric(sim, std::make_unique<ConstantLatency>(sim::SimTime::ms(5)),
-                       std::make_unique<NoLoss>());
-  membership::Directory directory(sim, membership::DetectionConfig{});
   constexpr std::uint32_t kNodes = 8;
+  sim::ShardedEngine engine(99, kNodes, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::ms(5)),
+                       std::make_unique<NoLoss>());
+  membership::Directory directory(engine, membership::DetectionConfig{});
   for (std::uint32_t i = 0; i < kNodes; ++i) directory.add_node(NodeId{i});
 
   std::vector<std::unique_ptr<membership::LocalView>> views;

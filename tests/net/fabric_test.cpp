@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/simulator.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace hg::net {
 namespace {
@@ -12,13 +12,16 @@ BufferRef make_bytes(std::size_t n) {
 }
 
 struct Harness {
-  sim::Simulator sim{42};
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   NetworkFabric fabric;
   std::vector<std::vector<Datagram>> received;
 
   explicit Harness(std::size_t nodes, double loss = 0.0,
                    sim::SimTime latency = sim::SimTime::ms(10))
-      : fabric(sim, std::make_unique<ConstantLatency>(latency),
+      : engine(42, nodes, {}),
+        sim(engine.sim_of(0)),
+        fabric(engine, std::make_unique<ConstantLatency>(latency),
                loss > 0 ? std::unique_ptr<LossModel>(std::make_unique<BernoulliLoss>(loss))
                         : std::unique_ptr<LossModel>(std::make_unique<NoLoss>())) {
     received.resize(nodes);
@@ -89,8 +92,9 @@ TEST(Fabric, DeadReceiverDropsInFlight) {
 }
 
 TEST(Fabric, UploadCapacitySerializesTraffic) {
-  sim::Simulator s(7);
-  NetworkFabric fabric(s, std::make_unique<ConstantLatency>(sim::SimTime::zero()),
+  sim::ShardedEngine engine(7, 2, {});
+  sim::Simulator& s = engine.sim_of(0);
+  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::zero()),
                        std::make_unique<NoLoss>());
   std::vector<sim::SimTime> arrival;
   // 1000 bps sender: each 125-byte wire datagram takes 1 s to push out.
@@ -122,8 +126,8 @@ TEST(Fabric, SlicedBatchMetersLikeIndividualDatagrams) {
 }
 
 TEST(FabricDeathTest, RegisterNodeEnforcesConsecutiveIds) {
-  sim::Simulator s(1);
-  NetworkFabric fabric(s, std::make_unique<ConstantLatency>(sim::SimTime::ms(1)),
+  sim::ShardedEngine engine(1, 3, {});
+  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::ms(1)),
                        std::make_unique<NoLoss>());
   fabric.register_node(NodeId{0}, BitRate::unlimited(), nullptr);
   // Skipping an id breaks entry()'s index-by-id contract: must abort loudly,

@@ -44,13 +44,74 @@ TEST(DeploymentBuilderDeathTest, NonMonotoneChurnScheduleRejected) {
                "sorted by time");
 }
 
-TEST(DeploymentBuilderDeathTest, GossipWindowGeometryMustMatchTheStream) {
-  // A 121-packet stream window against the default 110-slot gossip rings
-  // would build and then abort mid-run when the source publishes index 110.
+// Timing configs that could only abort mid-run (a negative detection delay
+// scheduled into the past, a zero period fed to Rng::below, a stream of no
+// windows) are rejected where their component is built, naming the field.
+TEST(DeploymentBuilderDeathTest, DetectionSpreadAboveOneRejected) {
+  ChurnPlan churn;
+  churn.detection.spread = 1.5;
+  EXPECT_DEATH(Deployment::Builder{}.population(tiny_population(5)).churn(churn).build(),
+               "DetectionConfig::spread must be within");
+}
+
+TEST(DeploymentBuilderDeathTest, NegativeDetectionMeanRejected) {
+  ChurnPlan churn;
+  churn.detection.mean = sim::SimTime::sec(-1.0);
+  EXPECT_DEATH(Deployment::Builder{}.population(tiny_population(5)).churn(churn).build(),
+               "DetectionConfig::mean must not be negative");
+}
+
+TEST(DeploymentBuilderDeathTest, ZeroWheelTickRejected) {
+  ChurnPlan churn;
+  churn.detection.wheel_tick = sim::SimTime::zero();
+  EXPECT_DEATH(Deployment::Builder{}.population(tiny_population(5)).churn(churn).build(),
+               "DetectionConfig::wheel_tick must be positive");
+}
+
+TEST(DeploymentBuilderDeathTest, ZeroGossipPeriodRejected) {
+  PopulationPlan plan = tiny_population(5);
+  plan.node.gossip.period = sim::SimTime::zero();
+  EXPECT_DEATH(Deployment::Builder{}.population(plan).build(),
+               "GossipConfig::period must be positive");
+}
+
+TEST(DeploymentBuilderDeathTest, ZeroAggregationPeriodRejected) {
+  PopulationPlan plan = tiny_population(5);
+  plan.node.mode = core::Mode::kHeap;  // the mode that runs the aggregator
+  plan.node.aggregation.period = sim::SimTime::zero();
+  EXPECT_DEATH(Deployment::Builder{}.population(plan).build(),
+               "AggregationConfig::period must be positive");
+}
+
+TEST(DeploymentBuilderDeathTest, ZeroStreamWindowsRejected) {
+  StreamPlan stream;
+  stream.windows = 0;
+  EXPECT_DEATH(Deployment::Builder{}.population(tiny_population(5)).stream(stream).build(),
+               "StreamPlan::windows must be positive");
+}
+
+TEST(DeploymentBuilder, GossipWindowGeometryFollowsTheStream) {
+  // A 121-packet stream window with a default node template: the builder
+  // sizes every gossip ring from the stream, so the run reaches its end and
+  // no id past the default 110 slots is rejected as malformed.
   StreamPlan stream;
   stream.stream.parity_per_window = 20;
-  EXPECT_DEATH(Deployment::Builder{}.population(tiny_population(5)).stream(stream).build(),
-               "gossip.packets_per_window must equal the stream's window_packets");
+  stream.windows = 2;
+  auto d = Deployment::Builder{}.population(tiny_population(5)).stream(stream).build();
+  d->start();
+  const double stream_sec =
+      stream.stream.window_duration_sec() * static_cast<double>(stream.windows);
+  d->run_until(stream.start + sim::SimTime::sec(stream_sec + 10.0));
+  std::uint64_t malformed = 0;
+  std::uint64_t packets = 0;
+  for (std::size_t i = 0; i < d->receivers(); ++i) {
+    const auto& engine = d->node(i).module<gossip::GossipModule>().engine();
+    EXPECT_EQ(engine.config().packets_per_window, 121u);
+    malformed += engine.stats().malformed;
+    packets += d->player(i).packets_received();
+  }
+  EXPECT_EQ(malformed, 0u);
+  EXPECT_GT(packets, 0u);
 }
 
 TEST(DeploymentBuilder, ValidChurnScheduleBuilds) {
@@ -159,6 +220,41 @@ TEST(Deployment, RealPayloadTeardownReturnsEveryChunk) {
       EXPECT_GT(net::BufferPool::local().live_chunks(), baseline);
     }
     EXPECT_EQ(net::BufferPool::local().live_chunks(), baseline) << "partitions=" << partitions;
+  }
+}
+
+// The fabric's datagram counters balance against the per-node traffic
+// meters, at one partition and across the sharded exchange: every delivery
+// bumps exactly one receiver meter (the source included), and every loss
+// exactly one sender's in-flight drop count. Sends filtered at a dead
+// destination and arrivals at a node crashed in flight touch neither side.
+TEST(Deployment, FabricCountersMatchTheMetersAtEveryLayout) {
+  for (const std::uint32_t partitions : {0u, 4u}) {
+    ExperimentConfig cfg;
+    cfg.node_count = 40;
+    cfg.stream_windows = 3;
+    cfg.loss_rate = 0.02;
+    cfg.churn = {{sim::SimTime::sec(4.0), 0.3}};
+    cfg.seed = 13;
+    cfg.workers = partitions == 0 ? 0 : 2;
+    cfg.partitions = partitions;
+    Experiment e(cfg);
+    e.run();
+    const net::NetworkFabric& fabric = e.fabric();
+    std::uint64_t received = 0;
+    std::uint64_t dropped = 0;
+    for (std::uint32_t id = 0; id < fabric.node_count(); ++id) {
+      const net::TrafficMeter& meter = fabric.meter(NodeId{id});
+      for (std::size_t c = 0; c < static_cast<std::size_t>(net::MsgClass::kCount_); ++c) {
+        received += meter.received(static_cast<net::MsgClass>(c)).msgs;
+      }
+      dropped += meter.dropped_msgs();
+    }
+    EXPECT_EQ(fabric.datagrams_delivered(), received) << "partitions=" << partitions;
+    EXPECT_EQ(fabric.datagrams_lost(), dropped) << "partitions=" << partitions;
+    EXPECT_GT(received, 0u);
+    EXPECT_GT(dropped, 0u);
+    EXPECT_EQ(e.deployment().parallel(), partitions != 0);
   }
 }
 

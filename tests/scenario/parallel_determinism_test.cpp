@@ -96,9 +96,9 @@ TEST(ParallelDeterminism, MetricsInvariantAcrossPartitionCountsAndPlacement) {
 }
 
 TEST(ParallelDeterminism, DegeneratePartitioningMatchesSequentialEngine) {
-  // More partitions than nodes clamps to a single partition, and a
-  // single-partition "parallel" run is the sequential engine behind a
-  // barrier facade — it must be *byte-identical* to workers=0, not merely
+  // More partitions than nodes clamps to a single partition, which runs the
+  // sequential loop — the same loop workers=0 runs. A clamped run with two
+  // requested workers must be *byte-identical* to it, not merely
   // deterministic.
   ExperimentConfig cfg = parallel_cfg(2);
   cfg.partitions = 500;  // > 97 nodes -> clamped to 1

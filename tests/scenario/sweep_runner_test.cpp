@@ -32,7 +32,7 @@ struct SeedMetrics {
 
 SeedMetrics collect(Experiment& e) {
   SeedMetrics m;
-  m.events = e.simulator().events_executed();
+  m.events = e.events_executed();
   for (std::size_t i = 0; i < e.receivers(); ++i) {
     m.packets_received.push_back(e.player(i).packets_received());
     m.sent_bytes.push_back(e.meter(i).total_sent_bytes());
@@ -86,7 +86,7 @@ TEST(SweepRunner, RunExperimentsKeepsConfigOrder) {
   for (std::size_t i = 0; i < 4; ++i) {
     ASSERT_NE(exps[i], nullptr);
     EXPECT_EQ(exps[i]->config().seed, 5 + i);
-    EXPECT_GT(exps[i]->simulator().events_executed(), 0u);
+    EXPECT_GT(exps[i]->events_executed(), 0u);
   }
 }
 

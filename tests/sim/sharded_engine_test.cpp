@@ -62,6 +62,24 @@ TEST(ShardedEngine, DegeneratePartitioningClampsToSinglePartition) {
   EXPECT_EQ(e.partitions(), 1u);
 }
 
+TEST(ShardedEngine, WorkerPoolNeverOutnumbersPartitions) {
+  // A thread without a partition would only wake at every phase; the pool
+  // holds min(workers, partitions) threads, counting the clamp to one
+  // partition for a degenerate layout.
+  for (const auto& [workers, partitions, expected] :
+       {std::tuple<std::size_t, std::uint32_t, std::size_t>{4, 1, 1},
+        {4, 2, 2},
+        {2, 16, 2},
+        {4, 100, 1}}) {
+    ShardedEngine::Config config;
+    config.partitions = partitions;
+    config.workers = workers;
+    config.epoch = SimTime::ms(1);
+    ShardedEngine e(1, /*node_count=*/64, config);
+    EXPECT_EQ(e.workers(), expected) << "W=" << workers << " P=" << partitions;
+  }
+}
+
 TEST(ShardedEngine, SingleNodePartitionsAreAllowed) {
   // partitions == node_count is legal (every message crosses a boundary).
   ShardedEngine e(7, /*node_count=*/5, {/*partitions=*/5, /*workers=*/2, SimTime::ms(1)});

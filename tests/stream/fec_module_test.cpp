@@ -31,7 +31,8 @@ std::vector<std::uint8_t> to_vector(std::span<const std::uint8_t> bytes) {
 }
 
 struct Rig {
-  sim::Simulator sim{7};
+  sim::ShardedEngine engine{7, 1, {}};
+  sim::Simulator& sim = engine.sim_of(0);
   net::NetworkFabric fabric;
   membership::Directory directory;
   fec::WindowCodec codec;  // outlives the node's FecModule, which borrows it
@@ -39,9 +40,9 @@ struct Rig {
   FecModule* fec = nullptr;
 
   explicit Rig(StreamConfig cfg, std::uint32_t windows)
-      : fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
+      : fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
                std::make_unique<net::NoLoss>()),
-        directory(sim, membership::DetectionConfig{}),
+        directory(engine, membership::DetectionConfig{}),
         codec(codec_config(cfg)) {
     directory.add_node(NodeId{0});
     node = core::NodeRuntime::make(sim, fabric, directory, NodeId{0}, core::NodeConfig{});

@@ -6,13 +6,16 @@ namespace hg::tree {
 namespace {
 
 struct TreeHarness {
-  sim::Simulator sim{3};
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   net::NetworkFabric fabric;
   std::vector<std::vector<gossip::EventId>> delivered;
   std::unique_ptr<StaticTree> tree;
 
   explicit TreeHarness(std::size_t n, std::size_t arity, double loss = 0.0)
-      : fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
+      : engine(3, n, {}),
+        sim(engine.sim_of(0)),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
                loss > 0 ? std::unique_ptr<net::LossModel>(
                               std::make_unique<net::BernoulliLoss>(loss))
                         : std::unique_ptr<net::LossModel>(std::make_unique<net::NoLoss>())) {
