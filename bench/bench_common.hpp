@@ -268,16 +268,19 @@ metrics::Samples pooled_samples(const SeedSet& set, Fn&& per_run) {
 }
 
 inline metrics::Samples stream_fraction_lags(const SeedSet& set, double fraction) {
-  return pooled_samples(
-      set, [&](const scenario::Experiment& e) { return scenario::stream_fraction_lags(e, fraction); });
+  return pooled_samples(set, [&](const scenario::Experiment& e) {
+    return scenario::stream_fraction_lags(e, fraction);
+  });
 }
 inline metrics::Samples jitter_free_lags(const SeedSet& set, double max_jitter) {
-  return pooled_samples(
-      set, [&](const scenario::Experiment& e) { return scenario::jitter_free_lags(e, max_jitter); });
+  return pooled_samples(set, [&](const scenario::Experiment& e) {
+    return scenario::jitter_free_lags(e, max_jitter);
+  });
 }
 inline metrics::Samples jitter_percent_at_lag(const SeedSet& set, double lag_sec) {
-  return pooled_samples(
-      set, [&](const scenario::Experiment& e) { return scenario::jitter_percent_at_lag(e, lag_sec); });
+  return pooled_samples(set, [&](const scenario::Experiment& e) {
+    return scenario::jitter_percent_at_lag(e, lag_sec);
+  });
 }
 inline metrics::Samples jitter_percent_offline(const SeedSet& set) {
   return pooled_samples(

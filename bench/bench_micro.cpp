@@ -12,6 +12,7 @@
 #include "fec/window_codec.hpp"
 #include "gossip/messages.hpp"
 #include "gossip/window_ring.hpp"
+#include "membership/directory.hpp"
 #include "net/fabric.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/simulator.hpp"
@@ -337,6 +338,54 @@ void BM_AggregationEstimate(benchmark::State& state) {
 BENCHMARK(BM_AggregationEstimate)->Arg(16)->Arg(270)->Arg(1000);
 
 // --------------------------------------------------------------------------
+// Membership: a mass crash detected by every view
+// --------------------------------------------------------------------------
+
+// 3,000 views and 600 kills (every fifth node) at t = 1 s. Arg 0 times the
+// kills plus draining the detection wheel to quiescence; Arg 1 times one
+// select_nodes(10) per view afterwards. Building and tearing down the views
+// is untimed.
+struct MassCrash {
+  static constexpr std::uint32_t kNodes = 3000;
+  MassCrash() : engine(5, kNodes, {}), dir(engine, membership::DetectionConfig{}) {
+    for (std::uint32_t i = 0; i < kNodes; ++i) dir.add_node(NodeId{i});
+    views.reserve(kNodes);
+    for (std::uint32_t i = 0; i < kNodes; ++i) views.push_back(dir.make_view(NodeId{i}));
+    engine.run_until(sim::SimTime::sec(1));
+  }
+  void crash() {
+    for (std::uint32_t i = 0; i < kNodes; i += 5) dir.kill(NodeId{i});
+    engine.run_until(sim::SimTime::sec(30));
+  }
+  sim::ShardedEngine engine;
+  membership::Directory dir;
+  std::vector<std::unique_ptr<membership::LocalView>> views;
+};
+
+void BM_DirectoryMassCrash(benchmark::State& state) {
+  const bool time_selects = state.range(0) == 1;
+  std::unique_ptr<MassCrash> world;
+  Rng rng(9);
+  std::vector<NodeId> out;
+  for (auto _ : state) {
+    state.PauseTiming();
+    world.reset();
+    world = std::make_unique<MassCrash>();
+    if (time_selects) world->crash();
+    state.ResumeTiming();
+    if (!time_selects) {
+      world->crash();
+      continue;
+    }
+    for (const auto& view : world->views) {
+      view->select_nodes(10, out, rng);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+}
+BENCHMARK(BM_DirectoryMassCrash)->Arg(0)->Arg(1)->Iterations(5)->Unit(benchmark::kMillisecond);
+
+// --------------------------------------------------------------------------
 // Superstep-sharded engine: epoch stepping and the cross-partition exchange
 // --------------------------------------------------------------------------
 
@@ -345,7 +394,8 @@ void BM_ParallelSuperstepEpochDrain(benchmark::State& state) {
   // purely local event load. Arg = worker threads; 1 measures pure engine
   // overhead, >1 adds the fork-join synchronization.
   const auto workers = static_cast<std::size_t>(state.range(0));
-  sim::ShardedEngine engine(7, 256, {4, workers, sim::SimTime::ms(1)});
+  sim::ShardedEngine engine(7, 256,
+                            {.partitions = 4, .workers = workers, .epoch = sim::SimTime::ms(1)});
   constexpr int kEventsPerPartition = 64;
   std::vector<std::uint64_t> fired(engine.partitions(), 0);
   for (auto _ : state) {
@@ -372,7 +422,8 @@ void BM_ParallelSuperstepBufferExchange(benchmark::State& state) {
   // full outbox volume. Arg = worker threads.
   const auto workers = static_cast<std::size_t>(state.range(0));
   constexpr std::uint32_t kNodes = 256;
-  sim::ShardedEngine engine(11, kNodes, {4, workers, sim::SimTime::ms(1)});
+  sim::ShardedEngine engine(11, kNodes,
+                            {.partitions = 4, .workers = workers, .epoch = sim::SimTime::ms(1)});
   net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
                             std::make_unique<net::NoLoss>());
   std::vector<std::uint64_t> received(engine.partitions(), 0);
@@ -400,7 +451,8 @@ BENCHMARK(BM_ParallelSuperstepBufferExchange)->Arg(1)->Arg(2)->Arg(4);
 // barrier-to-event instead of grinding 50 empty barriers per event.
 void BM_EpochWidenOn(benchmark::State& state) {
   const auto workers = static_cast<std::size_t>(state.range(0));
-  sim::ShardedEngine engine(7, 256, {4, workers, sim::SimTime::ms(1)});
+  sim::ShardedEngine engine(7, 256,
+                            {.partitions = 4, .workers = workers, .epoch = sim::SimTime::ms(1)});
   constexpr int kEventsPerPartition = 10;
   std::vector<std::uint64_t> fired(engine.partitions(), 0);
   for (auto _ : state) {

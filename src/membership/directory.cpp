@@ -1,6 +1,7 @@
 #include "membership/directory.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/assert.hpp"
 
@@ -34,36 +35,85 @@ void Directory::kill(NodeId id) {
   --alive_count_;
   const sim::SimTime now = engine_.now();
   const std::int64_t tick = detection_.wheel_tick.as_us();
+  draws_.clear();
   for (LocalView* view : views_) {
     if (view == nullptr || view->owner() == id) continue;
-    const NodeId observer = view->owner();
     const double factor = rng_.uniform(1.0 - detection_.spread, 1.0 + detection_.spread);
     const auto delay = sim::SimTime::us(
         static_cast<std::int64_t>(static_cast<double>(detection_.mean.as_us()) * factor));
-    // Shared detection wheel: the fire time rounds up to the next tick and
-    // joins that bucket; only a fresh bucket schedules an event. A death
-    // costs O(views) bucket pushes but only O(spread / tick) scheduled
-    // events, shared with every other death hitting the same ticks.
-    const std::int64_t bucket = ((now + delay).as_us() + tick - 1) / tick;
-    const auto [it, inserted] = wheel_.try_emplace(bucket);
-    it->second.push_back(Detection{observer, id});
-    if (inserted) {
-      engine_.schedule_control(sim::SimTime::us(bucket * tick),
-                               [this, bucket]() { drain(bucket); });
+    // The fire time rounds up to the next wheel tick: that is the bucket.
+    draws_.push_back(Draw{view->owner(), ((now + delay).as_us() + tick - 1) / tick});
+  }
+  if (draws_.empty()) return;
+  // File the draws as one batch sorted by bucket, stably (each bucket keeps
+  // registration order): a counting sort while the buckets spanned are no
+  // more than the draws, a comparison sort past that, so a fine wheel_tick
+  // costs no per-bucket memory.
+  const auto [lo, hi] = std::minmax_element(
+      draws_.begin(), draws_.end(),
+      [](const Draw& a, const Draw& b) { return a.bucket < b.bucket; });
+  const std::int64_t first = lo->bucket;
+  const auto span = static_cast<std::size_t>(hi->bucket - first) + 1;
+  if (span <= draws_.size()) {
+    cursor_.assign(span + 1, 0);
+    for (const Draw& d : draws_) ++cursor_[static_cast<std::size_t>(d.bucket - first) + 1];
+    std::partial_sum(cursor_.begin(), cursor_.end(), cursor_.begin());
+    sorted_draws_.resize(draws_.size());
+    for (const Draw& d : draws_) {
+      sorted_draws_[cursor_[static_cast<std::size_t>(d.bucket - first)]++] = d;
     }
+    draws_.swap(sorted_draws_);
+  } else {
+    std::stable_sort(draws_.begin(), draws_.end(),
+                     [](const Draw& a, const Draw& b) { return a.bucket < b.bucket; });
+  }
+  Batch& batch = batches_.emplace_back();
+  batch.dead = id;
+  batch.observers.reserve(draws_.size());
+  for (const Draw& d : draws_) {
+    if (batch.runs.empty() || batch.runs.back().bucket != d.bucket) {
+      // Shared detection wheel: only a bucket no drain is scheduled for yet
+      // schedules one. A death costs O(views) draws but only O(spread /
+      // tick) scheduled events, shared with every other death hitting the
+      // same ticks.
+      if (scheduled_.insert(d.bucket).second) {
+        const std::int64_t bucket = d.bucket;
+        engine_.schedule_control(sim::SimTime::us(bucket * tick),
+                                 [this, bucket]() { drain(bucket); });
+      }
+      batch.runs.push_back(Run{d.bucket, 0});
+    }
+    batch.observers.push_back(d.observer);
+    batch.runs.back().end = static_cast<std::uint32_t>(batch.observers.size());
   }
 }
 
 void Directory::drain(std::int64_t bucket) {
-  const auto it = wheel_.find(bucket);
-  if (it == wheel_.end()) return;
-  std::vector<Detection> due = std::move(it->second);
-  wheel_.erase(it);
-  for (const Detection& d : due) {
+  scheduled_.erase(bucket);
+  due_.clear();
+  for (std::uint32_t b = 0; b < batches_.size(); ++b) {
+    Batch& batch = batches_[b];
+    if (batch.next == batch.runs.size() || batch.runs[batch.next].bucket != bucket) continue;
+    const std::uint32_t begin = batch.next == 0 ? 0 : batch.runs[batch.next - 1].end;
+    for (std::uint32_t i = begin; i < batch.runs[batch.next].end; ++i) {
+      due_.push_back(Due{batch.observers[i], b});
+    }
+    ++batch.next;
+  }
+  // Apply view by view (a stable counting sort by observer keeps each view's
+  // detections in kill order), so a view's state stays in cache across its
+  // run. Views are independent, so this equals (kill, registration) order.
+  cursor_.assign(view_by_owner_.size() + 1, 0);
+  for (const Due& d : due_) ++cursor_[d.observer.value() + 1];
+  std::partial_sum(cursor_.begin(), cursor_.end(), cursor_.begin());
+  sorted_.resize(due_.size());
+  for (const Due& d : due_) sorted_[cursor_[d.observer.value()]++] = d;
+  for (const Due& d : sorted_) {
     // Look the view up at fire time: it may have been destroyed (its owner
     // torn down) while the detection was pending.
-    if (LocalView* v = view_of(d.observer)) v->mark_dead(d.dead);
+    if (LocalView* v = view_of(d.observer)) v->mark_dead(batches_[d.batch].dead);
   }
+  std::erase_if(batches_, [](const Batch& batch) { return batch.next == batch.runs.size(); });
 }
 
 std::unique_ptr<LocalView> Directory::make_view(NodeId owner) {
@@ -90,78 +140,138 @@ LocalView* Directory::view_of(NodeId owner) const {
   return owner.value() < view_by_owner_.size() ? view_by_owner_[owner.value()] : nullptr;
 }
 
+
 LocalView::LocalView(Directory* dir, NodeId owner)
-    : dir_(dir), owner_(owner), snapshot_size_(dir->size()) {
-  const bool owner_counted = owner_.value() < snapshot_size_ && dir_->alive(owner_);
-  believed_ = dir_->alive_count() - (owner_counted ? 1 : 0);
-  if (believed_ + 1 < snapshot_size_ || !owner_counted) {
-    // Someone is already dead (or the owner is not a directory member): the
-    // implicit identity mapping does not hold, so snapshot eagerly.
-    materialize();
+    : dir_(dir),
+      owner_(owner),
+      snapshot_size_(static_cast<std::uint32_t>(dir->size())),
+      base_(snapshot_size_ - (owner.value() < snapshot_size_ ? 1 : 0)),
+      believed_(base_) {
+  materialized_ = owner_.value() >= snapshot_size_ || !dir_->alive(owner_);
+  if (dir_->alive_count() < snapshot_size_) {
+    // Start from the identity and remove the dead in id order. Views are
+    // built before the first crash, so this O(N) scan is off the usual path.
+    for (std::uint32_t i = 0; i < snapshot_size_; ++i) {
+      if (!dir_->alive(NodeId{i})) mark_dead(NodeId{i});
+    }
   }
   dir_->register_view(this);
 }
 
 LocalView::~LocalView() { dir_->unregister_view(this); }
 
-void LocalView::materialize() {
-  materialized_ = true;
-  positions_.assign(snapshot_size_, kNpos);
-  members_.clear();
-  members_.reserve(believed_);
-  for (std::uint32_t i = 0; i < snapshot_size_; ++i) {
-    const NodeId id{i};
-    if (id == owner_ || !dir_->alive(id)) continue;
-    positions_[i] = static_cast<std::uint32_t>(members_.size());
-    members_.push_back(id);
+std::size_t LocalView::state_bytes() const {
+  std::size_t bytes = scratch_.capacity() * sizeof(std::uint32_t);
+  if (patch_ != nullptr) {
+    const Patch& p = *patch_;
+    bytes += sizeof(Patch) + (p.tail.capacity() + p.slots.capacity() + p.pages.capacity()) *
+                                 sizeof(std::uint32_t) +
+             p.bits.capacity() * sizeof(std::uint64_t);
   }
-  believed_ = members_.size();
+  return bytes;
 }
 
 void LocalView::mark_dead(NodeId id) {
   if (id == owner_ || id.value() >= snapshot_size_) return;
-  if (!materialized_) {
-    // First detected death: switch from the implicit mapping to a private
-    // array. Everything this view believes alive is, by construction of the
-    // lazy representation, exactly "all snapshot ids except the owner" — the
-    // directory's current alive set must not leak in here (other deaths may
-    // still be undetected by this view), so fill from the id range directly.
-    materialized_ = true;
-    positions_.resize(snapshot_size_);
-    members_.resize(snapshot_size_ - 1);
-    for (std::size_t i = 0; i + 1 < snapshot_size_; ++i) {
-      members_[i] = implicit_member(i);
-      positions_[members_[i].value()] = static_cast<std::uint32_t>(i);
-    }
-    positions_[owner_.value()] = kNpos;
+  materialized_ = true;
+  if (patch_ == nullptr) patch_ = std::make_unique<Patch>();
+  Patch& p = *patch_;
+  // Where does `id` live now? An id still inside the sequence at its home
+  // position never moved; one whose home joined the removed tail did.
+  const std::uint32_t home_pos = home(id);
+  const bool moved = home_pos >= believed_;
+  std::uint32_t pos = home_pos;
+  if (moved) {
+    pos = p.tail[base_ - 1 - home_pos];
+    if (pos == kNpos) return;
+  } else if (p.patched(pos)) {
+    return;  // its home holds a mover: it died already
   }
-  const std::uint32_t pos = positions_[id.value()];
-  if (pos == kNpos) return;
-  // Swap-remove keeps select_nodes O(k).
-  const NodeId last = members_.back();
-  members_[pos] = last;
-  positions_[last.value()] = pos;
-  members_.pop_back();
-  positions_[id.value()] = kNpos;
-  believed_ = members_.size();
+  // Swap-remove: the last position joins the removed tail, and its occupant
+  // (the id that started there, or one moved in earlier) fills `pos`.
+  const std::uint32_t last = believed_ - 1;
+  std::uint32_t mover = static_cast<std::uint32_t>(p.tail.size());
+  if (p.patched(last)) {
+    mover = p.slots[p.slot_of(last)];
+    p.erase(last);
+    p.flip_bit(last);
+  }
+  p.tail.push_back(kNpos);
+  --believed_;
+  if (moved) {
+    if (pos == last) {
+      p.tail[base_ - 1 - home_pos] = kNpos;
+      return;
+    }
+    const std::size_t slot = p.slot_of(pos);
+    p.tail[base_ - 1 - home_pos] = kNpos;
+    p.tail[mover] = pos;
+    p.slots[slot] = mover;
+  } else if (pos != last) {
+    p.tail[mover] = pos;
+    p.insert(mover);
+    p.flip_bit(pos);
+  }
+}
+
+std::size_t LocalView::Patch::slot_of(std::uint32_t pos) const {
+  const std::size_t mask = slots.size() - 1;
+  std::size_t slot = home_slot(pos);
+  while (tail[slots[slot]] != pos) slot = (slot + 1) & mask;
+  return slot;
+}
+
+void LocalView::Patch::flip_bit(std::uint32_t pos) {
+  const std::uint32_t page = pos / kPageBits;
+  if (page >= pages.size()) pages.resize(page + 1, kNpos);
+  if (pages[page] == kNpos) {
+    pages[page] = static_cast<std::uint32_t>(bits.size());
+    bits.resize(bits.size() + kPageBits / 64, 0);
+  }
+  bits[pages[page] + pos % kPageBits / 64] ^= std::uint64_t{1} << (pos % 64);
+}
+
+void LocalView::Patch::insert(std::uint32_t moved) {
+  if ((count + 1) * 2 > slots.size()) {
+    // Grow to keep the load at most one half, and re-file every entry.
+    std::vector<std::uint32_t> old(std::max<std::size_t>(8, slots.size() * 2), kNpos);
+    old.swap(slots);
+    count = 0;
+    for (const std::uint32_t entry : old) {
+      if (entry != kNpos) insert(entry);
+    }
+  }
+  const std::size_t mask = slots.size() - 1;
+  std::size_t slot = home_slot(tail[moved]);
+  while (slots[slot] != kNpos) slot = (slot + 1) & mask;
+  slots[slot] = moved;
+  ++count;
+}
+
+void LocalView::Patch::erase(std::uint32_t pos) {
+  // Backward-shift deletion keeps linear probing tombstone-free: pull each
+  // later entry of the run into the hole unless its home lies after the hole.
+  const std::size_t mask = slots.size() - 1;
+  std::size_t hole = slot_of(pos);
+  for (std::size_t i = (hole + 1) & mask; slots[i] != kNpos; i = (i + 1) & mask) {
+    const std::size_t home_of_i = home_slot(tail[slots[i]]);
+    if (((i - home_of_i) & mask) >= ((i - hole) & mask)) {
+      slots[hole] = slots[i];
+      hole = i;
+    }
+  }
+  slots[hole] = kNpos;
+  --count;
 }
 
 void LocalView::select_nodes(std::size_t k, std::vector<NodeId>& out, Rng& rng) {
   out.clear();
-  const std::size_t avail = believed_;
-  const std::size_t take = std::min(k, avail);
+  const std::size_t take = std::min<std::size_t>(k, believed_);
   if (take == 0) return;
   scratch_.clear();
-  rng.sample_indices(avail, take, scratch_);
+  rng.sample_indices(believed_, take, scratch_);
   out.reserve(take);
-  if (materialized_) {
-    for (auto idx : scratch_) out.push_back(members_[idx]);
-  } else {
-    // Index order in the lazy mapping equals the id order the eager snapshot
-    // used to build members_, so the same sampled indices yield the same
-    // peers — representations are interchangeable mid-run.
-    for (auto idx : scratch_) out.push_back(implicit_member(idx));
-  }
+  for (const std::uint32_t idx : scratch_) out.push_back(member(idx));
 }
 
 }  // namespace hg::membership

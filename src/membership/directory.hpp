@@ -9,9 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <utility>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -58,9 +57,26 @@ class Directory {
 
  private:
   friend class LocalView;
-  struct Detection {
-    NodeId observer;
+  // One kill's pending detections, 4 bytes per observer: the observers
+  // sorted by wheel bucket (registration order within a bucket), cut into
+  // one run per non-empty bucket.
+  struct Run {
+    std::int64_t bucket;
+    std::uint32_t end;  // one past the run's last index in observers
+  };
+  struct Batch {
     NodeId dead;
+    std::uint32_t next = 0;  // first run not drained yet
+    std::vector<Run> runs;
+    std::vector<NodeId> observers;
+  };
+  struct Draw {
+    NodeId observer;
+    std::int64_t bucket;
+  };
+  struct Due {
+    NodeId observer;
+    std::uint32_t batch;  // index in batches_
   };
 
   void register_view(LocalView* view);
@@ -80,21 +96,43 @@ class Directory {
   std::vector<LocalView*> views_;
   std::vector<LocalView*> view_by_owner_;
   Rng rng_;
-  // The shared detection wheel: bucket index (fire time / wheel_tick,
-  // rounded up) -> pending detections. Ordered map: drains erase their own
-  // bucket, later kills may re-create it.
-  std::map<std::int64_t, std::vector<Detection>> wheel_;
+  // The shared detection wheel: a bucket is a fire time / wheel_tick,
+  // rounded up. Pending batches in kill order (a drain hands each view its
+  // detections from bucket b in kill order; a batch is freed once its last
+  // bucket drains) and the buckets with a drain scheduled — a drain erases
+  // its own bucket, so a later kill may schedule it again.
+  std::vector<Batch> batches_;
+  std::set<std::int64_t> scheduled_;
+  // Scratch of kill() and drain().
+  std::vector<Draw> draws_;
+  std::vector<Draw> sorted_draws_;
+  std::vector<Due> due_;
+  std::vector<Due> sorted_;
+  std::vector<std::uint32_t> cursor_;
 };
 
 // A node's (possibly stale) view of the membership.
 //
-// Storage is copy-on-write against the shared directory. A freshly built
-// view over an all-alive population is the identity mapping "index i -> i-th
-// node id, skipping the owner" and stores nothing — the 100k-node case
-// (100k views x 100k peers) would otherwise cost O(N^2) memory just for
-// snapshots. Only when a view first *detects* a death does it materialize a
-// private peer array and fall back to the classic swap-remove bookkeeping;
-// selection order and RNG consumption are identical in both representations.
+// The believed-alive peers form a sequence: selection samples indices into
+// it, and a detected death swap-removes the dead id (the last member moves
+// into its slot). The sequence starts as the identity mapping "position i ->
+// i-th node id, skipping the owner", and a view stores only a sparse patch
+// of it, allocated at its first detected death: O(deaths it detected), never
+// O(N). Dense snapshots would cost O(N^2) across the views, at the start or
+// at the first crash (~80 GB at 100k nodes).
+//
+// Only ids of the removed tail ever move (a swap-remove shrinks the sequence
+// from the end), so the patch has three parts:
+//   - tail: for each removed position, counted from the end, where the id
+//     that started there lives now, or kNpos once it is dead;
+//   - slots: an open-addressing table from each position whose original
+//     occupant died (and is still in the sequence) to its current occupant,
+//     stored as that occupant's tail index and keyed through tail;
+//   - a paged bitset of exactly those positions, so picking an unpatched
+//     position never probes the table. A 4096-position page is allocated on
+//     its first patch.
+// Selection order and RNG consumption equal the classic dense snapshot with
+// swap-remove bookkeeping.
 class LocalView {
  public:
   ~LocalView();
@@ -115,30 +153,68 @@ class LocalView {
   // also usable directly by tests).
   void mark_dead(NodeId id);
 
-  // True once this view holds a private peer array (introspection/tests).
+  // True once the view has detected a death of a directory member other than
+  // its owner, or was built when the identity mapping did not hold (someone
+  // already dead, or the owner not a live member).
   [[nodiscard]] bool materialized() const { return materialized_; }
+
+  // Heap bytes the view owns, from its containers' capacities.
+  [[nodiscard]] std::size_t state_bytes() const;
 
  private:
   friend class Directory;
+  static constexpr std::uint32_t kNpos = 0xffffffffu;
+
+  struct Patch {
+    static constexpr std::uint32_t kPageBits = 4096;
+    std::vector<std::uint32_t> tail;
+    std::vector<std::uint32_t> slots;  // tail indices; kNpos = empty
+    std::vector<std::uint32_t> pages;  // page -> its first word in bits, or kNpos
+    std::vector<std::uint64_t> bits;
+    std::uint32_t count = 0;  // occupied slots
+
+    [[nodiscard]] bool patched(std::uint32_t pos) const {
+      const std::uint32_t page = pos / kPageBits;
+      if (page >= pages.size() || pages[page] == kNpos) return false;
+      return ((bits[pages[page] + pos % kPageBits / 64] >> (pos % 64)) & 1u) != 0;
+    }
+    [[nodiscard]] std::size_t home_slot(std::uint32_t pos) const {
+      // Fibonacci hashing onto the power-of-two table.
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(pos * 0x9e3779b9u) * slots.size()) >> 32);
+    }
+    // The table slot of a patched position.
+    [[nodiscard]] std::size_t slot_of(std::uint32_t pos) const;
+    void flip_bit(std::uint32_t pos);
+    // Files tail index `moved` under its position tail[moved].
+    void insert(std::uint32_t moved);
+    void erase(std::uint32_t pos);
+  };
+
   LocalView(Directory* dir, NodeId owner);
 
-  // The implicit all-alive-except-owner mapping of the lazy representation.
-  [[nodiscard]] NodeId implicit_member(std::size_t index) const {
-    const auto i = static_cast<std::uint32_t>(index);
-    return NodeId{i < owner_.value() ? i : i + 1};
+  // The identity mapping: the id that starts at a position, and the position
+  // an id starts at (id != owner).
+  [[nodiscard]] NodeId original(std::uint32_t pos) const {
+    return NodeId{pos < owner_.value() ? pos : pos + 1};
   }
-  void materialize();
+  [[nodiscard]] std::uint32_t home(NodeId id) const {
+    return id.value() < owner_.value() ? id.value() : id.value() - 1;
+  }
+  [[nodiscard]] NodeId member(std::uint32_t pos) const {
+    if (patch_ == nullptr || !patch_->patched(pos)) return original(pos);
+    return original(base_ - 1 - patch_->slots[patch_->slot_of(pos)]);
+  }
 
   Directory* dir_;
   NodeId owner_;
-  std::uint32_t registration_ = 0;       // index in the directory's views_
-  std::size_t snapshot_size_;            // directory size when the view was built
-  std::size_t believed_;                 // peers this view believes alive
+  std::uint32_t registration_ = 0;  // index in the directory's views_
+  std::uint32_t snapshot_size_;     // directory size when the view was built
+  std::uint32_t base_;              // length of the identity mapping
+  std::uint32_t believed_;          // peers this view believes alive
   bool materialized_ = false;
-  std::vector<NodeId> members_;          // believed-alive peers, order arbitrary
-  std::vector<std::uint32_t> positions_; // node id -> index in members_, or npos
-  std::vector<std::uint32_t> scratch_;   // avoids per-call allocation
-  static constexpr std::uint32_t kNpos = 0xffffffffu;
+  std::unique_ptr<Patch> patch_;        // null while nothing was detected
+  std::vector<std::uint32_t> scratch_;  // avoids per-call allocation
 };
 
 }  // namespace hg::membership

@@ -96,7 +96,7 @@ class ShardedEngine {
     // of the run plan, not a tuning knob discovered at runtime: with
     // run-seeded partitions it cannot change results, only the volume of
     // cross-partition traffic.
-    std::vector<std::uint32_t> placement;
+    std::vector<std::uint32_t> placement{};
     // Adaptive epoch widening (see file comment). On by default; results are
     // identical either way — only the barrier count changes.
     bool epoch_widening = true;

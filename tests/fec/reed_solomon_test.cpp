@@ -129,8 +129,13 @@ INSTANTIATE_TEST_SUITE_P(
                       RsParam{101, 9, 0}, RsParam{101, 9, 5}, RsParam{101, 9, 9},
                       RsParam{101, 9, 10}, RsParam{100, 155, 150}),
     [](const ::testing::TestParamInfo<RsParam>& info) {
-      return "k" + std::to_string(info.param.k) + "m" + std::to_string(info.param.m) +
-             "drop" + std::to_string(info.param.drop);
+      std::string name = "k";
+      name += std::to_string(info.param.k);
+      name += "m";
+      name += std::to_string(info.param.m);
+      name += "drop";
+      name += std::to_string(info.param.drop);
+      return name;
     });
 
 TEST(ReedSolomon, ManyRandomErasurePatterns) {
@@ -234,7 +239,9 @@ TEST(ReedSolomon, ErasureFuzzRandomSubsets) {
       // Systematic passthrough: the raw data shards that arrived are usable
       // as-is even though the window cannot be decoded.
       for (auto i : kept) {
-        if (i < k) EXPECT_EQ(*shards[i], data[i]);
+        if (i < k) {
+          EXPECT_EQ(*shards[i], data[i]);
+        }
       }
     }
   }

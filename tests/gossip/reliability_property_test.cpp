@@ -88,8 +88,11 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{270, 7.0, true},    // the paper's setting
                       SweepParam{270, 9.0, true}),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
-      return "n" + std::to_string(info.param.nodes) + "_f" +
-             std::to_string(static_cast<int>(info.param.fanout * 10));
+      std::string name = "n";
+      name += std::to_string(info.param.nodes);
+      name += "_f";
+      name += std::to_string(static_cast<int>(info.param.fanout * 10));
+      return name;
     });
 
 TEST(ReliabilityHeterogeneous, SameAverageFanoutSameReach) {

@@ -148,6 +148,7 @@ TEST(Directory, LazyViewStoresNothingUntilADeathIsDetected) {
   for (std::uint32_t i = 0; i < 1000; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{500});
   EXPECT_FALSE(view->materialized());
+  EXPECT_EQ(view->state_bytes(), 0u);
   EXPECT_EQ(view->believed_peers(), 999u);
   Rng rng(3);
   std::vector<NodeId> out;
@@ -159,55 +160,190 @@ TEST(Directory, LazyViewStoresNothingUntilADeathIsDetected) {
   EXPECT_EQ(view->believed_peers(), 998u);
 }
 
+// The classic dense snapshot: members in id order (owner excluded), and a
+// detected death swap-removes the dead id (the last member fills its slot).
+// LocalView's sparse representation must be indistinguishable from it.
+struct ReferenceView {
+  ReferenceView(std::uint32_t n, NodeId owner) : owner(owner), n(n) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (NodeId{i} != owner) members.push_back(NodeId{i});
+    }
+  }
+  void mark_dead(NodeId id) {
+    if (id == owner || id.value() >= n) return;
+    const auto it = std::find(members.begin(), members.end(), id);
+    if (it == members.end()) return;
+    *it = members.back();
+    members.pop_back();
+  }
+  NodeId owner;
+  std::uint32_t n;
+  std::vector<NodeId> members;
+};
+
+// Draws k indices from `ref_rng` exactly as select_nodes draws from
+// `view_rng`, and checks the view returned the reference's members there.
+void expect_same_selection(LocalView& view, const ReferenceView& ref, std::size_t k,
+                           Rng& view_rng, Rng& ref_rng) {
+  std::vector<NodeId> got;
+  std::vector<std::uint32_t> idx;
+  view.select_nodes(k, got, view_rng);
+  ref_rng.sample_indices(ref.members.size(), std::min(k, ref.members.size()), idx);
+  ASSERT_EQ(got.size(), idx.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) ASSERT_EQ(got[i], ref.members[idx[i]]) << i;
+}
+
 TEST(Directory, CowViewMatchesClassicSnapshotAlgorithm) {
-  // The lazy mapping (and its materialization) must be indistinguishable
-  // from the classic eager snapshot + swap-remove bookkeeping: same RNG
-  // stream in, same peers out, before and after deaths. The reference
-  // implementation lives right here.
+  // The lazy mapping (and its patched form) must be indistinguishable from
+  // the classic eager snapshot + swap-remove bookkeeping: same RNG stream
+  // in, same peers out, before and after deaths.
   const std::uint32_t n = 50;
   sim::ShardedEngine engine(10, n, {});
   Directory dir(engine, DetectionConfig{});
   const NodeId owner{10};
   for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(owner);
-
-  std::vector<NodeId> ref_members;  // the classic snapshot, id order
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (NodeId{i} != owner) ref_members.push_back(NodeId{i});
-  }
-  auto ref_mark_dead = [&](NodeId id) {  // classic swap-remove
-    const auto it = std::find(ref_members.begin(), ref_members.end(), id);
-    ASSERT_NE(it, ref_members.end());
-    *it = ref_members.back();
-    ref_members.pop_back();
-  };
+  ReferenceView ref(n, owner);
   Rng view_rng(77);
   Rng ref_rng(77);
-  std::vector<NodeId> got;
-  std::vector<std::uint32_t> idx;
   auto expect_lockstep = [&](int trials) {
-    for (int t = 0; t < trials; ++t) {
-      view->select_nodes(7, got, view_rng);
-      idx.clear();
-      ref_rng.sample_indices(ref_members.size(), 7, idx);
-      ASSERT_EQ(got.size(), idx.size());
-      for (std::size_t k = 0; k < idx.size(); ++k) EXPECT_EQ(got[k], ref_members[idx[k]]);
-    }
+    for (int t = 0; t < trials; ++t) expect_same_selection(*view, ref, 7, view_rng, ref_rng);
   };
 
   ASSERT_FALSE(view->materialized());
   expect_lockstep(200);  // lazy phase
 
-  view->mark_dead(NodeId{23});  // materializes mid-run
-  ref_mark_dead(NodeId{23});
+  view->mark_dead(NodeId{23});  // first detection mid-run
+  ref.mark_dead(NodeId{23});
   ASSERT_TRUE(view->materialized());
   expect_lockstep(200);
 
   view->mark_dead(NodeId{49});  // swap-remove order must also match
-  ref_mark_dead(NodeId{49});
+  ref.mark_dead(NodeId{49});
   view->mark_dead(NodeId{0});
-  ref_mark_dead(NodeId{0});
+  ref.mark_dead(NodeId{0});
   expect_lockstep(200);
+}
+
+TEST(Directory, RandomMarkDeadSequencesMatchTheDenseReference) {
+  // Thousands of seeded mark_dead sequences against the dense reference:
+  // repeats, the owner, out-of-range ids, ids already moved in from the
+  // tail, and sequences that empty the view. Every step checks the believed
+  // count, a full permutation and a random-size selection in lockstep.
+  Rng gen(2024);
+  for (int seq = 0; seq < 3000; ++seq) {
+    const auto n = static_cast<std::uint32_t>(1 + gen.below(48));
+    // Now and then the owner is not a directory member at all.
+    const NodeId owner{static_cast<std::uint32_t>(gen.below(n + 1))};
+    sim::ShardedEngine engine(static_cast<std::uint64_t>(seq), n + 1, {});
+    Directory dir(engine, DetectionConfig{});
+    for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
+    auto view = dir.make_view(owner);
+    ReferenceView ref(n, owner);
+    Rng view_rng(static_cast<std::uint64_t>(seq) + 1);
+    Rng ref_rng(static_cast<std::uint64_t>(seq) + 1);
+    const std::size_t steps = gen.below(3 * n);
+    for (std::size_t step = 0; step < steps; ++step) {
+      NodeId id;
+      const auto kind = gen.below(8);
+      if (kind == 0) {
+        id = owner;
+      } else if (kind == 1) {
+        id = NodeId{static_cast<std::uint32_t>(n + gen.below(3))};  // out of range
+      } else if (kind <= 3 && !ref.members.empty()) {
+        // A member near the end of the sequence: once its predecessors die,
+        // these are the ids that have moved in from the removed tail.
+        const std::size_t from_end = gen.below(std::min<std::size_t>(4, ref.members.size()));
+        id = ref.members[ref.members.size() - 1 - from_end];
+      } else {
+        id = NodeId{static_cast<std::uint32_t>(gen.below(n))};  // may repeat
+      }
+      const bool counts = id != owner && id.value() < n;
+      const bool was_materialized = view->materialized();
+      view->mark_dead(id);
+      ref.mark_dead(id);
+      ASSERT_EQ(view->materialized(), was_materialized || counts) << "seq " << seq;
+      ASSERT_EQ(view->believed_peers(), ref.members.size()) << "seq " << seq;
+      expect_same_selection(*view, ref, ref.members.size(), view_rng, ref_rng);
+      expect_same_selection(*view, ref, gen.below(n + 1), view_rng, ref_rng);
+      if (HasFatalFailure()) FAIL() << "seq " << seq << " step " << step;
+    }
+    if (seq % 3 == 0) {
+      // Empty the view completely, in a shuffled order.
+      std::vector<NodeId> rest = ref.members;
+      for (std::size_t i = rest.size(); i > 1; --i) std::swap(rest[i - 1], rest[gen.below(i)]);
+      for (const NodeId id : rest) {
+        view->mark_dead(id);
+        ref.mark_dead(id);
+        expect_same_selection(*view, ref, ref.members.size(), view_rng, ref_rng);
+        if (HasFatalFailure()) FAIL() << "seq " << seq << " emptying";
+      }
+      EXPECT_EQ(view->believed_peers(), 0u);
+      std::vector<NodeId> out;
+      view->select_nodes(3, out, view_rng);
+      EXPECT_TRUE(out.empty());
+    }
+  }
+}
+
+TEST(Directory, DetectionsApplyInBucketThenKillOrder) {
+  // One observer, four kills: two share a wheel bucket, two land in later
+  // buckets of their own. The member order must equal the reference's swap-
+  // removes applied in (bucket, kill) order; 2-then-3 and 3-then-2 differ.
+  constexpr std::uint32_t kNodes = 10;
+  sim::ShardedEngine engine(12, kNodes, {});
+  DetectionConfig det;
+  det.mean = sim::SimTime::sec(10.0);
+  det.spread = 0.0;
+  det.wheel_tick = sim::SimTime::sec(1.0);
+  Directory dir(engine, det);
+  for (std::uint32_t i = 0; i < kNodes; ++i) dir.add_node(NodeId{i});
+  auto view = dir.make_view(NodeId{0});
+  ReferenceView ref(kNodes, NodeId{0});
+  Rng view_rng(5);
+  Rng ref_rng(5);
+
+  engine.run_until(sim::SimTime::ms(100));
+  dir.kill(NodeId{2});  // fires at 10.1 s -> bucket 11
+  engine.run_until(sim::SimTime::ms(200));
+  dir.kill(NodeId{3});  // fires at 10.2 s -> bucket 11, after 2
+  engine.run_until(sim::SimTime::ms(1300));
+  dir.kill(NodeId{5});  // bucket 12
+  engine.run_until(sim::SimTime::ms(2600));
+  dir.kill(NodeId{6});  // bucket 13
+
+  engine.run_until(sim::SimTime::sec(11.0) - sim::SimTime::us(1));
+  EXPECT_EQ(view->believed_peers(), 9u);
+  engine.run_until(sim::SimTime::sec(11.0));
+  ref.mark_dead(NodeId{2});
+  ref.mark_dead(NodeId{3});
+  EXPECT_EQ(view->believed_peers(), 7u);
+  expect_same_selection(*view, ref, ref.members.size(), view_rng, ref_rng);
+  engine.run_until(sim::SimTime::sec(12.0));
+  ref.mark_dead(NodeId{5});
+  expect_same_selection(*view, ref, ref.members.size(), view_rng, ref_rng);
+  engine.run_until(sim::SimTime::sec(13.0));
+  ref.mark_dead(NodeId{6});
+  EXPECT_EQ(view->believed_peers(), 5u);
+  expect_same_selection(*view, ref, ref.members.size(), view_rng, ref_rng);
+  EXPECT_EQ(ref.members, (std::vector<NodeId>{NodeId{1}, NodeId{9}, NodeId{8}, NodeId{4},
+                                               NodeId{7}}));
+}
+
+TEST(Directory, ViewStateGrowsWithDetectedDeathsNotPopulation) {
+  // A view that detected one death in a 10k-node directory owns a few
+  // hundred bytes, not a dense per-node array (80 KB for two u32 arrays).
+  constexpr std::uint32_t kNodes = 10'000;
+  sim::ShardedEngine engine(13, kNodes, {});
+  Directory dir(engine, DetectionConfig{});
+  for (std::uint32_t i = 0; i < kNodes; ++i) dir.add_node(NodeId{i});
+  auto view = dir.make_view(NodeId{1234});
+  EXPECT_EQ(view->state_bytes(), 0u);
+  dir.kill(NodeId{42});
+  engine.run_until(sim::SimTime::sec(30));
+  ASSERT_EQ(view->believed_peers(), kNodes - 2);
+  EXPECT_TRUE(view->materialized());
+  EXPECT_LE(view->state_bytes(), 2048u);
 }
 
 TEST(Directory, ViewBuiltAfterDeathsMaterializesEagerly) {

@@ -40,7 +40,7 @@ TEST(Simulator, RunBeforeIsExclusive) {
 }
 
 TEST(ShardedEngine, PartitionMapIsContiguousAndBalanced) {
-  ShardedEngine e(7, /*node_count=*/103, {/*partitions=*/4, /*workers=*/1, SimTime::ms(1)});
+  ShardedEngine e(7, /*node_count=*/103, {.partitions = 4, .workers = 1, .epoch = SimTime::ms(1)});
   std::vector<std::size_t> sizes(4, 0);
   std::uint32_t prev = 0;
   for (std::uint32_t i = 0; i < 103; ++i) {
@@ -58,7 +58,7 @@ TEST(ShardedEngine, DegeneratePartitioningClampsToSinglePartition) {
   // empty shards, the engine collapses to one partition, which delegates to
   // the plain sequential loop (and is therefore byte-identical to it — see
   // ParallelDeterminism.DegeneratePartitioningMatchesSequentialEngine).
-  ShardedEngine e(7, /*node_count=*/3, {/*partitions=*/16, /*workers=*/2, SimTime::ms(1)});
+  ShardedEngine e(7, /*node_count=*/3, {.partitions = 16, .workers = 2, .epoch = SimTime::ms(1)});
   EXPECT_EQ(e.partitions(), 1u);
 }
 
@@ -82,13 +82,13 @@ TEST(ShardedEngine, WorkerPoolNeverOutnumbersPartitions) {
 
 TEST(ShardedEngine, SingleNodePartitionsAreAllowed) {
   // partitions == node_count is legal (every message crosses a boundary).
-  ShardedEngine e(7, /*node_count=*/5, {/*partitions=*/5, /*workers=*/2, SimTime::ms(1)});
+  ShardedEngine e(7, /*node_count=*/5, {.partitions = 5, .workers = 2, .epoch = SimTime::ms(1)});
   EXPECT_EQ(e.partitions(), 5u);
   for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(e.partition_of(i), i);
 }
 
 TEST(ShardedEngine, MakeRngMatchesSequentialSimulator) {
-  ShardedEngine e(2009, 10, {2, 1, SimTime::ms(1)});
+  ShardedEngine e(2009, 10, {.partitions = 2, .workers = 1, .epoch = SimTime::ms(1)});
   Simulator s(2009);
   for (std::uint64_t tag : {7ull, 0x41535347ull, 0x4348524eull}) {
     Rng a = e.make_rng(tag);
@@ -98,7 +98,7 @@ TEST(ShardedEngine, MakeRngMatchesSequentialSimulator) {
 }
 
 TEST(ShardedEngine, ControlTasksRunBeforeLocalEventsAtSameTime) {
-  ShardedEngine e(1, 8, {2, 1, SimTime::ms(1)});
+  ShardedEngine e(1, 8, {.partitions = 2, .workers = 1, .epoch = SimTime::ms(1)});
   std::vector<std::string> order;
   e.sim_of(0).at(SimTime::ms(5), [&] { order.push_back("event"); });
   e.schedule_control(SimTime::ms(5), [&] { order.push_back("control"); });
@@ -109,7 +109,7 @@ TEST(ShardedEngine, ControlTasksRunBeforeLocalEventsAtSameTime) {
 }
 
 TEST(ShardedEngine, ControlTasksAtEqualTimesKeepSchedulingOrder) {
-  ShardedEngine e(1, 4, {2, 1, SimTime::ms(1)});
+  ShardedEngine e(1, 4, {.partitions = 2, .workers = 1, .epoch = SimTime::ms(1)});
   std::vector<int> order;
   e.schedule_control(SimTime::ms(3), [&] { order.push_back(1); });
   e.schedule_control(SimTime::ms(3), [&] {
@@ -122,7 +122,7 @@ TEST(ShardedEngine, ControlTasksAtEqualTimesKeepSchedulingOrder) {
 }
 
 TEST(ShardedEngine, CountsEventsAcrossPartitions) {
-  ShardedEngine e(1, 6, {3, 1, SimTime::ms(1)});
+  ShardedEngine e(1, 6, {.partitions = 3, .workers = 1, .epoch = SimTime::ms(1)});
   for (std::uint32_t p = 0; p < 3; ++p) {
     e.sim_of(p).at(SimTime::ms(1 + p), [] {});
   }
@@ -136,7 +136,7 @@ TEST(ShardedEngine, CountsEventsAcrossPartitions) {
 // and partition count — never on how many workers drive the run.
 std::vector<std::uint32_t> arrival_order(std::size_t workers) {
   constexpr std::size_t kNodes = 12;
-  ShardedEngine engine(99, kNodes, {/*partitions=*/4, workers, SimTime::ms(10)});
+  ShardedEngine engine(99, kNodes, {.partitions = 4, .workers = workers, .epoch = SimTime::ms(10)});
   net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
                             std::make_unique<net::NoLoss>());
   std::vector<std::uint32_t> order;
@@ -163,7 +163,8 @@ TEST(ShardedEngine, CrossPartitionCollidingArrivalsOrderIndependentOfWorkers) {
 }
 
 TEST(ShardedEngineDeathTest, MultiPartitionRequiresPositiveEpoch) {
-  EXPECT_DEATH(ShardedEngine(1, 8, {2, 1, SimTime::zero()}), "epoch");
+  EXPECT_DEATH(ShardedEngine(1, 8, {.partitions = 2, .workers = 1, .epoch = SimTime::zero()}),
+               "epoch");
 }
 
 // --- adaptive epoch widening ------------------------------------------------
@@ -175,7 +176,7 @@ TEST(ShardedEngine, EpochWideningSkipsQuiescentGaps) {
   // must not move with the worker count.
   std::uint64_t base_run = 0, base_skipped = 0;
   for (std::size_t workers : {1u, 2u, 4u}) {
-    ShardedEngine e(7, 8, {/*partitions=*/2, workers, SimTime::ms(1)});
+    ShardedEngine e(7, 8, {.partitions = 2, .workers = workers, .epoch = SimTime::ms(1)});
     std::vector<SimTime> fired;
     e.sim_of(0).at(SimTime::ms(100), [&] { fired.push_back(e.sim_of(0).now()); });
     e.sim_of(1).at(SimTime::ms(150), [&] { fired.push_back(e.sim_of(1).now()); });
@@ -196,7 +197,7 @@ TEST(ShardedEngine, EpochWideningSkipsQuiescentGaps) {
 }
 
 TEST(ShardedEngine, EpochWideningOffGrindsEveryEpoch) {
-  ShardedEngine::Config cfg{/*partitions=*/2, /*workers=*/1, SimTime::ms(1)};
+  ShardedEngine::Config cfg{.partitions = 2, .workers = 1, .epoch = SimTime::ms(1)};
   cfg.epoch_widening = false;
   ShardedEngine e(7, 8, std::move(cfg));
   int fired = 0;
@@ -211,7 +212,7 @@ TEST(ShardedEngine, WideningNeverJumpsScheduledControlTasks) {
   // An otherwise-empty engine: widening wants to jump straight to `until`,
   // but a control task at 50 ms caps the jump — it must run at exactly its
   // scheduled barrier, and an event scheduled *by* it must still run too.
-  ShardedEngine e(7, 8, {/*partitions=*/2, /*workers=*/1, SimTime::ms(1)});
+  ShardedEngine e(7, 8, {.partitions = 2, .workers = 1, .epoch = SimTime::ms(1)});
   std::vector<SimTime> control_at;
   std::vector<SimTime> event_at;
   e.schedule_control(SimTime::ms(50), [&] {
@@ -231,7 +232,7 @@ TEST(ShardedEngineDeathTest, WideningPastAControlTaskIsFatal) {
   // control task (retransmit snapshots, churn crashes...) would silently
   // reorder the run. The engine's own widen targets always respect the cap;
   // this pins the assertion that would catch a future regression.
-  ShardedEngine e(1, 8, {2, 1, SimTime::ms(1)});
+  ShardedEngine e(1, 8, {.partitions = 2, .workers = 1, .epoch = SimTime::ms(1)});
   e.schedule_control(SimTime::ms(5), [] {});
   EXPECT_DEATH(e.assert_widen_safe(SimTime::ms(6)), "control");
 }
@@ -260,7 +261,8 @@ std::vector<std::uint8_t> payload_of(std::size_t len, std::uint8_t first, std::u
 // at the same instant (its arrivals must tie-break alike at every layout).
 ExchangeRun exchange_run(std::uint32_t partitions, std::size_t workers) {
   constexpr std::uint32_t kNodes = 24;
-  ShardedEngine engine(123, kNodes, {partitions, workers, SimTime::ms(5)});
+  ShardedEngine engine(123, kNodes,
+                       {.partitions = partitions, .workers = workers, .epoch = SimTime::ms(5)});
   net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(10)),
                             std::make_unique<net::NoLoss>());
   ExchangeRun run;
@@ -314,7 +316,7 @@ TEST(ShardedEngine, OversizedPayloadSurvivesExchange) {
   // A payload beyond the buffer pool's largest size class (256 KiB) takes
   // the unpooled allocation path on import; contents must arrive intact.
   constexpr std::size_t kBig = 300 * 1024;
-  ShardedEngine engine(5, 4, {/*partitions=*/2, /*workers=*/1, SimTime::ms(1)});
+  ShardedEngine engine(5, 4, {.partitions = 2, .workers = 1, .epoch = SimTime::ms(1)});
   net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(2)),
                             std::make_unique<net::NoLoss>());
   std::vector<std::uint8_t> got;
@@ -335,7 +337,7 @@ TEST(ShardedEngine, SplitRunKeepsDatagramsSentAtTheBound) {
   // bound is emitted by the inclusive tail; it must reach its destination
   // whether or not the run is split at that bound.
   for (const bool split : {false, true}) {
-    ShardedEngine engine(3, 4, {/*partitions=*/2, /*workers=*/1, SimTime::ms(1)});
+    ShardedEngine engine(3, 4, {.partitions = 2, .workers = 1, .epoch = SimTime::ms(1)});
     net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(2)),
                               std::make_unique<net::NoLoss>());
     std::vector<SimTime> arrivals;
