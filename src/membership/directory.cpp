@@ -45,28 +45,10 @@ void Directory::kill(NodeId id) {
     draws_.push_back(Draw{view->owner(), ((now + delay).as_us() + tick - 1) / tick});
   }
   if (draws_.empty()) return;
-  // File the draws as one batch sorted by bucket, stably (each bucket keeps
-  // registration order): a counting sort while the buckets spanned are no
-  // more than the draws, a comparison sort past that, so a fine wheel_tick
-  // costs no per-bucket memory.
-  const auto [lo, hi] = std::minmax_element(
-      draws_.begin(), draws_.end(),
-      [](const Draw& a, const Draw& b) { return a.bucket < b.bucket; });
-  const std::int64_t first = lo->bucket;
-  const auto span = static_cast<std::size_t>(hi->bucket - first) + 1;
-  if (span <= draws_.size()) {
-    cursor_.assign(span + 1, 0);
-    for (const Draw& d : draws_) ++cursor_[static_cast<std::size_t>(d.bucket - first) + 1];
-    std::partial_sum(cursor_.begin(), cursor_.end(), cursor_.begin());
-    sorted_draws_.resize(draws_.size());
-    for (const Draw& d : draws_) {
-      sorted_draws_[cursor_[static_cast<std::size_t>(d.bucket - first)]++] = d;
-    }
-    draws_.swap(sorted_draws_);
-  } else {
-    std::stable_sort(draws_.begin(), draws_.end(),
-                     [](const Draw& a, const Draw& b) { return a.bucket < b.bucket; });
-  }
+  // File the draws as one batch sorted by bucket, stably: each bucket keeps
+  // registration order.
+  std::stable_sort(draws_.begin(), draws_.end(),
+                   [](const Draw& a, const Draw& b) { return a.bucket < b.bucket; });
   Batch& batch = batches_.emplace_back();
   batch.dead = id;
   batch.observers.reserve(draws_.size());
@@ -91,29 +73,29 @@ void Directory::kill(NodeId id) {
 void Directory::drain(std::int64_t bucket) {
   scheduled_.erase(bucket);
   due_.clear();
-  for (std::uint32_t b = 0; b < batches_.size(); ++b) {
-    Batch& batch = batches_[b];
+  for (Batch& batch : batches_) {
     if (batch.next == batch.runs.size() || batch.runs[batch.next].bucket != bucket) continue;
     const std::uint32_t begin = batch.next == 0 ? 0 : batch.runs[batch.next - 1].end;
     for (std::uint32_t i = begin; i < batch.runs[batch.next].end; ++i) {
-      due_.push_back(Due{batch.observers[i], b});
+      due_.push_back(Detection{batch.observers[i], batch.dead});
     }
     ++batch.next;
   }
-  // Apply view by view (a stable counting sort by observer keeps each view's
-  // detections in kill order), so a view's state stays in cache across its
-  // run. Views are independent, so this equals (kill, registration) order.
-  cursor_.assign(view_by_owner_.size() + 1, 0);
-  for (const Due& d : due_) ++cursor_[d.observer.value() + 1];
-  std::partial_sum(cursor_.begin(), cursor_.end(), cursor_.begin());
-  sorted_.resize(due_.size());
-  for (const Due& d : due_) sorted_[cursor_[d.observer.value()]++] = d;
-  for (const Due& d : sorted_) {
+  std::erase_if(batches_, [](const Batch& batch) { return batch.next == batch.runs.size(); });
+  // Apply the detections view by view: a stable counting sort by observer
+  // keeps each view's in kill order, and views are independent, so this
+  // equals (kill, registration) order. A view's patch then stays in cache
+  // across its detections instead of being fetched once per kill.
+  offsets_.assign(view_by_owner_.size() + 1, 0);
+  for (const Detection& d : due_) ++offsets_[d.observer.value() + 1];
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  by_view_.resize(due_.size());
+  for (const Detection& d : due_) by_view_[offsets_[d.observer.value()]++] = d;
+  for (const Detection& d : by_view_) {
     // Look the view up at fire time: it may have been destroyed (its owner
     // torn down) while the detection was pending.
-    if (LocalView* v = view_of(d.observer)) v->mark_dead(batches_[d.batch].dead);
+    if (LocalView* v = view_of(d.observer)) v->mark_dead(d.dead);
   }
-  std::erase_if(batches_, [](const Batch& batch) { return batch.next == batch.runs.size(); });
 }
 
 std::unique_ptr<LocalView> Directory::make_view(NodeId owner) {
@@ -161,107 +143,85 @@ LocalView::LocalView(Directory* dir, NodeId owner)
 LocalView::~LocalView() { dir_->unregister_view(this); }
 
 std::size_t LocalView::state_bytes() const {
-  std::size_t bytes = scratch_.capacity() * sizeof(std::uint32_t);
-  if (patch_ != nullptr) {
-    const Patch& p = *patch_;
-    bytes += sizeof(Patch) + (p.tail.capacity() + p.slots.capacity() + p.pages.capacity()) *
-                                 sizeof(std::uint32_t) +
-             p.bits.capacity() * sizeof(std::uint64_t);
-  }
-  return bytes;
+  return slots_.capacity() * sizeof(Slot) +
+         (tail_.capacity() + scratch_.capacity()) * sizeof(std::uint32_t);
 }
 
 void LocalView::mark_dead(NodeId id) {
   if (id == owner_ || id.value() >= snapshot_size_) return;
   materialized_ = true;
-  if (patch_ == nullptr) patch_ = std::make_unique<Patch>();
-  Patch& p = *patch_;
+  if (dir_->alive(id)) ahead_of_directory_ = true;
   // Where does `id` live now? An id still inside the sequence at its home
   // position never moved; one whose home joined the removed tail did.
   const std::uint32_t home_pos = home(id);
   const bool moved = home_pos >= believed_;
   std::uint32_t pos = home_pos;
   if (moved) {
-    pos = p.tail[base_ - 1 - home_pos];
+    pos = tail_[base_ - 1 - home_pos];
     if (pos == kNpos) return;
-  } else if (p.patched(pos)) {
+    tail_[base_ - 1 - home_pos] = kNpos;
+  } else if (patch_of(pos) < slots_.size()) {
     return;  // its home holds a mover: it died already
   }
   // Swap-remove: the last position joins the removed tail, and its occupant
   // (the id that started there, or one moved in earlier) fills `pos`.
   const std::uint32_t last = believed_ - 1;
-  std::uint32_t mover = static_cast<std::uint32_t>(p.tail.size());
-  if (p.patched(last)) {
-    mover = p.slots[p.slot_of(last)];
-    p.erase(last);
-    p.flip_bit(last);
+  NodeId mover = original(last);
+  if (const std::size_t slot = patch_of(last); slot < slots_.size()) {
+    mover = slots_[slot].id;
+    erase(slot);
   }
-  p.tail.push_back(kNpos);
+  tail_.push_back(kNpos);
   --believed_;
+  if (pos == last) return;  // the dead id was the last member
+  tail_[base_ - 1 - home(mover)] = pos;
   if (moved) {
-    if (pos == last) {
-      p.tail[base_ - 1 - home_pos] = kNpos;
-      return;
-    }
-    const std::size_t slot = p.slot_of(pos);
-    p.tail[base_ - 1 - home_pos] = kNpos;
-    p.tail[mover] = pos;
-    p.slots[slot] = mover;
-  } else if (pos != last) {
-    p.tail[mover] = pos;
-    p.insert(mover);
-    p.flip_bit(pos);
+    slots_[find(pos)].id = mover;
+  } else {
+    insert(Slot{pos, mover});
   }
 }
 
-std::size_t LocalView::Patch::slot_of(std::uint32_t pos) const {
-  const std::size_t mask = slots.size() - 1;
-  std::size_t slot = home_slot(pos);
-  while (tail[slots[slot]] != pos) slot = (slot + 1) & mask;
-  return slot;
-}
-
-void LocalView::Patch::flip_bit(std::uint32_t pos) {
-  const std::uint32_t page = pos / kPageBits;
-  if (page >= pages.size()) pages.resize(page + 1, kNpos);
-  if (pages[page] == kNpos) {
-    pages[page] = static_cast<std::uint32_t>(bits.size());
-    bits.resize(bits.size() + kPageBits / 64, 0);
+std::size_t LocalView::find(std::uint32_t pos) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t slot = home_slot(pos);; slot = (slot + 1) & mask) {
+    if (slots_[slot].pos == pos) return slot;
+    if (slots_[slot].pos == kNpos) return slots_.size();
   }
-  bits[pages[page] + pos % kPageBits / 64] ^= std::uint64_t{1} << (pos % 64);
 }
 
-void LocalView::Patch::insert(std::uint32_t moved) {
-  if ((count + 1) * 2 > slots.size()) {
+void LocalView::insert(Slot entry) {
+  if ((slots_used_ + 1) * 2 > slots_.size()) {
     // Grow to keep the load at most one half, and re-file every entry.
-    std::vector<std::uint32_t> old(std::max<std::size_t>(8, slots.size() * 2), kNpos);
-    old.swap(slots);
-    count = 0;
-    for (const std::uint32_t entry : old) {
-      if (entry != kNpos) insert(entry);
+    std::vector<Slot> old(std::max<std::size_t>(8, slots_.size() * 2), Slot{kNpos, NodeId{}});
+    old.swap(slots_);
+    slots_used_ = 0;
+    for (const Slot& e : old) {
+      if (e.pos != kNpos) insert(e);
     }
   }
-  const std::size_t mask = slots.size() - 1;
-  std::size_t slot = home_slot(tail[moved]);
-  while (slots[slot] != kNpos) slot = (slot + 1) & mask;
-  slots[slot] = moved;
-  ++count;
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = home_slot(entry.pos);
+  while (slots_[slot].pos != kNpos) slot = (slot + 1) & mask;
+  slots_[slot] = entry;
+  ++slots_used_;
 }
 
-void LocalView::Patch::erase(std::uint32_t pos) {
-  // Backward-shift deletion keeps linear probing tombstone-free: pull each
-  // later entry of the run into the hole unless its home lies after the hole.
-  const std::size_t mask = slots.size() - 1;
-  std::size_t hole = slot_of(pos);
-  for (std::size_t i = (hole + 1) & mask; slots[i] != kNpos; i = (i + 1) & mask) {
-    const std::size_t home_of_i = home_slot(tail[slots[i]]);
+void LocalView::erase(std::size_t slot) {
+  // Backward-shift deletion keeps every probe sequence free of holes, so a
+  // lookup may stop at the first empty slot: pull each later entry of the
+  // run into the hole unless its home lies after the hole.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = slot;
+  for (std::size_t i = (hole + 1) & mask; slots_[i].pos != kNpos; i = (i + 1) & mask) {
+    const std::size_t home_of_i = home_slot(slots_[i].pos);
     if (((i - home_of_i) & mask) >= ((i - hole) & mask)) {
-      slots[hole] = slots[i];
+      slots_[hole] = slots_[i];
       hole = i;
     }
   }
-  slots[hole] = kNpos;
-  --count;
+  slots_[hole].pos = kNpos;
+  --slots_used_;
 }
 
 void LocalView::select_nodes(std::size_t k, std::vector<NodeId>& out, Rng& rng) {

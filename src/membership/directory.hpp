@@ -44,7 +44,9 @@ class Directory {
   void add_node(NodeId id);
 
   // Crash-stop at the current simulation time. Every registered LocalView
-  // learns about it after its own sampled detection delay.
+  // learns about it after its own sampled detection delay. Call it with the
+  // engine quiescent (a control task, or between runs): views read the alive
+  // bits while selecting on the workers.
   void kill(NodeId id);
 
   [[nodiscard]] bool alive(NodeId id) const { return alive_[id.value()]; }
@@ -74,9 +76,9 @@ class Directory {
     NodeId observer;
     std::int64_t bucket;
   };
-  struct Due {
+  struct Detection {
     NodeId observer;
-    std::uint32_t batch;  // index in batches_
+    NodeId dead;
   };
 
   void register_view(LocalView* view);
@@ -97,18 +99,17 @@ class Directory {
   std::vector<LocalView*> view_by_owner_;
   Rng rng_;
   // The shared detection wheel: a bucket is a fire time / wheel_tick,
-  // rounded up. Pending batches in kill order (a drain hands each view its
-  // detections from bucket b in kill order; a batch is freed once its last
-  // bucket drains) and the buckets with a drain scheduled — a drain erases
+  // rounded up. Pending batches in kill order (a batch is freed once its
+  // last run drains) and the buckets with a drain scheduled — a drain erases
   // its own bucket, so a later kill may schedule it again.
   std::vector<Batch> batches_;
   std::set<std::int64_t> scheduled_;
-  // Scratch of kill() and drain().
+  // Scratch: kill()'s draws, and a drain's detections before and after
+  // grouping them by observer.
   std::vector<Draw> draws_;
-  std::vector<Draw> sorted_draws_;
-  std::vector<Due> due_;
-  std::vector<Due> sorted_;
-  std::vector<std::uint32_t> cursor_;
+  std::vector<Detection> due_;
+  std::vector<Detection> by_view_;
+  std::vector<std::uint32_t> offsets_;
 };
 
 // A node's (possibly stale) view of the membership.
@@ -117,22 +118,22 @@ class Directory {
 // it, and a detected death swap-removes the dead id (the last member moves
 // into its slot). The sequence starts as the identity mapping "position i ->
 // i-th node id, skipping the owner", and a view stores only a sparse patch
-// of it, allocated at its first detected death: O(deaths it detected), never
-// O(N). Dense snapshots would cost O(N^2) across the views, at the start or
-// at the first crash (~80 GB at 100k nodes).
+// of it, grown from its first detected death on: about 20 bytes per death
+// it detected. A dense snapshot costs 8N bytes per view, O(N^2) across the
+// views (~80 GB at 100k nodes).
 //
 // Only ids of the removed tail ever move (a swap-remove shrinks the sequence
-// from the end), so the patch has three parts:
-//   - tail: for each removed position, counted from the end, where the id
+// from the end), so the patch has two parts:
+//   - tail_: for each removed position, counted from the end, where the id
 //     that started there lives now, or kNpos once it is dead;
-//   - slots: an open-addressing table from each position whose original
-//     occupant died (and is still in the sequence) to its current occupant,
-//     stored as that occupant's tail index and keyed through tail;
-//   - a paged bitset of exactly those positions, so picking an unpatched
-//     position never probes the table. A 4096-position page is allocated on
-//     its first patch.
-// Selection order and RNG consumption equal the classic dense snapshot with
-// swap-remove bookkeeping.
+//   - slots_: an open-addressing table (linear probing, load at most one
+//     half) from each position whose original occupant died, and which is
+//     still in the sequence, to the id that fills it now.
+// A view only learns of deaths the directory recorded, so a position whose
+// original occupant the directory still has alive is unpatched: the
+// directory's alive bits, shared by every view, keep most picks away from
+// the table. Selection order and RNG consumption equal the classic dense
+// snapshot with swap-remove bookkeeping.
 class LocalView {
  public:
   ~LocalView();
@@ -165,30 +166,11 @@ class LocalView {
   friend class Directory;
   static constexpr std::uint32_t kNpos = 0xffffffffu;
 
-  struct Patch {
-    static constexpr std::uint32_t kPageBits = 4096;
-    std::vector<std::uint32_t> tail;
-    std::vector<std::uint32_t> slots;  // tail indices; kNpos = empty
-    std::vector<std::uint32_t> pages;  // page -> its first word in bits, or kNpos
-    std::vector<std::uint64_t> bits;
-    std::uint32_t count = 0;  // occupied slots
-
-    [[nodiscard]] bool patched(std::uint32_t pos) const {
-      const std::uint32_t page = pos / kPageBits;
-      if (page >= pages.size() || pages[page] == kNpos) return false;
-      return ((bits[pages[page] + pos % kPageBits / 64] >> (pos % 64)) & 1u) != 0;
-    }
-    [[nodiscard]] std::size_t home_slot(std::uint32_t pos) const {
-      // Fibonacci hashing onto the power-of-two table.
-      return static_cast<std::size_t>(
-          (static_cast<std::uint64_t>(pos * 0x9e3779b9u) * slots.size()) >> 32);
-    }
-    // The table slot of a patched position.
-    [[nodiscard]] std::size_t slot_of(std::uint32_t pos) const;
-    void flip_bit(std::uint32_t pos);
-    // Files tail index `moved` under its position tail[moved].
-    void insert(std::uint32_t moved);
-    void erase(std::uint32_t pos);
+  // A patched position and the id that occupies it now; pos == kNpos marks
+  // an empty slot.
+  struct Slot {
+    std::uint32_t pos;
+    NodeId id;
   };
 
   LocalView(Directory* dir, NodeId owner);
@@ -201,10 +183,27 @@ class LocalView {
   [[nodiscard]] std::uint32_t home(NodeId id) const {
     return id.value() < owner_.value() ? id.value() : id.value() - 1;
   }
-  [[nodiscard]] NodeId member(std::uint32_t pos) const {
-    if (patch_ == nullptr || !patch_->patched(pos)) return original(pos);
-    return original(base_ - 1 - patch_->slots[patch_->slot_of(pos)]);
+  // The table slot of a patched position, or slots_.size() if unpatched. A
+  // position whose original occupant the directory has alive skips the table.
+  [[nodiscard]] std::size_t patch_of(std::uint32_t pos) const {
+    if (slots_.empty() || (dir_->alive(original(pos)) && !ahead_of_directory_)) {
+      return slots_.size();
+    }
+    return find(pos);
   }
+  [[nodiscard]] NodeId member(std::uint32_t pos) const {
+    const std::size_t slot = patch_of(pos);
+    return slot < slots_.size() ? slots_[slot].id : original(pos);
+  }
+  [[nodiscard]] std::size_t home_slot(std::uint32_t pos) const {
+    // Fibonacci hashing onto the power-of-two table.
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(pos * 0x9e3779b9u) * slots_.size()) >> 32);
+  }
+  // patch_of without the shortcuts; the table must not be empty.
+  [[nodiscard]] std::size_t find(std::uint32_t pos) const;
+  void insert(Slot entry);
+  void erase(std::size_t slot);
 
   Directory* dir_;
   NodeId owner_;
@@ -212,8 +211,13 @@ class LocalView {
   std::uint32_t snapshot_size_;     // directory size when the view was built
   std::uint32_t base_;              // length of the identity mapping
   std::uint32_t believed_;          // peers this view believes alive
+  std::uint32_t slots_used_ = 0;
   bool materialized_ = false;
-  std::unique_ptr<Patch> patch_;        // null while nothing was detected
+  // Set once a direct call marked dead an id the directory has alive; the
+  // directory's alive bits then no longer rule out a patch.
+  bool ahead_of_directory_ = false;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> tail_;
   std::vector<std::uint32_t> scratch_;  // avoids per-call allocation
 };
 

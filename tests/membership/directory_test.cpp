@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/sharded_engine.hpp"
@@ -286,6 +288,56 @@ TEST(Directory, RandomMarkDeadSequencesMatchTheDenseReference) {
   }
 }
 
+TEST(Directory, RandomKillsThroughTheWheelMatchTheDenseReference) {
+  // Kills through the directory, each detected by every other view exactly
+  // 50 ms later: at each step some deaths are detected and some pending, so
+  // picks cross live originals (skipped through the directory's alive
+  // bits), dead but undetected ones and patched positions.
+  Rng gen(4711);
+  DetectionConfig det;
+  det.mean = sim::SimTime::ms(50);
+  det.spread = 0.0;
+  det.wheel_tick = sim::SimTime::ms(1);
+  for (int seq = 0; seq < 300; ++seq) {
+    const auto n = static_cast<std::uint32_t>(2 + gen.below(60));
+    sim::ShardedEngine engine(static_cast<std::uint64_t>(seq), n, {});
+    Directory dir(engine, det);
+    for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
+    std::vector<std::unique_ptr<LocalView>> views;
+    std::vector<ReferenceView> refs;
+    // A directory drives one view per owner, so the owners are distinct.
+    const auto first = static_cast<std::uint32_t>(gen.below(n));
+    for (std::uint32_t v = 0; v < std::min<std::uint32_t>(3, n); ++v) {
+      const NodeId owner{(first + v) % n};
+      views.push_back(dir.make_view(owner));
+      refs.emplace_back(n, owner);
+    }
+    std::vector<std::pair<sim::SimTime, NodeId>> kills;  // in kill order
+    std::size_t detected = 0;
+    Rng view_rng(static_cast<std::uint64_t>(seq) + 7);
+    Rng ref_rng(static_cast<std::uint64_t>(seq) + 7);
+    const std::size_t steps = 2 * n + 10;
+    for (std::size_t step = 0; step < steps; ++step) {
+      engine.run_until(engine.now() + sim::SimTime::ms(10));
+      for (; detected < kills.size() && kills[detected].first + det.mean <= engine.now();
+           ++detected) {
+        for (ReferenceView& ref : refs) ref.mark_dead(kills[detected].second);
+      }
+      for (std::size_t v = 0; v < views.size(); ++v) {
+        ASSERT_EQ(views[v]->believed_peers(), refs[v].members.size()) << "seq " << seq;
+        expect_same_selection(*views[v], refs[v], refs[v].members.size(), view_rng, ref_rng);
+        expect_same_selection(*views[v], refs[v], gen.below(n), view_rng, ref_rng);
+        if (HasFatalFailure()) FAIL() << "seq " << seq << " step " << step;
+      }
+      if (gen.below(3) != 0) {
+        const NodeId id{static_cast<std::uint32_t>(gen.below(n))};
+        if (dir.alive(id)) kills.emplace_back(engine.now(), id);
+        dir.kill(id);
+      }
+    }
+  }
+}
+
 TEST(Directory, DetectionsApplyInBucketThenKillOrder) {
   // One observer, four kills: two share a wheel bucket, two land in later
   // buckets of their own. The member order must equal the reference's swap-
@@ -344,6 +396,32 @@ TEST(Directory, ViewStateGrowsWithDetectedDeathsNotPopulation) {
   ASSERT_EQ(view->believed_peers(), kNodes - 2);
   EXPECT_TRUE(view->materialized());
   EXPECT_LE(view->state_bytes(), 2048u);
+}
+
+TEST(Directory, RemovedPositionsFreeTheirTableSlots) {
+  // Alternate two deaths: the member just before the last (its position is
+  // refilled from the end, adding a patch) and the next original id at the
+  // front (adding a patch while the patched last position leaves the
+  // sequence). 250 pairs leave 250 live patches, which fit a 512-slot table
+  // (4 KB); keeping the 250 removed positions' entries would need 1,024
+  // slots (8 KB). The tail array adds 2 KB.
+  constexpr std::uint32_t kNodes = 1000;
+  sim::ShardedEngine engine(14, kNodes, {});
+  Directory dir(engine, DetectionConfig{});
+  for (std::uint32_t i = 0; i < kNodes; ++i) dir.add_node(NodeId{i});
+  auto view = dir.make_view(NodeId{kNodes - 1});
+  ReferenceView ref(kNodes, NodeId{kNodes - 1});
+  for (std::uint32_t front = 0; front < 250; ++front) {
+    for (const NodeId id : {ref.members[ref.members.size() - 2], NodeId{front}}) {
+      view->mark_dead(id);
+      ref.mark_dead(id);
+    }
+  }
+  ASSERT_EQ(view->believed_peers(), ref.members.size());
+  EXPECT_LT(view->state_bytes(), 8u * 1024);
+  Rng view_rng(6);
+  Rng ref_rng(6);
+  expect_same_selection(*view, ref, ref.members.size(), view_rng, ref_rng);
 }
 
 TEST(Directory, ViewBuiltAfterDeathsMaterializesEagerly) {
