@@ -1,4 +1,5 @@
-// Ablation studies for the design choices DESIGN.md §4 calls out:
+// Ablation studies: each row switches one protocol knob of
+// scenario::ExperimentConfig away from its paper default (no paper figure):
 //   (a) retransmission off vs on
 //   (b) FIFO vs control-priority upload queue
 //   (c) HEAP max-fanout cap
@@ -44,7 +45,8 @@ Row measure(const std::string& name, scenario::ExperimentConfig cfg) {
 
 int main() {
   const Scale s = scale_from_env();
-  print_header("Ablations on ms-691 (HEAP unless noted)", "DESIGN.md §4",
+  print_header("Ablations on ms-691 (HEAP unless noted)",
+               "no paper figure; one scenario::ExperimentConfig knob per row",
                "quantifies each design choice in isolation");
 
   const auto dist = scenario::BandwidthDistribution::ms691();

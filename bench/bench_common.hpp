@@ -10,13 +10,15 @@
 // the replicas. With the default HG_SEEDS=1 the output matches a plain
 // single-run binary.
 //
-// Every binary also appends machine-readable timings to BENCH_<name>.json
-// (wall-clock and simulator events/sec per experiment) so the engine's
-// throughput can be tracked across commits. HG_BENCH_JSON_DIR overrides the
-// output directory; HG_BENCH_JSON=0 disables the file.
+// Every binary also writes BENCH_<name>.json through write_bench_json
+// (wall-clock and simulated events per sweep, plus the scale benches'
+// results) so the engine's throughput can be tracked across commits.
+// HG_BENCH_JSON_DIR overrides the output directory; HG_BENCH_JSON=0
+// disables the file.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -25,6 +27,9 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/env.hpp"
@@ -100,29 +105,77 @@ inline scenario::ExperimentConfig base_config(const Scale& s, core::Mode mode,
 // BENCH_*.json emission
 // ---------------------------------------------------------------------------
 
-// Opens BENCH_<binary>.json for writing under the shared env contract:
-// HG_BENCH_JSON=0 disables (returns nullptr), HG_BENCH_JSON_DIR overrides
-// the output directory (default cwd). Caller fcloses.
-inline std::FILE* open_bench_json() {
+// One JSON object whose keys keep their insertion order. A value is a
+// number, a string, or a list of records; each is rendered when set.
+class JsonRecord {
+ public:
+  template <class T>
+    requires std::is_arithmetic_v<T>
+  JsonRecord& set(std::string_view key, T v) {
+    char buf[32];
+    if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+      std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
+    } else {
+      if (!std::isfinite(v)) return put(key, "null");  // JSON has no NaN or infinity
+      std::snprintf(buf, sizeof buf, "%.10g", static_cast<double>(v));
+    }
+    return put(key, buf);
+  }
+  JsonRecord& set(std::string_view key, std::string_view v) { return put(key, quoted(v)); }
+  // Lists put one record per line.
+  JsonRecord& set(std::string_view key, const std::vector<JsonRecord>& list) {
+    std::string text = "[";
+    for (const JsonRecord& r : list) text += (text.size() == 1 ? "\n  " : ",\n  ") + r.text();
+    return put(key, text + "]");
+  }
+
+  [[nodiscard]] std::string text() const { return "{" + body_ + "}"; }
+
+ private:
+  JsonRecord& put(std::string_view key, std::string_view value) {
+    if (!body_.empty()) body_ += ", ";
+    body_ += quoted(key);
+    body_ += ": ";
+    body_ += value;
+    return *this;
+  }
+  static std::string quoted(std::string_view s) {
+    std::string out = "\"";
+    for (const char c : s) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + '"';
+  }
+
+  std::string body_;
+};
+
+inline double per_sec(double count, double wall_sec) {
+  return wall_sec > 0 ? count / wall_sec : 0.0;
+}
+
+// Writes `doc` to BENCH_<binary>.json. HG_BENCH_JSON=0 disables the file;
+// HG_BENCH_JSON_DIR overrides its directory (default cwd).
+inline void write_bench_json(const JsonRecord& doc) {
   const char* toggle = std::getenv("HG_BENCH_JSON");
-  if (toggle != nullptr && std::strcmp(toggle, "0") == 0) return nullptr;
+  if (toggle != nullptr && std::strcmp(toggle, "0") == 0) return;
   std::string dir = ".";
   if (const char* d = std::getenv("HG_BENCH_JSON_DIR"); d != nullptr && *d != '\0') dir = d;
   const std::string path = dir + "/BENCH_" + bench_binary_name() + ".json";
-  return std::fopen(path.c_str(), "w");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "[bench] cannot write %s: %s\n", path.c_str(), std::strerror(errno));
+    return;
+  }
+  std::fprintf(f, "%s\n", doc.text().c_str());
+  std::fclose(f);
 }
 
-struct JsonRun {
-  std::string label;
-  std::string mode;
-  std::size_t nodes = 0;
-  std::uint32_t windows = 0;
-  std::size_t seeds = 0;
-  std::size_t workers = 0;  // intra-run workers (0 = sequential engine)
-  double wall_sec = 0.0;
-  std::uint64_t events = 0;
-};
-
+// The figure benches' BENCH json: run() records every sweep, and the file
+// is written at exit with totals over all of them.
 class JsonReport {
  public:
   static JsonReport& instance() {
@@ -130,47 +183,51 @@ class JsonReport {
     return report;
   }
 
-  void record(JsonRun run) { runs_.push_back(std::move(run)); }
+  void record(JsonRecord run, double wall_sec, std::uint64_t events) {
+    runs_.push_back(std::move(run));
+    wall_sec_ += wall_sec;
+    events_ += events;
+  }
 
   ~JsonReport() {
     if (runs_.empty()) return;
-    std::FILE* f = open_bench_json();
-    if (f == nullptr) return;
-
-    double total_wall = 0.0;
-    std::uint64_t total_events = 0;
-    for (const auto& r : runs_) {
-      total_wall += r.wall_sec;
-      total_events += r.events;
-    }
     const char* scale = std::getenv("HG_SCALE");
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"%s\",\n", bench_binary_name());
-    std::fprintf(f, "  \"scale\": \"%s\",\n", scale != nullptr ? scale : "quick");
-    std::fprintf(f, "  \"total_wall_sec\": %.6f,\n", total_wall);
-    std::fprintf(f, "  \"total_events\": %llu,\n",
-                 static_cast<unsigned long long>(total_events));
-    std::fprintf(f, "  \"total_events_per_sec\": %.1f,\n",
-                 total_wall > 0 ? static_cast<double>(total_events) / total_wall : 0.0);
-    std::fprintf(f, "  \"runs\": [\n");
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-      const JsonRun& r = runs_[i];
-      std::fprintf(f,
-                   "    {\"label\": \"%s\", \"mode\": \"%s\", \"nodes\": %zu, "
-                   "\"windows\": %u, \"seeds\": %zu, \"workers\": %zu, \"wall_sec\": %.6f, "
-                   "\"events\": %llu, \"events_per_sec\": %.1f}%s\n",
-                   r.label.c_str(), r.mode.c_str(), r.nodes, r.windows, r.seeds, r.workers,
-                   r.wall_sec, static_cast<unsigned long long>(r.events),
-                   r.wall_sec > 0 ? static_cast<double>(r.events) / r.wall_sec : 0.0,
-                   i + 1 < runs_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    write_bench_json(JsonRecord()
+                         .set("bench", bench_binary_name())
+                         .set("scale", scale != nullptr ? scale : "quick")
+                         .set("total_wall_sec", wall_sec_)
+                         .set("total_events", events_)
+                         .set("total_events_per_sec",
+                              per_sec(static_cast<double>(events_), wall_sec_))
+                         .set("runs", runs_));
   }
 
  private:
-  std::vector<JsonRun> runs_;
+  std::vector<JsonRecord> runs_;
+  double wall_sec_ = 0.0;
+  std::uint64_t events_ = 0;
 };
+
+// ---------------------------------------------------------------------------
+// Timed seed sweeps
+// ---------------------------------------------------------------------------
+
+// Runs `cfg` as HG_SEEDS replicas (seeds cfg.seed, cfg.seed+1, ...) on
+// HG_THREADS threads, which the sweep divides by the intra-run worker count.
+// `sweep(runner, configs)` drives the runner (run_experiments or map);
+// returns its result and the sweep's wall-clock seconds.
+template <class Sweep>
+auto timed_sweep(scenario::ExperimentConfig cfg, Sweep&& sweep) {
+  const std::size_t n_seeds = seeds_from_env();
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t i = 0; i < n_seeds; ++i) seeds.push_back(cfg.seed + i);
+  const auto t0 = std::chrono::steady_clock::now();
+  scenario::SweepRunner runner(scenario::SweepOptions{.threads = threads_from_env(),
+                                                      .workers_per_job = cfg.workers});
+  auto result = sweep(runner, scenario::SweepRunner::seed_sweep(std::move(cfg), seeds));
+  const double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  return std::pair{std::move(result), wall};
+}
 
 // ---------------------------------------------------------------------------
 // Multi-seed experiment sets
@@ -213,42 +270,38 @@ struct SeedSet {
   }
 };
 
-// Runs `cfg` as HG_SEEDS replicas (seeds cfg.seed, cfg.seed+1, ...) in
-// parallel on HG_THREADS workers, with a progress note on stderr (stdout
-// carries only the tables). Records wall-clock + events into the JSON report.
+// Runs `cfg` through timed_sweep with a progress note on stderr (stdout
+// carries only the tables), and records the sweep in the JSON report.
 inline SeedSet run(scenario::ExperimentConfig cfg, const char* label) {
   const std::size_t n_seeds = seeds_from_env();
   if (cfg.workers == 0) cfg.workers = workers_from_env();
   warn_if_oversubscribed(cfg.workers,
                          threads_from_env() > 0 ? std::min(threads_from_env(), n_seeds)
                                                 : n_seeds);
+  const bool heap = cfg.mode == core::Mode::kHeap;
   std::fprintf(stderr,
                "[bench] running %-28s (%s, %zu nodes, %u windows, %zu seed%s, %zu worker%s)...\n",
-               label, cfg.mode == core::Mode::kHeap ? "HEAP" : "standard", cfg.node_count,
-               cfg.stream_windows, n_seeds, n_seeds == 1 ? "" : "s", cfg.workers,
-               cfg.workers == 1 ? "" : "s");
+               label, heap ? "HEAP" : "standard", cfg.node_count, cfg.stream_windows, n_seeds,
+               n_seeds == 1 ? "" : "s", cfg.workers, cfg.workers == 1 ? "" : "s");
 
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(n_seeds);
-  for (std::size_t i = 0; i < n_seeds; ++i) seeds.push_back(cfg.seed + i);
-
-  JsonRun record;
-  record.label = label;
-  record.mode = cfg.mode == core::Mode::kHeap ? "heap" : "standard";
-  record.nodes = cfg.node_count;
-  record.windows = cfg.stream_windows;
-  record.seeds = n_seeds;
-  record.workers = cfg.workers;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  // Both parallelism levels share the one thread budget: the sweep divides
-  // HG_THREADS (or hardware cores) by the intra-run worker count.
-  scenario::SweepRunner runner(scenario::SweepOptions{.threads = threads_from_env(),
-                                                      .workers_per_job = cfg.workers});
-  SeedSet set{runner.run_experiments(scenario::SweepRunner::seed_sweep(std::move(cfg), seeds))};
-  record.wall_sec = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  for (const auto& e : set.runs) record.events += e->events_executed();
-  JsonReport::instance().record(std::move(record));
+  JsonRecord record;
+  record.set("label", label)
+      .set("mode", heap ? "heap" : "standard")
+      .set("nodes", cfg.node_count)
+      .set("windows", cfg.stream_windows)
+      .set("seeds", n_seeds)
+      .set("workers", cfg.workers);
+  auto [runs, wall] =
+      timed_sweep(std::move(cfg), [](scenario::SweepRunner& runner, const auto& configs) {
+        return runner.run_experiments(configs);
+      });
+  SeedSet set{std::move(runs)};
+  std::uint64_t events = 0;
+  for (const auto& e : set.runs) events += e->events_executed();
+  record.set("wall_sec", wall)
+      .set("events", events)
+      .set("events_per_sec", per_sec(static_cast<double>(events), wall));
+  JsonReport::instance().record(std::move(record), wall, events);
   return set;
 }
 
@@ -260,10 +313,7 @@ inline SeedSet run(scenario::ExperimentConfig cfg, const char* label) {
 template <class Fn>
 metrics::Samples pooled_samples(const SeedSet& set, Fn&& per_run) {
   metrics::Samples out;
-  for (const auto& run : set.runs) {
-    const metrics::Samples per_seed = per_run(*run);
-    for (const double v : per_seed.values()) out.add(v);
-  }
+  for (const auto& run : set.runs) out.merge_from(per_run(*run));
   return out;
 }
 
@@ -362,6 +412,102 @@ inline std::vector<metrics::CdfPoint> cdf_over_grid(const metrics::Samples& samp
                                                     const std::vector<double>& grid,
                                                     std::size_t population) {
   return scenario::cdf_over_grid(samples, grid, population);
+}
+
+// ---------------------------------------------------------------------------
+// Scale runs: replicas analyzed one at a time, then pooled
+// ---------------------------------------------------------------------------
+
+// Lag beyond which a node counts as never jitter-free (the paper's largest
+// plotted lag), and the stream lag jitter is read at (the paper's headline
+// operating point, Figs. 5/6).
+constexpr double kLagCapSec = 60.0;
+constexpr double kJitterLagSec = 10.0;
+
+// Surviving receivers' samples by capability class, plus named counters.
+// merge_from pools replicas in seed order: samples are appended, as
+// pooled_samples does for the figures, and counters are summed by name.
+struct Tally {
+  // Per class: s to a jitter-free stream (capped at kLagCapSec), and % of
+  // windows jittered at kJitterLagSec.
+  std::vector<metrics::Samples> lag;
+  std::vector<metrics::Samples> jitter;
+  // In first-count order.
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  // Superstep layout (0: one partition): the same in every replica, so never
+  // summed.
+  std::uint32_t partitions = 0;
+
+  void count(std::string_view name, std::uint64_t v) {
+    for (auto& [k, sum] : counters) {
+      if (k == name) {
+        sum += v;
+        return;
+      }
+    }
+    counters.emplace_back(name, v);
+  }
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const {
+    for (const auto& [k, sum] : counters) {
+      if (k == name) return sum;
+    }
+    return 0;
+  }
+  void merge_from(const Tally& other) {
+    for (std::size_t c = 0; c < lag.size(); ++c) {
+      lag[c].merge_from(other.lag[c]);
+      jitter[c].merge_from(other.jitter[c]);
+    }
+    for (const auto& [k, v] : other.counters) count(k, v);
+  }
+};
+
+// The samples of every surviving receiver of `e`, and its event count.
+inline Tally tally_receivers(const scenario::Experiment& e) {
+  const std::size_t classes = e.config().distribution.classes().size();
+  Tally t;
+  t.lag.resize(classes);
+  t.jitter.resize(classes);
+  t.count("events", e.events_executed());
+  for (std::size_t i = 0; i < e.receivers(); ++i) {
+    if (e.info(i).crashed) continue;
+    const auto c = static_cast<std::size_t>(e.info(i).class_index);
+    const auto to_jitter_free = e.analyzer().lag_to_jitter_at_most(e.player(i), 0.0);
+    t.lag[c].add(std::min(to_jitter_free.value_or(kLagCapSec), kLagCapSec));
+    t.jitter[c].add(100.0 * e.analyzer().jitter_fraction(e.player(i), kJitterLagSec));
+  }
+  return t;
+}
+
+// Runs `cfg` through timed_sweep, tallies each replica with `analyze` right
+// after it finishes (SweepRunner::map frees it next, so memory stays bounded
+// by the thread count), and pools the tallies. Returns the pool and the
+// sweep's wall-clock seconds.
+template <class Fn>
+std::pair<Tally, double> pooled_sweep(scenario::ExperimentConfig cfg, Fn&& analyze) {
+  auto [per_seed, wall] =
+      timed_sweep(std::move(cfg), [&](scenario::SweepRunner& runner, const auto& configs) {
+        return runner.map(configs, analyze);
+      });
+  Tally pool = std::move(per_seed.front());
+  for (std::size_t s = 1; s < per_seed.size(); ++s) pool.merge_from(per_seed[s]);
+  return {std::move(pool), wall};
+}
+
+// p50/p90/p99 of `lag`, then of `jitter` (all 0 when no node survived),
+// under their BENCH json names.
+constexpr std::array<const char*, 6> kPercentileKeys = {
+    "lag_p50", "lag_p90", "lag_p99", "jitter_pct_p50", "jitter_pct_p90", "jitter_pct_p99"};
+inline std::array<double, 6> percentiles(const metrics::Samples& lag,
+                                         const metrics::Samples& jitter) {
+  std::array<double, 6> out{};
+  if (lag.empty()) return out;
+  constexpr double kQs[] = {50, 90, 99};
+  for (std::size_t i = 0; i < 3; ++i) {
+    out[i] = lag.percentile(kQs[i]);
+    out[3 + i] = jitter.percentile(kQs[i]);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------

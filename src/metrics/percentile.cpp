@@ -15,7 +15,6 @@ void Samples::ensure_sorted() const {
 }
 
 double Samples::mean() const {
-  if (sketch_) return sketch_->mean();
   HG_ASSERT(!values_.empty());
   double sum = 0;
   for (double v : values_) sum += v;
@@ -23,7 +22,6 @@ double Samples::mean() const {
 }
 
 double Samples::stddev() const {
-  if (sketch_) return sketch_->stddev();
   HG_ASSERT(!values_.empty());
   const double m = mean();
   double acc = 0;
@@ -32,21 +30,18 @@ double Samples::stddev() const {
 }
 
 double Samples::min() const {
-  if (sketch_) return sketch_->min();
   ensure_sorted();
   HG_ASSERT(!values_.empty());
   return values_.front();
 }
 
 double Samples::max() const {
-  if (sketch_) return sketch_->max();
   ensure_sorted();
   HG_ASSERT(!values_.empty());
   return values_.back();
 }
 
 double Samples::percentile(double q) const {
-  if (sketch_) return sketch_->percentile(q);
   ensure_sorted();
   HG_ASSERT(!values_.empty());
   HG_ASSERT(q >= 0.0 && q <= 100.0);
@@ -59,7 +54,6 @@ double Samples::percentile(double q) const {
 }
 
 double Samples::fraction_at_most(double threshold) const {
-  if (sketch_) return sketch_->fraction_at_most(threshold);
   ensure_sorted();
   if (values_.empty()) return 0.0;
   const auto it = std::upper_bound(values_.begin(), values_.end(), threshold);
@@ -67,19 +61,8 @@ double Samples::fraction_at_most(double threshold) const {
 }
 
 void Samples::merge_from(const Samples& other) {
-  HG_ASSERT_MSG(is_streaming() == other.is_streaming(),
-                "cannot merge exact Samples with streaming Samples");
-  if (sketch_) {
-    sketch_->merge_from(*other.sketch_);
-    return;
-  }
   values_.insert(values_.end(), other.values_.begin(), other.values_.end());
   sorted_ = false;
-}
-
-const std::vector<double>& Samples::values() const {
-  HG_ASSERT_MSG(!sketch_, "streaming Samples do not retain raw values");
-  return values_;
 }
 
 }  // namespace hg::metrics

@@ -1,72 +1,43 @@
-// Order statistics over collected samples.
-//
-// Two storage modes behind one API:
-//  * exact (default): every sample is retained and queries sort on demand —
-//    what the paper-figure benches use, and what keeps their outputs
-//    byte-stable.
-//  * streaming: a fixed-memory QuantileReservoir absorbs the samples;
-//    count/mean/stddev/min/max stay exact, percentile/fraction_at_most are
-//    approximate with bounded rank error, and values() is unavailable. This
-//    is the 100k+-node mode — memory no longer scales with the population.
+// Order statistics over collected samples: every sample is retained and
+// queries sort on demand, so results are exact and byte-stable.
 #pragma once
 
-#include <optional>
+#include <cmath>
 #include <vector>
 
-#include "metrics/reservoir.hpp"
+#include "common/assert.hpp"
 
 namespace hg::metrics {
 
 class Samples {
  public:
-  Samples() = default;  // exact mode
-
-  // Fixed-memory mode; see QuantileReservoir for the `buffer_elems` knob.
-  [[nodiscard]] static Samples streaming(std::size_t buffer_elems = 2048) {
-    Samples s;
-    s.sketch_.emplace(buffer_elems);
-    return s;
-  }
-  [[nodiscard]] bool is_streaming() const { return sketch_.has_value(); }
-
   void add(double v) {
-    if (sketch_) {
-      sketch_->add(v);
-      return;
-    }
+    HG_ASSERT_MSG(!std::isnan(v), "NaN sample (std::sort cannot order it)");
     values_.push_back(v);
     sorted_ = false;
   }
-  void reserve(std::size_t n) {
-    if (!sketch_) values_.reserve(n);
-  }
+  void reserve(std::size_t n) { values_.reserve(n); }
 
-  [[nodiscard]] std::size_t count() const {
-    return sketch_ ? static_cast<std::size_t>(sketch_->count()) : values_.size();
-  }
-  [[nodiscard]] bool empty() const { return count() == 0; }
+  [[nodiscard]] std::size_t count() const { return values_.size(); }
+  [[nodiscard]] bool empty() const { return values_.empty(); }
   [[nodiscard]] double mean() const;
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-  // Nearest-rank percentile, q in [0, 100]. Approximate in streaming mode.
+  // Percentile, q in [0, 100], interpolated between the two nearest ranks.
   [[nodiscard]] double percentile(double q) const;
-  // Fraction of samples <= threshold. Approximate in streaming mode.
+  // Fraction of samples <= threshold.
   [[nodiscard]] double fraction_at_most(double threshold) const;
 
-  // Exact mode only: the raw samples (streaming mode does not retain them).
-  [[nodiscard]] const std::vector<double>& values() const;
+  [[nodiscard]] const std::vector<double>& values() const { return values_; }
 
-  // Absorbs `other` (both sides must share the storage mode). Exact mode
-  // appends the raw samples; streaming mode merges the sketches
-  // deterministically (see QuantileReservoir::merge_from).
+  // Appends `other`'s samples.
   void merge_from(const Samples& other);
 
  private:
   void ensure_sorted() const;
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
-  std::optional<QuantileReservoir> sketch_;
 };
 
 }  // namespace hg::metrics

@@ -25,9 +25,6 @@ NetworkFabric::NetworkFabric(sim::ShardedEngine& engine, std::unique_ptr<Latency
   HG_ASSERT_MSG(engine.partitions() == 1 || latency_->min_delay() >= engine.epoch(),
                 "latency floor below the engine's epoch width breaks the superstep "
                 "delivery invariant");
-  // Loss is evaluated concurrently across sender partitions: per-sender
-  // state must exist up front instead of growing lazily under a race.
-  loss_->prepare(engine.node_count());
   parts_.reserve(engine.partitions());
   for (std::uint32_t p = 0; p < engine.partitions(); ++p) {
     parts_.emplace_back(&engine.sim_of(p));

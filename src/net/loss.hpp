@@ -1,9 +1,6 @@
 // Datagram loss models.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
@@ -14,10 +11,6 @@ class LossModel {
   virtual ~LossModel() = default;
   // True if the datagram src -> dst is dropped in flight.
   [[nodiscard]] virtual bool lost(NodeId src, NodeId dst, Rng& rng) = 0;
-  // Pre-sizes any per-node state for `node_count` nodes. The sharded engine
-  // evaluates loss concurrently across sender partitions; models with lazily
-  // grown per-sender state must allocate it up front here.
-  virtual void prepare(std::size_t node_count) { (void)node_count; }
 };
 
 class NoLoss final : public LossModel {
@@ -33,30 +26,6 @@ class BernoulliLoss final : public LossModel {
 
  private:
   double p_;
-};
-
-// Two-state Gilbert-Elliott bursty loss (per sender): a sender is in a GOOD
-// state with low loss or a BAD state with high loss; transitions are sampled
-// per datagram. Models the correlated loss episodes PlanetLab exhibits under
-// CPU starvation.
-class GilbertElliottLoss final : public LossModel {
- public:
-  struct Config {
-    double p_good_to_bad = 0.0005;
-    double p_bad_to_good = 0.02;
-    double loss_good = 0.003;
-    double loss_bad = 0.30;
-  };
-  explicit GilbertElliottLoss(Config cfg) : cfg_(cfg) {}
-
-  bool lost(NodeId src, NodeId dst, Rng& rng) override;
-  void prepare(std::size_t node_count) override {
-    if (bad_.size() < node_count) bad_.resize(node_count, 0);
-  }
-
- private:
-  Config cfg_;
-  std::vector<std::uint8_t> bad_;  // indexed by src node id; 1 = BAD state
 };
 
 }  // namespace hg::net

@@ -98,8 +98,9 @@ struct ParallelPlan {
   // Recorded in the plan: placement is part of the run description even
   // though it cannot affect results (see Placement).
   Placement placement = Placement::kContiguous;
-  // Adaptive epoch widening (results identical on/off; off is the benchmark
-  // baseline that grinds every min-latency epoch).
+  // Adaptive epoch widening (results identical on/off; off grinds every
+  // min-latency epoch and is the tests' reference schedule, e.g.
+  // ParallelDeterminism.EpochWideningPreservesChurnResults).
   bool epoch_widening = true;
 };
 

@@ -31,8 +31,8 @@ class BandwidthDistribution {
   // ms-691 ("dist1"): CSR 1.15, avg 691 kbps; 5% @3 Mbps, 10% @1 Mbps, 85% @512 kbps
   [[nodiscard]] static BandwidthDistribution ms691();
   // "dist2": continuous uniform with the same 691 kbps average. The paper
-  // does not give the support; we use ±50% around the mean (documented in
-  // DESIGN.md §4.5) and make the width configurable.
+  // does not give the support; we use ±50% around the mean (pinned by
+  // Distribution.Dist2UniformRange) and make the width configurable.
   [[nodiscard]] static BandwidthDistribution dist2_uniform(double half_width = 0.5);
   // Fig. 1: no upload caps at all.
   [[nodiscard]] static BandwidthDistribution unconstrained();

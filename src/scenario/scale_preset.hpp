@@ -17,8 +17,6 @@
 //
 // Streams are short (a few FEC windows): scale runs measure the engine and
 // the class-stratified lag/jitter distributions, not long-haul playback.
-// Metrics over such runs should use metrics::Samples::streaming so report
-// memory stays fixed no matter the population.
 #pragma once
 
 #include <cstddef>

@@ -53,6 +53,36 @@ TEST(Samples, AddAfterSortKeepsCorrectness) {
   EXPECT_DOUBLE_EQ(s.min(), 1.0);  // must re-sort
 }
 
+TEST(SamplesDeathTest, NanSampleIsFatal) {
+  // NaN breaks std::sort's strict weak ordering, which every order
+  // statistic relies on, so it is rejected when added.
+  Samples s;
+  s.add(1.0);
+  ASSERT_DEATH(s.add(std::nan("")), "NaN sample");
+}
+
+TEST(ExactSamples, MergeAppendsValues) {
+  Samples a;
+  Samples b;
+  for (double v : {3.0, 1.0}) a.add(v);
+  for (double v : {2.0, 4.0}) b.add(v);
+  a.merge_from(b);
+  EXPECT_EQ(a.count(), 4u);
+  EXPECT_EQ(a.percentile(50.0), 2.5);
+  EXPECT_EQ(a.values().size(), 4u);
+}
+
+TEST(ExactSamples, DefaultModeIsUnchanged) {
+  // The exact path must behave as before: values() available, interpolated
+  // percentiles, byte-stable results feeding the figure benches.
+  Samples s;
+  for (double v : {3.0, 1.0, 2.0}) s.add(v);
+  EXPECT_EQ(s.values().size(), 3u);
+  EXPECT_EQ(s.percentile(50.0), 2.0);
+  EXPECT_EQ(s.percentile(75.0), 2.5);  // interpolation between ranks
+  EXPECT_EQ(s.fraction_at_most(2.0), 2.0 / 3.0);
+}
+
 TEST(Cdf, EvaluateAgainstPopulation) {
   Samples s;
   for (int i = 1; i <= 50; ++i) s.add(i);  // 50 nodes reached the target
