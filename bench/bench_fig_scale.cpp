@@ -84,15 +84,6 @@ JsonRecord run_rung(std::size_t n, std::size_t workers, bool churn) {
   scenario::ExperimentConfig cfg = rung_config(n, churn);
   cfg.workers = workers;
   const auto [t, wall] = pooled_sweep(cfg, analyze);
-  double speedup_vs_1w = 0;  // wall(1 worker) / wall; 0 when not measured
-  if (workers > 1) {
-    // Speedup reference: the same rung on one intra-run worker (same sharded
-    // engine, same partition layout, identical metrics by construction).
-    std::fprintf(stderr, "[bench] scale rung: %zu nodes 1-worker reference...\n", n);
-    cfg.workers = 1;
-    const double ref_wall = pooled_sweep(cfg, analyze).second;
-    speedup_vs_1w = wall > 0 ? ref_wall / wall : 0.0;
-  }
   const double rss_mb = peak_rss_mb();
 
   const auto events = static_cast<double>(t.counter("events"));
@@ -111,10 +102,8 @@ JsonRecord run_rung(std::size_t n, std::size_t workers, bool churn) {
               seeds == 1 ? "" : "s", workers, workers == 1 ? "" : "s");
   std::printf(
       "wall %.1f s | %.0f events/s | %.0f node-runs/s | peak RSS %.0f MB | gossip state "
-      "%.0f B/node",
+      "%.0f B/node\n",
       wall, events / wall, node_runs / wall, rss_mb, state_per_node);
-  if (speedup_vs_1w > 0) std::printf(" | %.2fx vs 1 worker", speedup_vs_1w);
-  std::printf("\n");
   if (t.partitions > 0) {
     std::printf(
         "superstep: %u partitions | %llu epochs (+%llu skipped) | %llu xpart msgs "
@@ -148,7 +137,6 @@ JsonRecord run_rung(std::size_t n, std::size_t workers, bool churn) {
       .set("seeds", seeds)
       .set("workers", workers)
       .set("wall_sec", wall)
-      .set("speedup_vs_1w", speedup_vs_1w)
       .set("events", t.counter("events"))
       .set("events_per_sec", per_sec(events, wall))
       .set("nodes_per_sec", per_sec(node_runs, wall))

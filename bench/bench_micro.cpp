@@ -155,7 +155,7 @@ void BM_EventQueuePooledScheduleRun(benchmark::State& state) {
     sim::EventQueue q;
     sim::SimTime now = sim::SimTime::zero();
     for (int i = 0; i < batch; ++i) {
-      q.schedule_fire_and_forget(sim::SimTime::us(i % 1000), delivery(&sink, bytes));
+      q.schedule(sim::SimTime::us(i % 1000), delivery(&sink, bytes));
     }
     while (q.run_next(now)) {
     }
@@ -188,7 +188,7 @@ void BM_EventQueuePooledSimMix(benchmark::State& state) {
   std::uint64_t step = 0;
   std::int64_t t = 0;
   for (auto _ : state) {
-    q.schedule_fire_and_forget(sim::SimTime::us(t + 7), delivery(&sink, bytes));
+    q.schedule(sim::SimTime::us(t + 7), delivery(&sink, bytes));
     sim::EventHandle& served = retx[step % kServeLagSteps];
     served.cancel();
     served = q.schedule(sim::SimTime::us(t + kRetxTimeoutUs), [] {});
@@ -227,7 +227,7 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim(1);
     for (int i = 0; i < batch; ++i) {
-      sim.after_fire_and_forget(sim::SimTime::us(i % 1000), [] {});
+      sim.after(sim::SimTime::us(i % 1000), [] {});
     }
     sim.run_to_completion();
     benchmark::DoNotOptimize(sim.events_executed());
@@ -291,12 +291,13 @@ void BM_WirePathPooledServeMix(benchmark::State& state) {
     const net::BufferRef headers = gossip::encode_serve_batch(NodeId{1}, store, spans);
     // Wire: one delivery event per datagram; receiver decodes zero-copy.
     for (std::size_t k = 0; k < spans.size(); ++k) {
-      q.schedule_fire_and_forget(
-          sim::SimTime::us(t++), [header = headers.slice(spans[k].offset, spans[k].length),
-                                  body = gossip::serve_body(store[k]), &sink]() {
-            const auto msg = gossip::decode_serve(header, body);
-            sink += msg->event.payload.size();
-          });
+      const sim::SimTime at = sim::SimTime::us(t++);
+      net::BufferRef header = headers.slice(spans[k].offset, spans[k].length);
+      net::ChunkRef body = gossip::serve_body(store[k]);
+      q.schedule(at, [header = std::move(header), body = std::move(body), &sink] {
+        const auto msg = gossip::decode_serve(header, body);
+        sink += msg->event.payload.size();
+      });
     }
     while (q.run_next(now)) {
     }
@@ -404,8 +405,7 @@ void BM_ParallelSuperstepEpochDrain(benchmark::State& state) {
       sim::Simulator& s = engine.sim_of(p);
       std::uint64_t* count = &fired[p];  // partition-private: no write sharing
       for (int i = 0; i < kEventsPerPartition; ++i) {
-        s.after_fire_and_forget(sim::SimTime::us(100 * (i + 1)),
-                                [count] { benchmark::DoNotOptimize(++*count); });
+        s.after(sim::SimTime::us(100 * (i + 1)), [count] { benchmark::DoNotOptimize(++*count); });
       }
     }
     engine.run_until(start + sim::SimTime::ms(10));
@@ -461,8 +461,7 @@ void BM_EpochWidenOn(benchmark::State& state) {
       sim::Simulator& s = engine.sim_of(p);
       std::uint64_t* count = &fired[p];  // partition-private: no write sharing
       for (int i = 0; i < kEventsPerPartition; ++i) {
-        s.after_fire_and_forget(sim::SimTime::ms(50 * (i + 1)),
-                                [count] { benchmark::DoNotOptimize(++*count); });
+        s.after(sim::SimTime::ms(50 * (i + 1)), [count] { benchmark::DoNotOptimize(++*count); });
       }
     }
     engine.run_until(start + sim::SimTime::ms(500));

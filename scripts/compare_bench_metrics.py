@@ -5,8 +5,12 @@ Used by CI to assert that intra-run parallelism (HG_WORKERS) changes wall
 clock but not results: a sharded run at W workers must produce bit-identical
 simulation outputs (event counts, per-class percentiles) to the same run at
 1 worker. Timing-derived fields (wall_sec, events_per_sec, nodes_per_sec,
-peak_rss_mb, speedup_vs_1w, and their total_* aggregates) and the worker
+peak_rss_mb, and the total_* aggregates of the first two) and the worker
 count itself legitimately differ and are stripped before comparison.
+
+Speed is reported, never gated: the script prints each run's wall_sec in
+both files and their ratio (A over B, so the speedup of B when B ran on
+more workers).
 
 Memory is gated separately: with --rss-tolerance FRAC, the peak_rss_mb
 values of the two files are also compared pairwise and may deviate by at
@@ -38,12 +42,9 @@ TIMING_KEYS = frozenset(
         "events_per_sec",
         "nodes_per_sec",
         "peak_rss_mb",
-        "speedup_vs_1w",
         "workers",
         "total_wall_sec",
         "total_events_per_sec",
-        "total_nodes_per_sec",
-        "total_peak_rss_mb",
     ]
 )
 
@@ -56,17 +57,17 @@ def strip_keys(obj, keys):
     return obj
 
 
-def collect_rss(obj, out):
-    """Appends every peak_rss_mb value in document order."""
+def collect(obj, key, out):
+    """Appends every value of `key` in document order."""
     if isinstance(obj, dict):
         for k, v in obj.items():
-            if k == "peak_rss_mb":
+            if k == key:
                 out.append(float(v))
             else:
-                collect_rss(v, out)
+                collect(v, key, out)
     elif isinstance(obj, list):
         for v in obj:
-            collect_rss(v, out)
+            collect(v, key, out)
 
 
 def load(path):
@@ -83,8 +84,8 @@ def normalize(payload, extra_strip):
 
 def compare_rss(a_doc, b_doc, a_path, b_path, tolerance):
     a_rss, b_rss = [], []
-    collect_rss(a_doc, a_rss)
-    collect_rss(b_doc, b_rss)
+    collect(a_doc, "peak_rss_mb", a_rss)
+    collect(b_doc, "peak_rss_mb", b_rss)
     if len(a_rss) != len(b_rss):
         print(
             f"RSS DIFFER: {a_path} has {len(a_rss)} peak_rss_mb entries, "
@@ -108,6 +109,22 @@ def compare_rss(a_doc, b_doc, a_path, b_path, tolerance):
             + ", ".join(f"{a:.1f}->{b:.1f}MB" for a, b in zip(a_rss, b_rss))
         )
     return ok
+
+
+def report_wall(a_doc, b_doc):
+    """Prints each run's wall_sec ratio between the two files (never fails)."""
+    a_wall, b_wall = [], []
+    collect(a_doc, "wall_sec", a_wall)
+    collect(b_doc, "wall_sec", b_wall)
+    if not a_wall or len(a_wall) != len(b_wall):
+        return
+    print(
+        "wall_sec A/B (information only): "
+        + ", ".join(
+            f"{a:.1f}/{b:.1f}s = {a / b:.2f}x" if b > 0 else f"{a:.1f}/{b:.1f}s"
+            for a, b in zip(a_wall, b_wall)
+        )
+    )
 
 
 def main(argv):
@@ -150,6 +167,7 @@ def main(argv):
         rc = 1
     if tolerance is not None and not compare_rss(a_doc, b_doc, args[0], args[1], tolerance):
         rc = 1
+    report_wall(a_doc, b_doc)
     return rc
 
 

@@ -102,7 +102,7 @@ class FreshnessAggregator final : public CapabilityEstimator {
   };
   std::vector<Known> records_;  // sorted by origin id
   [[nodiscard]] std::size_t lower_bound_index(NodeId origin) const;
-  sim::Simulator::PeriodicHandle timer_;
+  sim::EventHandle timer_;
   std::vector<NodeId> targets_scratch_;
   Stats stats_;
 };

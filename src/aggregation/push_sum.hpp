@@ -57,7 +57,7 @@ class PushSumNode {
   Rng rng_;
   double sum_;
   double weight_;
-  sim::Simulator::PeriodicHandle timer_;
+  sim::EventHandle timer_;
   std::vector<NodeId> target_scratch_;
 };
 

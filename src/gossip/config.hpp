@@ -51,10 +51,10 @@ struct GossipConfig {
     return 2 * (gc_window_horizon + 1);
   }
 
-  // Large-scale runs: serves carry declared payload sizes instead of bytes
-  // (see gossip::Event). Must match StreamConfig::virtual_payloads and be
-  // uniform across the deployment — the flag selects the serve framing both
-  // when encoding and when decoding. A Deployment sets it from the stream.
+  // Serves carry declared payload sizes instead of bytes (see
+  // gossip::Event). Must be uniform across the deployment — the flag selects
+  // the serve framing both when encoding and when decoding. A Deployment
+  // sets it from the stream: every stream without real payloads is virtual.
   bool virtual_payloads = false;
 
   // Replace the free-running periodic round timer with one-shot rounds armed

@@ -84,8 +84,6 @@ class AdaptiveFanout final : public FanoutPolicy {
   std::size_t fanout_for_round(Rng& rng) override;
   [[nodiscard]] double current_target() const override;
 
-  void set_own_capability(BitRate capability) { own_capability_ = capability; }
-
  private:
   BitRate own_capability_;
   const aggregation::CapabilityEstimator* estimator_;

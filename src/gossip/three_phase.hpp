@@ -153,9 +153,9 @@ class ThreePhaseGossip {
   std::vector<EventId> to_propose_;
   RetransmitTracker retransmit_;
 
-  sim::Simulator::PeriodicHandle timer_;     // periodic round mode
-  sim::EventHandle round_event_;             // park_idle_rounds one-shot
-  sim::SimTime round_anchor_;                // park mode: grid = anchor + k*period
+  sim::EventHandle timer_;        // periodic round mode
+  sim::EventHandle round_event_;  // park_idle_rounds one-shot
+  sim::SimTime round_anchor_;     // park mode: grid = anchor + k*period
   bool started_ = false;
   std::uint32_t newest_window_seen_ = 0;
   std::uint32_t gc_done_below_ = 0;

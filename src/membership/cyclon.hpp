@@ -63,7 +63,7 @@ class CyclonNode {
   CyclonConfig config_;
   std::vector<Entry> view_;
   std::vector<NodeId> last_sent_;  // entries offered in the in-flight shuffle
-  sim::Simulator::PeriodicHandle timer_;
+  sim::EventHandle timer_;
   Rng rng_;
 };
 

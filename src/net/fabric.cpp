@@ -101,7 +101,7 @@ void NetworkFabric::on_wire(Datagram&& d) {
       return;
     }
     const sim::SimTime delay = latency_->sample(d.src, d.dst, rng_);
-    part.sim->after_fire_and_forget(delay, [this, d = std::move(d)]() { deliver(d, parts_[0]); });
+    part.sim->after(delay, [this, d = std::move(d)]() { deliver(d, parts_[0]); });
     return;
   }
 
@@ -137,8 +137,7 @@ void NetworkFabric::on_wire(Datagram&& d) {
     // Keyed by the same tiebreak an exchange import would carry: same-time
     // arrivals at one node order identically whether the sender is co-located
     // or remote.
-    part.sim->after_keyed_fire_and_forget(delay, tb,
-                                          [this, d = std::move(d)]() { deliver_parallel(d); });
+    part.sim->after(delay, [this, d = std::move(d)]() { deliver_parallel(d); }, tb);
     return;
   }
   ++part.xpart_datagrams;
@@ -199,7 +198,7 @@ void NetworkFabric::exchange(std::uint32_t partition) {
     Datagram copy{m.d.src, m.d.dst, m.d.cls, m.d.phantom_bytes,
                   BufferRef::copy_of(m.d.bytes.bytes()),
                   m.d.body ? ChunkRef::copy_of(m.d.body.bytes()) : ChunkRef{}};
-    dst.sim->at_keyed(m.arrive, m.tiebreak, [this, c = std::move(copy)]() { deliver_parallel(c); });
+    dst.sim->at(m.arrive, [this, c = std::move(copy)]() { deliver_parallel(c); }, m.tiebreak);
   }
   dst.import_order.clear();
 }

@@ -23,13 +23,10 @@ void UploadLink::enqueue(Datagram d) {
     auto it = std::find_if(queue_.begin(), queue_.end(), [this](const Pending& q) {
       return !is_control(q.datagram.cls);
     });
-    queued_bytes_ += p.datagram.wire_bytes();
     queue_.insert(it, std::move(p));
   } else {
-    queued_bytes_ += p.datagram.wire_bytes();
     queue_.push_back(std::move(p));
   }
-  max_queue_len_ = std::max(max_queue_len_, queue_.size());
   if (!busy_) transmit_next();
 }
 
@@ -41,19 +38,13 @@ void UploadLink::transmit_next() {
   busy_ = true;
   Pending p = std::move(queue_.front());
   queue_.pop_front();
-  const std::int64_t wire = p.datagram.wire_bytes();
-  queued_bytes_ -= wire;
+  max_queue_delay_ = std::max(max_queue_delay_, sim_.now() - p.enqueued_at);
 
-  const sim::SimTime wait = sim_.now() - p.enqueued_at;
-  max_queue_delay_ = std::max(max_queue_delay_, wait);
-  total_queue_delay_ += wait;
-
-  const auto tx = sim::SimTime::us(transmission_time_us(wire, capacity_));
+  const auto tx = sim::SimTime::us(transmission_time_us(p.datagram.wire_bytes(), capacity_));
   // The datagram is on the wire once fully serialized; then the next one may
   // start. Captures `this`; the owner (fabric) outlives the simulator run.
-  sim_.after_fire_and_forget(tx, [this, d = std::move(p.datagram)]() mutable {
+  sim_.after(tx, [this, d = std::move(p.datagram)]() mutable {
     if (down_) return;
-    ++sent_count_;
     on_wire_(std::move(d));
     transmit_next();
   });
@@ -62,7 +53,6 @@ void UploadLink::transmit_next() {
 void UploadLink::shutdown() {
   down_ = true;
   queue_.clear();
-  queued_bytes_ = 0;
 }
 
 }  // namespace hg::net

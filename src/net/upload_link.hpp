@@ -50,13 +50,9 @@ class UploadLink {
   // Halts the link (node crash): queued datagrams are discarded.
   void shutdown();
 
-  // Introspection / statistics.
+  // Introspection.
   [[nodiscard]] std::size_t queue_len() const { return queue_.size(); }
-  [[nodiscard]] std::int64_t queued_bytes() const { return queued_bytes_; }
   [[nodiscard]] sim::SimTime max_queue_delay() const { return max_queue_delay_; }
-  [[nodiscard]] sim::SimTime total_queue_delay() const { return total_queue_delay_; }
-  [[nodiscard]] std::uint64_t sent_count() const { return sent_count_; }
-  [[nodiscard]] std::size_t max_queue_len() const { return max_queue_len_; }
 
  private:
   struct Pending {
@@ -76,11 +72,7 @@ class UploadLink {
   std::deque<Pending> queue_;
   bool busy_ = false;
   bool down_ = false;
-  std::int64_t queued_bytes_ = 0;
   sim::SimTime max_queue_delay_ = sim::SimTime::zero();
-  sim::SimTime total_queue_delay_ = sim::SimTime::zero();
-  std::uint64_t sent_count_ = 0;
-  std::size_t max_queue_len_ = 0;
 };
 
 }  // namespace hg::net

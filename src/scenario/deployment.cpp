@@ -138,7 +138,7 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
   core::NodeConfig node_template = population_.node;
   node_template.gossip.packets_per_window =
       static_cast<std::uint32_t>(stream_.stream.window_packets());
-  node_template.gossip.virtual_payloads = stream_.stream.virtual_payloads;
+  node_template.gossip.virtual_payloads = !stream_.stream.real_payloads;
   if (d->engine_->partitions() > 1) node_template.gossip.park_idle_rounds = true;
 
   // --- source (node 0) ----------------------------------------------------
@@ -173,9 +173,9 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
     if (stream_.stream.real_payloads) {
       // Real bytes on the wire: mount the online decoder so windows are
       // reconstructed (erasures repaired from parity) the moment any k of n
-      // packets arrive. Sized/virtual runs mount nothing — decodability is
-      // pure counting there, and the stack stays bit-identical to before
-      // the FEC layer existed.
+      // packets arrive. Virtual runs mount nothing — decodability is pure
+      // counting there, and the stack stays bit-identical to before the FEC
+      // layer existed.
       r.node->emplace_module<stream::FecModule>(*d->codec_, stream_.windows);
     }
     r.node->attach(r.info.capability);

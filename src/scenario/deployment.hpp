@@ -44,8 +44,8 @@ struct PopulationPlan {
   std::size_t node_count = 270;  // receivers; the source is an extra node (id 0)
   BandwidthDistribution distribution = BandwidthDistribution::ref691();
   // Template for every receiver; capability is overwritten per node from the
-  // distribution, and the gossip window geometry (packets_per_window,
-  // virtual_payloads) from the stream plan. The rest is shared.
+  // distribution, and the gossip window geometry (packets_per_window) and
+  // payload mode (virtual_payloads) from the stream plan. The rest is shared.
   core::NodeConfig node;
   // The source is a well-provisioned peer; it gossips with the same average
   // fanout but does not adapt (its capability would dwarf the estimate).

@@ -87,23 +87,4 @@ double Experiment::upload_usage(std::size_t i) const {
   return bits / capacity_bits;
 }
 
-std::vector<const stream::Player*> Experiment::surviving_players() const {
-  std::vector<const stream::Player*> out;
-  out.reserve(deployment_->receivers());
-  for (std::size_t i = 0; i < deployment_->receivers(); ++i) {
-    if (!deployment_->info(i).crashed) out.push_back(&deployment_->player(i));
-  }
-  return out;
-}
-
-std::vector<const stream::Player*> Experiment::players_of_class(int class_index) const {
-  std::vector<const stream::Player*> out;
-  for (std::size_t i = 0; i < deployment_->receivers(); ++i) {
-    if (!deployment_->info(i).crashed && deployment_->info(i).class_index == class_index) {
-      out.push_back(&deployment_->player(i));
-    }
-  }
-  return out;
-}
-
 }  // namespace hg::scenario

@@ -56,9 +56,8 @@ struct ExperimentConfig {
   gossip::FanoutRounding rounding = gossip::FanoutRounding::kRandomized;
   bool smart_receivers = true;
 
-  // Large-scale switch (see scenario::ScalePreset for the tuned bundle,
-  // which also sets stream.virtual_payloads): drops per-packet arrival
-  // timestamps.
+  // Large-scale switch (see scenario::ScalePreset for the tuned bundle):
+  // drops per-packet arrival timestamps.
   bool lean_players = false;
 
   // Intra-run parallelism (see ParallelPlan): workers == 0 runs one
@@ -130,10 +129,6 @@ class Experiment {
   // Mean upload usage (fraction of the upload capability) over the stream
   // interval, including all protocol overhead — Fig. 4's quantity.
   [[nodiscard]] double upload_usage(std::size_t i) const;
-
-  // Players of all receivers that never crashed (series for Figs. 5-10).
-  [[nodiscard]] std::vector<const stream::Player*> surviving_players() const;
-  [[nodiscard]] std::vector<const stream::Player*> players_of_class(int class_index) const;
 
  private:
   ExperimentConfig config_;

@@ -25,7 +25,6 @@ ExperimentConfig ScalePreset::config(std::size_t nodes, core::Mode mode, std::ui
   cfg.tail = sim::SimTime::sec(20.0);
 
   // The large-N switches (see the header).
-  cfg.stream.virtual_payloads = true;
   cfg.lean_players = true;
   cfg.gc_window_horizon = 4;
   cfg.aggregation.max_records = 64;

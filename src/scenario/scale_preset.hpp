@@ -2,11 +2,10 @@
 //
 // The paper's experiments top out at ~700 PlanetLab nodes; the phenomena
 // HEAP is about (capability-class stratification, freerider impact, churn
-// waves) only become statistically crisp at much larger N. This preset
-// flips every large-N switch the engine grew for that purpose:
+// waves) only become statistically crisp at much larger N. On top of the
+// default virtual payloads (serves carry declared sizes, not bytes), this
+// preset flips every large-N switch the engine grew for that purpose:
 //
-//   * virtual payloads  — serves carry declared sizes, not bytes: identical
-//                         clock and wire accounting, zero payload storage
 //   * lean players      — seen-bitmaps + per-window decode times instead of
 //                         per-packet arrival timestamps
 //   * tight gc horizon  — per-event gossip state trimmed a few windows

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <bit>
+#include <functional>
 
 namespace hg::sim {
 
@@ -201,11 +202,21 @@ bool EventQueue::run_next(SimTime& now) {
   HG_ASSERT_MSG(e.at >= now, "event queue must never run backwards in time");
   now = e.at;
   ++executed_;
-  // Move the callback out before freeing: the callback may schedule further
-  // events, which can grow (and reallocate) the slot slab.
+  // Move the callback out before running it: the callback may schedule
+  // further events, which can grow (and reallocate) the slot slab.
   SmallFn fn = std::move(slots_[e.slot].fn);
-  free_slot(e.slot);  // generation bump: handles report !pending() while running
+  const SimTime period = slots_[e.slot].period;
+  if (period == SimTime::zero()) {
+    free_slot(e.slot);  // generation bump: handles report !pending() while running
+    fn();
+    return true;
+  }
+  // A periodic timer keeps its slot while the callback runs, then is
+  // re-filed in it (see the file comment).
   fn();
+  if (slots_[e.slot].gen != e.gen) return true;  // cancelled while it ran
+  slots_[e.slot].fn = std::move(fn);
+  push_entry(e.at + period, 0, e.slot);
   return true;
 }
 

@@ -39,6 +39,14 @@
 // nearly every serve; their tombstones are dropped with one generation check
 // when their bucket loads, and never enter the heap.
 //
+// A periodic timer is one slot that also stores its period. Each tick runs
+// its callback and, unless the timer was cancelled meanwhile, re-files the
+// same slot at now + period with a sequence number taken after the callback
+// ran, so whatever the callback schedules for the next tick's instant runs
+// before that tick. The slot stays allocated while its callback runs: the
+// handle reads pending() there and may cancel the timer, which frees the
+// slot like any other cancellation.
+//
 // The calendar is built at the first pop (prune_and_empty or run_next),
 // which spreads the pending entries into buckets, each keeping its sequence
 // number. Until then entries go straight into the heap, so a deployment
@@ -48,7 +56,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -57,16 +64,12 @@
 
 namespace hg::sim {
 
-// Type-erased callback alias, kept for signatures that store callbacks
-// long-term (periodic timers, retransmit owners). Scheduling itself is
-// templated and does not round-trip through std::function.
-using EventFn = std::function<void()>;
-
 class EventQueue;
 
-// Token for cancelling a scheduled event. Default-constructed handles are
-// inert; cancel() on an already-fired or cancelled event is a no-op. A
-// handle refers into its queue's slot pool and must not outlive the queue.
+// Token for cancelling a scheduled event or periodic timer. Default-
+// constructed handles are inert; cancel() on an already-fired or cancelled
+// event is a no-op. A handle refers into its queue's slot pool and must not
+// outlive the queue.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -83,43 +86,33 @@ class EventHandle {
   std::uint32_t slot_ = 0;
   std::uint32_t gen_ = 0;
 };
+// RetransmitTracker keeps one handle per pending request.
+static_assert(sizeof(EventHandle) == 16, "EventHandle size feeds gossip state_bytes");
 
 class EventQueue {
  public:
-  // Schedules `fn` at absolute time `at`. Returns a cancellation handle.
+  // Schedules `fn` at absolute time `at`; events at equal times run in
+  // (key2, scheduling order). The sharded engine keys datagram deliveries by
+  // their seed-derived exchange tiebreak so that same-microsecond arrivals at
+  // one node order identically whether they were scheduled locally during an
+  // epoch or imported at a barrier: ordering becomes a function of the seed,
+  // not of the partition layout. Every other event uses key2 == 0, so the
+  // sequential engine's (time, scheduling order) contract holds unchanged.
   template <class F>
-  EventHandle schedule(SimTime at, F&& fn) {
-    const std::uint32_t slot = alloc_slot(std::forward<F>(fn));
-    push_entry(at, 0, slot);
-    return EventHandle{this, slot, slots_[slot].gen};
-  }
-
-  // Like schedule, but with an explicit secondary ordering key: events at
-  // equal times run in (key2, scheduling order). The sharded engine keys
-  // datagram deliveries by their seed-derived exchange tiebreak so that
-  // same-microsecond arrivals at one node order identically whether they
-  // were scheduled locally during an epoch or imported at a barrier —
-  // ordering becomes a function of the seed, not of the partition layout.
-  // Every plain schedule uses key2 == 0, so the sequential engine's
-  // (time, scheduling order) contract is bit-for-bit unchanged.
-  template <class F>
-  EventHandle schedule_keyed(SimTime at, std::uint64_t key2, F&& fn) {
-    const std::uint32_t slot = alloc_slot(std::forward<F>(fn));
+  EventHandle schedule(SimTime at, F&& fn, std::uint64_t key2 = 0) {
+    const std::uint32_t slot = alloc_slot(std::forward<F>(fn), SimTime::zero());
     push_entry(at, key2, slot);
     return EventHandle{this, slot, slots_[slot].gen};
   }
 
-  // Schedules without returning a cancellation token (hot path: network
-  // deliveries are never cancelled). Identical storage; the only saving is
-  // not materializing the handle.
+  // Runs `fn` at `first` and then every `period` (key2 == 0) until the
+  // returned handle is cancelled; see the file comment.
   template <class F>
-  void schedule_fire_and_forget(SimTime at, F&& fn) {
-    push_entry(at, 0, alloc_slot(std::forward<F>(fn)));
-  }
-
-  template <class F>
-  void schedule_keyed_fire_and_forget(SimTime at, std::uint64_t key2, F&& fn) {
-    push_entry(at, key2, alloc_slot(std::forward<F>(fn)));
+  EventHandle schedule_periodic(SimTime first, SimTime period, F&& fn) {
+    HG_ASSERT(period > SimTime::zero());
+    const std::uint32_t slot = alloc_slot(std::forward<F>(fn), period);
+    push_entry(first, 0, slot);
+    return EventHandle{this, slot, slots_[slot].gen};
   }
 
   // Pops and runs the earliest live event; returns false when empty.
@@ -150,9 +143,12 @@ class EventQueue {
 
   struct Slot {
     SmallFn fn;
+    SimTime period;  // zero for a one-shot event
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNilSlot;
   };
+  // The period fills the padding after the 64-byte callback.
+  static_assert(sizeof(Slot) == 80, "a periodic slot must cost no more than a one-shot");
 
   // POD queue record; liveness = generation match against the slot.
   struct Entry {
@@ -191,18 +187,18 @@ class EventQueue {
   }
 
   template <class F>
-  std::uint32_t alloc_slot(F&& fn) {
+  std::uint32_t alloc_slot(F&& fn, SimTime period) {
     std::uint32_t i;
     if (free_head_ != kNilSlot) {
       i = free_head_;
       free_head_ = slots_[i].next_free;
-      slots_[i].fn = SmallFn(std::forward<F>(fn));
     } else {
       HG_ASSERT_MSG(slots_.size() < kNilSlot, "event slot pool exhausted");
       i = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
-      slots_[i].fn = SmallFn(std::forward<F>(fn));
     }
+    slots_[i].fn = SmallFn(std::forward<F>(fn));
+    slots_[i].period = period;
     ++live_;
     return i;
   }

@@ -4,78 +4,6 @@ namespace hg::sim {
 
 Simulator::Simulator(std::uint64_t seed) : root_rng_(seed) {}
 
-void Simulator::PeriodicHandle::cancel() {
-  if (sim_ != nullptr) sim_->cancel_timer(slot_, gen_);
-  sim_ = nullptr;
-}
-
-bool Simulator::PeriodicHandle::active() const {
-  return sim_ != nullptr && sim_->timer_active(slot_, gen_);
-}
-
-void Simulator::cancel_timer(std::uint32_t slot, std::uint32_t gen) {
-  // Only deactivate: an active timer always has exactly one pending tick,
-  // and that tick reclaims the slot (freeing here would destroy `fn` while
-  // the tick that is running it sits on the stack during self-cancel).
-  if (slot < timers_.size() && timers_[slot].gen == gen) timers_[slot].active = false;
-}
-
-bool Simulator::timer_active(std::uint32_t slot, std::uint32_t gen) const {
-  return slot < timers_.size() && timers_[slot].gen == gen && timers_[slot].active;
-}
-
-void Simulator::free_timer_slot(std::uint32_t slot) {
-  TimerSlot& t = timers_[slot];
-  ++t.gen;  // invalidate outstanding handles before the slot is reused
-  t.fn = nullptr;
-  t.active = false;
-  t.next_free = timer_free_head_;
-  timer_free_head_ = slot;
-}
-
-void Simulator::timer_tick(std::uint32_t slot, std::uint32_t gen) {
-  if (timers_[slot].gen != gen) return;  // slot already reclaimed and reused
-  if (!timers_[slot].active) {
-    free_timer_slot(slot);  // cancelled since the last tick
-    return;
-  }
-  // Run the callback from a stack local: it may arm new timers (reallocating
-  // the slab under any reference into it) or cancel its own (which must not
-  // destroy the object being invoked).
-  EventFn fn = std::move(timers_[slot].fn);
-  fn();
-  TimerSlot& t = timers_[slot];  // slab may have moved during fn()
-  HG_ASSERT(t.gen == gen);       // the slot cannot be reused while its tick runs
-  if (!t.active) {
-    free_timer_slot(slot);
-    return;
-  }
-  t.fn = std::move(fn);
-  queue_.schedule_fire_and_forget(now_ + t.period,
-                                  [this, slot, gen]() { timer_tick(slot, gen); });
-}
-
-Simulator::PeriodicHandle Simulator::every(SimTime initial_delay, SimTime period, EventFn fn) {
-  HG_ASSERT(period > SimTime::zero());
-  std::uint32_t slot;
-  if (timer_free_head_ != kNilTimer) {
-    slot = timer_free_head_;
-    timer_free_head_ = timers_[slot].next_free;
-  } else {
-    HG_ASSERT_MSG(timers_.size() < kNilTimer, "periodic timer slab exhausted");
-    slot = static_cast<std::uint32_t>(timers_.size());
-    timers_.emplace_back();
-  }
-  TimerSlot& t = timers_[slot];
-  t.fn = std::move(fn);
-  t.period = period;
-  t.active = true;
-  const std::uint32_t gen = t.gen;
-  queue_.schedule_fire_and_forget(now_ + initial_delay,
-                                  [this, slot, gen]() { timer_tick(slot, gen); });
-  return PeriodicHandle{this, slot, gen};
-}
-
 std::uint64_t Simulator::run_until(SimTime until) {
   std::uint64_t ran = 0;
   while (!queue_.prune_and_empty()) {

@@ -1,15 +1,13 @@
-// The simulation driver: virtual clock + event loop + periodic timers.
+// The simulation driver: virtual clock + event loop.
 //
-// Scheduling is templated end-to-end: a lambda passed to at()/after() lands
-// directly in the event queue's pooled slot storage without a std::function
-// round-trip, so the common paths allocate nothing.
+// Scheduling is templated end-to-end: a lambda passed to at()/after()/
+// every() lands directly in the event queue's pooled slot storage without a
+// std::function round-trip, so the common paths allocate nothing.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -25,41 +23,31 @@ class Simulator {
 
   [[nodiscard]] SimTime now() const { return now_; }
 
-  // Schedule at an absolute virtual time (must not be in the past).
+  // Schedule at an absolute virtual time (must not be in the past). Events
+  // at equal times run in (key2, scheduling order): see
+  // EventQueue::schedule. The sharded fabric keys datagram deliveries by
+  // their seed-derived tiebreak so same-time arrivals at one node order
+  // identically at every partition count.
   template <class F>
-  EventHandle at(SimTime when, F&& fn) {
+  EventHandle at(SimTime when, F&& fn, std::uint64_t key2 = 0) {
     HG_ASSERT_MSG(when >= now_, "cannot schedule into the past");
-    return queue_.schedule(when, std::forward<F>(fn));
+    return queue_.schedule(when, std::forward<F>(fn), key2);
   }
 
   // Schedule after a delay from now.
   template <class F>
-  EventHandle after(SimTime delay, F&& fn) {
+  EventHandle after(SimTime delay, F&& fn, std::uint64_t key2 = 0) {
     HG_ASSERT(delay >= SimTime::zero());
-    return queue_.schedule(now_ + delay, std::forward<F>(fn));
+    return queue_.schedule(now_ + delay, std::forward<F>(fn), key2);
   }
 
-  // Non-cancellable fast path.
+  // Repeats `fn` every `period` until the returned handle is cancelled or the
+  // run ends. First invocation after `initial_delay`. The timer is one queue
+  // slot for its whole life; the callback may cancel its own timer.
   template <class F>
-  void after_fire_and_forget(SimTime delay, F&& fn) {
-    HG_ASSERT(delay >= SimTime::zero());
-    queue_.schedule_fire_and_forget(now_ + delay, std::forward<F>(fn));
-  }
-
-  // Keyed scheduling (see EventQueue::schedule_keyed): events at equal times
-  // order by key2 before scheduling order. The sharded fabric keys datagram
-  // deliveries by their seed-derived tiebreak so same-time arrivals at one
-  // node order identically at every partition count.
-  template <class F>
-  EventHandle at_keyed(SimTime when, std::uint64_t key2, F&& fn) {
-    HG_ASSERT_MSG(when >= now_, "cannot schedule into the past");
-    return queue_.schedule_keyed(when, key2, std::forward<F>(fn));
-  }
-
-  template <class F>
-  void after_keyed_fire_and_forget(SimTime delay, std::uint64_t key2, F&& fn) {
-    HG_ASSERT(delay >= SimTime::zero());
-    queue_.schedule_keyed_fire_and_forget(now_ + delay, key2, std::forward<F>(fn));
+  EventHandle every(SimTime initial_delay, SimTime period, F&& fn) {
+    HG_ASSERT(initial_delay >= SimTime::zero());
+    return queue_.schedule_periodic(now_ + initial_delay, period, std::forward<F>(fn));
   }
 
   // Timestamp of the earliest live pending event, or nullopt when the queue
@@ -69,36 +57,6 @@ class Simulator {
     if (queue_.prune_and_empty()) return std::nullopt;
     return queue_.next_time();
   }
-
-  // Repeats `fn` every `period` until the returned handle is cancelled or the
-  // run ends. First invocation after `initial_delay`. The callback may cancel
-  // its own timer.
-  //
-  // Timer state lives in a pooled slab inside the simulator (parallel to the
-  // event queue's slot pool): one slab record per timer lifetime, reused via
-  // a free list, with a generation counter guarding stale handles — no
-  // shared_ptr control blocks, and the per-tick closure is two words (slot +
-  // generation), well inside the queue's inline callback storage. A 100k-node
-  // run arms a few timers per node; the slab keeps them dense instead of
-  // scattering 100k+ control blocks across the heap.
-  //
-  // Handles are cheap value types; they must not outlive the simulator.
-  class PeriodicHandle {
-   public:
-    PeriodicHandle() = default;
-    void cancel();
-    [[nodiscard]] bool active() const;
-
-   private:
-    friend class Simulator;
-    PeriodicHandle(Simulator* sim, std::uint32_t slot, std::uint32_t gen)
-        : sim_(sim), slot_(slot), gen_(gen) {}
-
-    Simulator* sim_ = nullptr;
-    std::uint32_t slot_ = 0;
-    std::uint32_t gen_ = 0;
-  };
-  PeriodicHandle every(SimTime initial_delay, SimTime period, EventFn fn);
 
   // Runs until the queue drains or virtual time would exceed `until`.
   // Returns the number of events executed by this call.
@@ -120,25 +78,8 @@ class Simulator {
   [[nodiscard]] EventQueue& queue() { return queue_; }
 
  private:
-  static constexpr std::uint32_t kNilTimer = 0xffffffffu;
-
-  struct TimerSlot {
-    EventFn fn;
-    SimTime period;
-    std::uint32_t gen = 0;
-    std::uint32_t next_free = kNilTimer;
-    bool active = false;
-  };
-
-  void timer_tick(std::uint32_t slot, std::uint32_t gen);
-  void free_timer_slot(std::uint32_t slot);
-  void cancel_timer(std::uint32_t slot, std::uint32_t gen);
-  [[nodiscard]] bool timer_active(std::uint32_t slot, std::uint32_t gen) const;
-
   SimTime now_ = SimTime::zero();
   EventQueue queue_;
-  std::vector<TimerSlot> timers_;
-  std::uint32_t timer_free_head_ = kNilTimer;
   Rng root_rng_;
 };
 

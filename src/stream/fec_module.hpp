@@ -13,8 +13,8 @@
 // outstanding requests/retransmit timers via window_cancelled().
 //
 // Only meaningful in real-payload deployments (there are no bytes to decode
-// in sized or virtual runs — decodability there is pure counting, which the
-// player already does); Deployment mounts it on receivers iff
+// in virtual runs — decodability there is pure counting, which the player
+// already does); Deployment mounts it on receivers iff
 // StreamConfig::real_payloads is set, all of them sharing the deployment's
 // one codec.
 #pragma once

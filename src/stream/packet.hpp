@@ -4,8 +4,8 @@
 // (w, 0..k-1) = data and (w, k..n-1) = parity, mapped 1:1 onto gossip
 // EventIds. Payloads are either real bytes (data deterministic per id,
 // parity Reed-Solomon-encoded; integration tests verify decode fidelity) or
-// a shared zero buffer whose *size* is still carried on the wire
-// (large-scale benches, where only arrival times matter).
+// virtual: no bytes at all, only a declared size that the wire still
+// carries (every run where only arrival times matter).
 #pragma once
 
 #include <cstdint>
@@ -20,12 +20,10 @@ struct StreamConfig {
   std::size_t data_per_window = 101;   // buffered stream packets per window
   std::size_t parity_per_window = 9;   // FEC packets per window
   double payload_rate_kbps = 551.0;    // pre-FEC stream rate
-  bool real_payloads = false;          // true: actual RS coding end to end
-  // Large-scale runs: publish events that declare packet_bytes but store no
-  // payload at all (see gossip::Event). Every node's GossipConfig must set
-  // the matching virtual_payloads flag. Mutually exclusive with
-  // real_payloads.
-  bool virtual_payloads = false;
+  // true: actual RS coding end to end. false: virtual payloads — events
+  // declare packet_bytes but store no payload at all (see gossip::Event),
+  // and every node's GossipConfig sets virtual_payloads to match.
+  bool real_payloads = false;
 
   [[nodiscard]] std::size_t window_packets() const {
     return data_per_window + parity_per_window;

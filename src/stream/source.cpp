@@ -8,21 +8,14 @@ StreamSource::StreamSource(sim::Simulator& simulator, StreamConfig config, Publi
                            const fec::WindowCodec* codec)
     : sim_(simulator), config_(config), publish_(std::move(publish)), codec_(codec) {
   HG_ASSERT(publish_ != nullptr);
-  HG_ASSERT_MSG(!(config_.real_payloads && config_.virtual_payloads),
-                "real_payloads and virtual_payloads are mutually exclusive");
   HG_ASSERT_MSG((codec_ != nullptr) == config_.real_payloads,
                 "a stream source takes a codec exactly when real_payloads is set");
-  if (config_.virtual_payloads) {
-    // No payload bytes exist anywhere in a virtual run.
-  } else if (config_.real_payloads) {
+  if (config_.real_payloads) {
     const fec::WindowCodecConfig& geometry = codec_->config();
     HG_ASSERT_MSG(geometry.data_per_window == config_.data_per_window &&
                       geometry.parity_per_window == config_.parity_per_window &&
                       geometry.packet_bytes == config_.packet_bytes,
                   "the codec's window geometry must match the stream config");
-  } else {
-    const std::vector<std::uint8_t> zeros(config_.packet_bytes, 0);
-    zero_payload_ = net::BufferRef::copy_of(zeros);
   }
 }
 
@@ -30,7 +23,7 @@ void StreamSource::start(sim::SimTime initial_delay, std::uint32_t windows) {
   HG_ASSERT(windows > 0);
   windows_total_ = windows;
   t0_ = sim_.now() + initial_delay;
-  sim_.after_fire_and_forget(initial_delay, [this]() { emit_next(); });
+  sim_.after(initial_delay, [this]() { emit_next(); });
 }
 
 void StreamSource::stop() { stopped_ = true; }
@@ -57,16 +50,15 @@ void StreamSource::emit_next() {
   const std::uint16_t i = next_index_;
   const gossip::EventId id = packet_id(w, i);
 
-  net::BufferRef payload;
-  if (config_.virtual_payloads) {
+  if (!config_.real_payloads) {
+    // No payload bytes exist anywhere in a virtual run.
     publish_(gossip::Event{id, {}, static_cast<std::uint32_t>(config_.packet_bytes)});
     ++packets_published_;
     advance_cursor();
     return;
   }
-  if (!config_.real_payloads) {
-    payload = zero_payload_;
-  } else if (i < config_.data_per_window) {
+  net::BufferRef payload;
+  if (i < config_.data_per_window) {
     // Synthesize once into the codec's working copy, then copy once into
     // the pooled wire buffer (pooled chunks co-locate their header with the
     // bytes, so a foreign vector cannot be adopted without a copy).

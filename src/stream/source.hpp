@@ -51,7 +51,6 @@ class StreamSource {
   StreamConfig config_;
   PublishFn publish_;
   const fec::WindowCodec* codec_;  // only in real-payload mode
-  net::BufferRef zero_payload_;    // sized mode: one buffer, shared by refcount
 
   sim::SimTime t0_;  // publication time of packet (0,0)
   std::uint32_t windows_total_ = 0;

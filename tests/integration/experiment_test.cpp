@@ -173,33 +173,34 @@ TEST(Experiment, SeedChangesRealization) {
   EXPECT_NE(a.events_executed(), b.events_executed());
 }
 
-TEST(Experiment, VirtualPayloadRunIsClockIdenticalToSizedRun) {
+TEST(Experiment, VirtualPayloadRunIsClockIdenticalToRealRun) {
   // The whole point of virtual payloads: phantom wire bytes make every
   // timing- and accounting-relevant quantity *bit-identical* to a run that
-  // ships (zero-filled) payload bytes of the same size — only the storage
+  // ships real, FEC-coded payload bytes of the same size — only the storage
   // disappears. Lean players must be equally invisible to the clock.
   auto base = small_cfg(core::Mode::kHeap, BandwidthDistribution::ref691(),
                         /*nodes=*/60, /*windows=*/4);
-  Experiment sized(base);
-  sized.run();
+  base.stream.real_payloads = true;
+  Experiment real(base);
+  real.run();
 
   auto virt_cfg = base;
-  virt_cfg.stream.virtual_payloads = true;
+  virt_cfg.stream.real_payloads = false;
   virt_cfg.lean_players = true;
   Experiment virt(virt_cfg);
   virt.run();
 
-  ASSERT_EQ(sized.receivers(), virt.receivers());
-  EXPECT_EQ(sized.events_executed(), virt.events_executed());
-  EXPECT_EQ(sized.fabric().datagrams_delivered(), virt.fabric().datagrams_delivered());
-  EXPECT_EQ(sized.fabric().datagrams_lost(), virt.fabric().datagrams_lost());
-  for (std::size_t i = 0; i < sized.receivers(); ++i) {
-    EXPECT_EQ(sized.meter(i).total_sent_bytes(), virt.meter(i).total_sent_bytes()) << i;
-    EXPECT_EQ(sized.meter(i).total_received_bytes(), virt.meter(i).total_received_bytes())
+  ASSERT_EQ(real.receivers(), virt.receivers());
+  EXPECT_EQ(real.events_executed(), virt.events_executed());
+  EXPECT_EQ(real.fabric().datagrams_delivered(), virt.fabric().datagrams_delivered());
+  EXPECT_EQ(real.fabric().datagrams_lost(), virt.fabric().datagrams_lost());
+  for (std::size_t i = 0; i < real.receivers(); ++i) {
+    EXPECT_EQ(real.meter(i).total_sent_bytes(), virt.meter(i).total_sent_bytes()) << i;
+    EXPECT_EQ(real.meter(i).total_received_bytes(), virt.meter(i).total_received_bytes())
         << i;
-    EXPECT_EQ(sized.player(i).packets_received(), virt.player(i).packets_received()) << i;
+    EXPECT_EQ(real.player(i).packets_received(), virt.player(i).packets_received()) << i;
     for (std::uint32_t w = 0; w < 4; ++w) {
-      EXPECT_EQ(sized.player(i).window(w).decode_time, virt.player(i).window(w).decode_time)
+      EXPECT_EQ(real.player(i).window(w).decode_time, virt.player(i).window(w).decode_time)
           << i << " w" << w;
     }
   }
@@ -223,26 +224,27 @@ TEST(Experiment, VirtualRunsStayClockIdenticalAcrossParityLevels) {
                           /*nodes=*/50, /*windows=*/3);
     base.stream.parity_per_window = parity;
     if (parity == 0) base.max_retransmits = 8;  // the rtx-only arm
-    Experiment sized(base);
-    sized.run();
+    base.stream.real_payloads = true;
+    Experiment real(base);
+    real.run();
 
     auto virt_cfg = base;
-    virt_cfg.stream.virtual_payloads = true;
+    virt_cfg.stream.real_payloads = false;
     virt_cfg.lean_players = true;
     Experiment virt(virt_cfg);
     virt.run();
 
-    ASSERT_EQ(sized.receivers(), virt.receivers());
-    EXPECT_EQ(sized.events_executed(), virt.events_executed()) << "parity " << parity;
-    EXPECT_EQ(sized.fabric().datagrams_delivered(), virt.fabric().datagrams_delivered())
+    ASSERT_EQ(real.receivers(), virt.receivers());
+    EXPECT_EQ(real.events_executed(), virt.events_executed()) << "parity " << parity;
+    EXPECT_EQ(real.fabric().datagrams_delivered(), virt.fabric().datagrams_delivered())
         << "parity " << parity;
-    for (std::size_t i = 0; i < sized.receivers(); ++i) {
-      EXPECT_EQ(sized.meter(i).total_sent_bytes(), virt.meter(i).total_sent_bytes())
+    for (std::size_t i = 0; i < real.receivers(); ++i) {
+      EXPECT_EQ(real.meter(i).total_sent_bytes(), virt.meter(i).total_sent_bytes())
           << "parity " << parity << " node " << i;
-      EXPECT_EQ(sized.player(i).packets_received(), virt.player(i).packets_received())
+      EXPECT_EQ(real.player(i).packets_received(), virt.player(i).packets_received())
           << "parity " << parity << " node " << i;
       for (std::uint32_t w = 0; w < 3; ++w) {
-        EXPECT_EQ(sized.player(i).window(w).decode_time,
+        EXPECT_EQ(real.player(i).window(w).decode_time,
                   virt.player(i).window(w).decode_time)
             << "parity " << parity << " node " << i << " w" << w;
       }

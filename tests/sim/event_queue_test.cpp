@@ -22,9 +22,9 @@ TEST(EventQueue, RunsInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
   SimTime now = SimTime::zero();
-  q.schedule_fire_and_forget(SimTime::ms(30), [&] { order.push_back(3); });
-  q.schedule_fire_and_forget(SimTime::ms(10), [&] { order.push_back(1); });
-  q.schedule_fire_and_forget(SimTime::ms(20), [&] { order.push_back(2); });
+  q.schedule(SimTime::ms(30), [&] { order.push_back(3); });
+  q.schedule(SimTime::ms(10), [&] { order.push_back(1); });
+  q.schedule(SimTime::ms(20), [&] { order.push_back(2); });
   while (q.run_next(now)) {
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -36,7 +36,7 @@ TEST(EventQueue, EqualTimesFireInScheduleOrder) {
   std::vector<int> order;
   SimTime now = SimTime::zero();
   for (int i = 0; i < 100; ++i) {
-    q.schedule_fire_and_forget(SimTime::ms(5), [&order, i] { order.push_back(i); });
+    q.schedule(SimTime::ms(5), [&order, i] { order.push_back(i); });
   }
   while (q.run_next(now)) {
   }
@@ -70,9 +70,9 @@ TEST(EventQueue, EventsScheduledDuringExecutionRun) {
   EventQueue q;
   SimTime now = SimTime::zero();
   int count = 0;
-  q.schedule_fire_and_forget(SimTime::ms(1), [&] {
+  q.schedule(SimTime::ms(1), [&] {
     ++count;
-    q.schedule_fire_and_forget(SimTime::ms(2), [&] { ++count; });
+    q.schedule(SimTime::ms(2), [&] { ++count; });
   });
   while (q.run_next(now)) {
   }
@@ -92,7 +92,7 @@ TEST(EventQueue, PruneAndEmptySkipsTombstones) {
 TEST(EventQueue, NextTimeReflectsLiveHead) {
   EventQueue q;
   EventHandle h = q.schedule(SimTime::ms(1), [] {});
-  q.schedule_fire_and_forget(SimTime::ms(5), [] {});
+  q.schedule(SimTime::ms(5), [] {});
   h.cancel();
   ASSERT_FALSE(q.prune_and_empty());
   EXPECT_EQ(q.next_time(), SimTime::ms(5));
@@ -102,7 +102,7 @@ TEST(EventQueue, ExecutedCountsOnlyRunEvents) {
   EventQueue q;
   SimTime now = SimTime::zero();
   EventHandle h = q.schedule(SimTime::ms(1), [] {});
-  q.schedule_fire_and_forget(SimTime::ms(2), [] {});
+  q.schedule(SimTime::ms(2), [] {});
   h.cancel();
   while (q.run_next(now)) {
   }
@@ -149,7 +149,7 @@ TEST(EventQueue, SlotPoolIsReused) {
   SimTime now = SimTime::zero();
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < 16; ++i) {
-      q.schedule_fire_and_forget(SimTime::ms(round * 100 + i + 1), [] {});
+      q.schedule(SimTime::ms(round * 100 + i + 1), [] {});
     }
     while (q.run_next(now)) {
     }
@@ -169,8 +169,27 @@ TEST(EventQueue, CancelledSlotReclaimedImmediately) {
   // The tombstone stays in the heap until popped...
   EXPECT_EQ(q.size(), 1u);
   // ...but the slot is free for the next event.
-  q.schedule_fire_and_forget(SimTime::ms(2), [] {});
+  q.schedule(SimTime::ms(2), [] {});
   EXPECT_EQ(q.pool_slots(), 1u);
+}
+
+TEST(EventQueue, CancellingAPeriodicTimerFreesItsSlotAtOnce) {
+  EventQueue q;
+  SimTime now = SimTime::zero();
+  int ticks = 0;
+  EventHandle h = q.schedule_periodic(SimTime::ms(1), SimTime::ms(1), [&] { ++ticks; });
+  ASSERT_TRUE(q.run_next(now));
+  ASSERT_TRUE(q.run_next(now));
+  EXPECT_EQ(ticks, 2);
+  // One slot for the timer's whole life, re-filed after every tick.
+  EXPECT_EQ(q.live_events(), 1u);
+  EXPECT_EQ(q.pool_slots(), 1u);
+  EXPECT_TRUE(h.pending());
+  h.cancel();
+  EXPECT_EQ(q.live_events(), 0u);
+  EXPECT_FALSE(q.run_next(now));
+  EXPECT_EQ(ticks, 2);
+  EXPECT_EQ(q.executed(), 2u);
 }
 
 // The calendar's geometry, mirrored here so the edge cases below land on
@@ -184,7 +203,7 @@ std::vector<std::int64_t> run_times(EventQueue& q, SimTime& now,
                                     const std::vector<std::int64_t>& times) {
   std::vector<std::int64_t> ran;
   for (const std::int64_t t : times) {
-    q.schedule_fire_and_forget(SimTime::us(t), [&ran, t] { ran.push_back(t); });
+    q.schedule(SimTime::us(t), [&ran, t] { ran.push_back(t); });
   }
   while (q.run_next(now)) {
   }
@@ -195,7 +214,7 @@ TEST(EventQueue, EntriesAtTheRingWrapRunInOrder) {
   EventQueue q;
   SimTime now = SimTime::zero();
   // The first pop builds the calendar with bucket 0 current.
-  q.schedule_fire_and_forget(SimTime::zero(), [] {});
+  q.schedule(SimTime::zero(), [] {});
   ASSERT_TRUE(q.run_next(now));
   // The ring's last bucket, the first bucket past it (which shares the
   // current bucket's ring slot), and their neighbours.
@@ -221,10 +240,10 @@ TEST(EventQueue, OnlyEntriesBeyondTheRingStillRun) {
   SimTime now = SimTime::zero();
   std::vector<int> order;
   // All beyond the ring, scheduled before the first pop.
-  q.schedule_fire_and_forget(SimTime::sec(100), [&] { order.push_back(100); });
-  q.schedule_fire_and_forget(SimTime::sec(10), [&] { order.push_back(10); });
+  q.schedule(SimTime::sec(100), [&] { order.push_back(100); });
+  q.schedule(SimTime::sec(10), [&] { order.push_back(10); });
   EventHandle h = q.schedule(SimTime::sec(5), [&] { order.push_back(5); });
-  q.schedule_fire_and_forget(SimTime::sec(1000), [&] { order.push_back(1000); });
+  q.schedule(SimTime::sec(1000), [&] { order.push_back(1000); });
   ASSERT_FALSE(q.prune_and_empty());
   EXPECT_EQ(q.next_time(), SimTime::sec(5));
   h.cancel();
@@ -234,8 +253,8 @@ TEST(EventQueue, OnlyEntriesBeyondTheRingStillRun) {
   EXPECT_EQ(now, SimTime::sec(10));
   // And once the calendar is built, another one far ahead of the current
   // bucket, and one that lands back inside the ring.
-  q.schedule_fire_and_forget(SimTime::sec(500), [&] { order.push_back(500); });
-  q.schedule_fire_and_forget(SimTime::sec(12), [&] { order.push_back(12); });
+  q.schedule(SimTime::sec(500), [&] { order.push_back(500); });
+  q.schedule(SimTime::sec(12), [&] { order.push_back(12); });
   while (q.run_next(now)) {
   }
   EXPECT_EQ(order, (std::vector<int>{10, 12, 100, 500, 1000}));
@@ -255,13 +274,13 @@ TEST(EventQueue, DestroyedWithPendingEntriesReleasesEveryCallback) {
   {
     EventQueue q;
     SimTime now = SimTime::zero();
-    q.schedule_fire_and_forget(SimTime::us(5), [token] {});
-    q.schedule_fire_and_forget(SimTime::sec(1), [wide = Wide{{}, token}] {});
-    q.schedule_fire_and_forget(SimTime::zero(), [] {});
+    q.schedule(SimTime::us(5), [token] {});
+    q.schedule(SimTime::sec(1), [wide = Wide{{}, token}] {});
+    q.schedule(SimTime::zero(), [] {});
     ASSERT_TRUE(q.run_next(now));  // builds the calendar
     for (const SimTime at : {SimTime::us(7), SimTime::ms(300), SimTime::sec(9)}) {
-      q.schedule_fire_and_forget(at, [token] {});
-      q.schedule_fire_and_forget(at, [wide = Wide{{}, token}] {});
+      q.schedule(at, [token] {});
+      q.schedule(at, [wide = Wide{{}, token}] {});
       q.schedule(at, [token] {}).cancel();
     }
     EXPECT_EQ(q.live_events(), 8u);
@@ -276,7 +295,9 @@ TEST(EventQueue, MatchesSortedReferenceModel) {
   // step by step against a model that keeps every live event sorted by
   // (time, key2, seq). Each event checks, as it runs, that it is the
   // model's first; next_time() and prune_and_empty() must agree with the
-  // model after every step.
+  // model after every step. Periodic timers join the mix: each tick is
+  // re-filed with the sequence number that follows whatever its callback
+  // scheduled, and some ticks cancel their own timer.
   using Key = std::tuple<std::int64_t, std::uint64_t, std::uint64_t>;
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(seed);
@@ -285,12 +306,15 @@ TEST(EventQueue, MatchesSortedReferenceModel) {
     const auto below = [&rng](std::int64_t n) {
       return static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n)));
     };
-    std::map<Key, int> model;
-    std::vector<std::pair<EventHandle, Key>> handles;
+    std::map<Key, int> model;           // pending runs -> event id
+    std::map<int, Key> next;            // event id -> its pending run
+    std::map<int, EventHandle> timers;  // live periodic timers
+    std::vector<std::pair<EventHandle, int>> handles;
     std::uint64_t seq = 0;
     int next_id = 0;
     std::uint64_t ran = 0;
     std::uint64_t cancelled = 0;
+    std::uint64_t ticks = 0;
 
     // Delays from 0 to well past the ring span, biased towards bucket and
     // ring edges and towards same-microsecond ties.
@@ -307,34 +331,63 @@ TEST(EventQueue, MatchesSortedReferenceModel) {
         default: return now + kRingUs + below(4 * kRingUs);
       }
     };
-    std::function<void(bool)> schedule_one = [&](bool from_callback) {
-      // From inside a running event, often at the current time itself.
-      const std::int64_t at = from_callback && below(4) == 0 ? s.now().as_us() : pick_time();
-      const std::int64_t api = below(3);  // at(), at_keyed(), fire-and-forget
-      const std::uint64_t key2 = api == 0 || below(2) == 0 ? 0 : rng.below(4);
+    const auto add = [&](int id, std::int64_t at, std::uint64_t key2) {
       const Key key{at, key2, seq++};
-      const int id = next_id++;
       model.emplace(key, id);
-      auto fn = [&, key, id] {
-        ASSERT_FALSE(model.empty());
-        EXPECT_EQ(model.begin()->first, key);
-        EXPECT_EQ(model.begin()->second, id);
-        model.erase(key);
-        ++ran;
-        if (below(3) == 0) {
-          for (std::int64_t n = 1 + below(2); n > 0; --n) schedule_one(true);
-        }
-      };
+      next[id] = key;
+    };
+    // Schedules one event at a random time, or a one-shot at `at` >= 0.
+    std::function<void(bool, std::int64_t)> schedule_one;
+    // Checks that event `id` is the model's first, drops that run, and
+    // sometimes schedules more from inside it.
+    const auto run = [&](int id) {
+      ASSERT_FALSE(model.empty());
+      EXPECT_EQ(model.begin()->first, next[id]);
+      EXPECT_EQ(model.begin()->second, id);
+      model.erase(model.begin());
+      next.erase(id);
+      ++ran;
+      if (below(3) == 0) {
+        for (std::int64_t n = 1 + below(2); n > 0; --n) schedule_one(true, -1);
+      }
+    };
+    schedule_one = [&](bool from_callback, std::int64_t at) {
+      // From inside a running event, often at the current time itself.
+      const bool one_shot = at >= 0;
+      if (!one_shot) at = from_callback && below(4) == 0 ? s.now().as_us() : pick_time();
+      // at(), keyed at(), after() with no handle kept, or every().
+      const std::int64_t api = below(one_shot ? 3 : 4);
+      const std::uint64_t key2 = api == 0 || api == 3 || below(2) == 0 ? 0 : rng.below(4);
+      const int id = next_id++;
+      add(id, at, key2);
       const SimTime when = SimTime::us(at);
+      const auto fn = [&, id] { run(id); };
       switch (api) {
-        case 0: handles.emplace_back(s.at(when, fn), key); break;
-        case 1: handles.emplace_back(s.at_keyed(when, key2, fn), key); break;
-        default:
-          if (key2 == 0) {
-            s.after_fire_and_forget(when - s.now(), fn);
-          } else {
-            s.after_keyed_fire_and_forget(when - s.now(), key2, fn);
-          }
+        case 0: handles.emplace_back(s.at(when, fn), id); break;
+        case 1: handles.emplace_back(s.at(when, fn, key2), id); break;
+        case 2: s.after(when - s.now(), fn, key2); break;
+        default: {
+          // Periods from under a bucket to past the ring span.
+          const std::int64_t period = 1 + (below(2) == 0 ? below(kBucketUs) : below(2 * kRingUs));
+          const EventHandle h = s.every(when - s.now(), SimTime::us(period), [&, id, period] {
+            run(id);
+            ++ticks;
+            // Sometimes an event at the next tick's own instant: it is older
+            // than the re-filed tick, so at key2 == 0 it runs first.
+            if (below(3) == 0) schedule_one(true, s.now().as_us() + period);
+            const EventHandle self = timers.at(id);
+            EXPECT_TRUE(self.pending());
+            if (below(3) == 0) {
+              timers.at(id).cancel();
+              timers.erase(id);
+              EXPECT_FALSE(self.pending());
+              return;
+            }
+            add(id, s.now().as_us() + period, 0);  // the re-file follows the callback
+          });
+          timers.emplace(id, h);
+          handles.emplace_back(h, id);
+        }
       }
     };
     // Bounds on a bucket edge (or one microsecond either side), near or far.
@@ -344,23 +397,25 @@ TEST(EventQueue, MatchesSortedReferenceModel) {
       return SimTime::us(std::max(s.now().as_us(), edge - 1 + below(3)));
     };
 
-    for (int i = 0; i < 300; ++i) schedule_one(false);  // pending before the first pop
+    for (int i = 0; i < 300; ++i) schedule_one(false, -1);  // pending before the first pop
     for (int step = 0; step < 20000; ++step) {
       const std::int64_t op = below(20);
       if (op < 8) {
-        schedule_one(false);
+        schedule_one(false, -1);
       } else if (op < 12) {
         // Cancel a random pending event, dropping handles of events that ran.
         while (!handles.empty()) {
           const std::size_t i = rng.below(handles.size());
-          auto [handle, key] = handles[i];
+          auto [handle, id] = handles[i];
           handles[i] = handles.back();
           handles.pop_back();
-          const bool pending = model.count(key) == 1;
+          const bool pending = next.count(id) == 1;
           EXPECT_EQ(handle.pending(), pending);
           if (!pending) continue;
           handle.cancel();
-          model.erase(key);
+          model.erase(next[id]);
+          next.erase(id);
+          timers.erase(id);
           ++cancelled;
           break;
         }
@@ -386,12 +441,18 @@ TEST(EventQueue, MatchesSortedReferenceModel) {
       }
       ASSERT_EQ(s.queue().live_events(), model.size()) << "step " << step;
     }
+    // Stop the timers still running, then drain the one-shots.
+    for (auto& [id, timer] : timers) {
+      timer.cancel();
+      model.erase(next[id]);
+    }
     s.run_to_completion();
     EXPECT_TRUE(model.empty());
     EXPECT_EQ(s.events_executed(), ran);
-    // The mix exercised both outcomes at scale.
+    // The mix exercised every outcome at scale.
     EXPECT_GT(ran, 5000u);
     EXPECT_GT(cancelled, 1000u);
+    EXPECT_GT(ticks, 1000u);
   }
 }
 

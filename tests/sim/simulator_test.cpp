@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace hg::sim {
@@ -72,7 +73,7 @@ TEST(Simulator, PeriodicTimerCancel) {
 TEST(Simulator, PeriodicTimerSelfCancelFromCallback) {
   Simulator s(1);
   int count = 0;
-  Simulator::PeriodicHandle h;
+  EventHandle h;
   h = s.every(SimTime::ms(10), SimTime::ms(10), [&] {
     if (++count == 5) h.cancel();
   });
@@ -85,13 +86,13 @@ TEST(Simulator, PeriodicSelfCancelLeavesQueueClean) {
   // rescheduling; nothing of it may linger in the pool once the run drains.
   Simulator s(1);
   int count = 0;
-  Simulator::PeriodicHandle h;
+  EventHandle h;
   h = s.every(SimTime::ms(10), SimTime::ms(10), [&] {
     if (++count == 3) h.cancel();
   });
   s.run_until(SimTime::sec(1));
   EXPECT_EQ(count, 3);
-  EXPECT_FALSE(h.active());
+  EXPECT_FALSE(h.pending());
   EXPECT_EQ(s.queue().live_events(), 0u);
 }
 
@@ -100,14 +101,14 @@ TEST(Simulator, PeriodicSelfCancelThenNewTimerReusesSlots) {
   // after the first self-cancels runs on recycled slots without cross-talk.
   Simulator s(1);
   int first = 0, second = 0;
-  Simulator::PeriodicHandle h1;
+  EventHandle h1;
   h1 = s.every(SimTime::ms(10), SimTime::ms(10), [&] {
     if (++first == 5) h1.cancel();
   });
   s.run_until(SimTime::ms(200));
   EXPECT_EQ(first, 5);
 
-  Simulator::PeriodicHandle h2;
+  EventHandle h2;
   h2 = s.every(SimTime::ms(10), SimTime::ms(10), [&] {
     if (++second == 4) h2.cancel();
   });
@@ -115,6 +116,51 @@ TEST(Simulator, PeriodicSelfCancelThenNewTimerReusesSlots) {
   EXPECT_EQ(first, 5);   // the dead timer must not resurrect on reused slots
   EXPECT_EQ(second, 4);
   EXPECT_EQ(s.queue().live_events(), 0u);
+}
+
+TEST(Simulator, CancelledPeriodicTimerRunsNoFurtherEvent) {
+  // Cancelling frees the timer's one slot: its pending tick is a tombstone,
+  // not an empty event that still runs.
+  Simulator s(1);
+  auto h = s.every(SimTime::ms(100), SimTime::ms(100), [] {});
+  s.run_until(SimTime::ms(350));
+  const std::uint64_t ran = s.events_executed();
+  EXPECT_EQ(ran, 3u);
+  h.cancel();
+  s.run_until(SimTime::sec(2));
+  EXPECT_EQ(s.events_executed(), ran);
+}
+
+TEST(Simulator, PeriodicTimerIsPendingInsideItsOwnCallback) {
+  Simulator s(1);
+  int count = 0;
+  std::vector<bool> pending_before, pending_after;
+  EventHandle h;
+  h = s.every(SimTime::ms(10), SimTime::ms(10), [&] {
+    pending_before.push_back(h.pending());
+    if (++count == 2) h.cancel();
+    pending_after.push_back(h.pending());
+  });
+  s.run_until(SimTime::sec(1));
+  EXPECT_EQ(pending_before, (std::vector<bool>{true, true}));
+  EXPECT_EQ(pending_after, (std::vector<bool>{true, false}));
+  EXPECT_FALSE(h.pending());
+}
+
+TEST(Simulator, OneShotAtTheNextTickInstantRunsBeforeTheTick) {
+  // A tick re-files its slot after its callback returns, so a one-shot the
+  // callback schedules for the next tick's instant is older and runs first.
+  Simulator s(1);
+  std::vector<std::string> order;
+  const auto log = [&](const char* what) {
+    order.push_back(what + std::to_string(s.now().as_us() / 1000));
+  };
+  s.every(SimTime::ms(10), SimTime::ms(10), [&] {
+    log("tick@");
+    if (order.size() == 1) s.after(SimTime::ms(10), [&] { log("one-shot@"); });
+  });
+  s.run_until(SimTime::ms(30));
+  EXPECT_EQ(order, (std::vector<std::string>{"tick@10", "one-shot@20", "tick@20", "tick@30"}));
 }
 
 TEST(Simulator, StaleEventHandleAfterSlotReuse) {

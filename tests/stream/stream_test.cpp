@@ -58,15 +58,20 @@ TEST(StreamSource, EmissionRateMatchesEffectiveRate) {
   EXPECT_NEAR(static_cast<double>(count), 50.0, 2.0);
 }
 
-TEST(StreamSource, SizedModeSharesOnePayloadBuffer) {
+TEST(StreamSource, VirtualModePublishesDeclaredSizesOnly) {
+  // Without real payloads the source stores no bytes: every event is
+  // virtual, with a null payload and the packet size it declares.
   sim::Simulator sim(3);
   std::vector<gossip::Event> events;
   StreamSource source(sim, tiny_stream(), [&](gossip::Event e) { events.push_back(e); });
   source.start(sim::SimTime::zero(), 2);
   sim.run_until(sim::SimTime::sec(1));
-  ASSERT_GE(events.size(), 2u);
-  EXPECT_EQ(events[0].payload.data(), events[1].payload.data());
-  EXPECT_EQ(events[0].payload_size(), 100u);
+  ASSERT_EQ(events.size(), 20u);
+  for (const gossip::Event& e : events) {
+    EXPECT_TRUE(e.virtual_payload());
+    EXPECT_EQ(e.payload.data(), nullptr);
+    EXPECT_EQ(e.payload_size(), tiny_stream().packet_bytes);
+  }
 }
 
 TEST(StreamSource, RealModeParityDecodes) {
