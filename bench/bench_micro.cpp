@@ -308,35 +308,103 @@ void BM_WirePathPooledServeMix(benchmark::State& state) {
 }
 BENCHMARK(BM_WirePathPooledServeMix)->Arg(1)->Arg(11)->Arg(100);
 
-void BM_AggregationEstimate(benchmark::State& state) {
-  // Cost of computing b̄ over `range` known origins.
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  sim::ShardedEngine engine(3, n, {});
-  sim::Simulator& sim = engine.sim_of(0);
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
-                            std::make_unique<net::NoLoss>());
-  membership::Directory dir(engine, membership::DetectionConfig{});
-  for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
-  auto view = dir.make_view(NodeId{0});
-  aggregation::FreshnessAggregator agg(sim, fabric, *view, NodeId{0}, BitRate::kbps(512),
-                                       {});
-  fabric.register_node(NodeId{0}, BitRate::unlimited(), nullptr);
-  // Seed records directly through the wire path.
-  std::vector<gossip::CapabilityRecord> records;
-  for (std::uint32_t i = 1; i < n; ++i) {
-    records.push_back({NodeId{i}, 512'000 + i, sim::SimTime::ms(i)});
-    if (records.size() == 10 || i + 1 == n) {
-      const auto bytes = gossip::encode(gossip::AggregationMsg{NodeId{i}, records});
-      agg.on_datagram(
-          net::Datagram{NodeId{i}, NodeId{0}, net::MsgClass::kAggregation, 0, bytes, {}});
-      records.clear();
+// Node 0's aggregator among `n` registered nodes, its table seeded through
+// the wire path with the other n - 1 origins (origin i stamped at i ms,
+// capability 512 kbps + i bps). The other nodes drop what they receive.
+struct AggregationTable {
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
+  net::NetworkFabric fabric;
+  membership::Directory dir;
+  std::unique_ptr<membership::LocalView> view;
+  std::unique_ptr<aggregation::FreshnessAggregator> agg;
+
+  explicit AggregationTable(std::uint32_t n)
+      : engine(3, n, {}),
+        sim(engine.sim_of(0)),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
+               std::make_unique<net::NoLoss>()),
+        dir(engine, membership::DetectionConfig{}) {
+    for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
+    view = dir.make_view(NodeId{0});
+    agg = std::make_unique<aggregation::FreshnessAggregator>(
+        sim, fabric, *view, NodeId{0}, BitRate::kbps(512), aggregation::AggregationConfig{});
+    // Every origin must be a registered node, or its records are rejected.
+    for (std::uint32_t i = 0; i < n; ++i) fabric.register_node(NodeId{i}, BitRate::unlimited(), {});
+    sim.run_until(sim::SimTime::sec(2));  // every seeded stamp lies in the past
+    std::vector<gossip::CapabilityRecord> records;
+    for (std::uint32_t i = 1; i < n; ++i) {
+      records.push_back({NodeId{i}, 512'000 + i, sim::SimTime::ms(i)});
+      if (records.size() == 10 || i + 1 == n) {
+        receive(gossip::encode(gossip::AggregationMsg{NodeId{i}, records}));
+        records.clear();
+      }
     }
   }
+
+  void receive(net::BufferRef bytes) {
+    agg->on_datagram(net::Datagram{NodeId{1}, NodeId{0}, net::MsgClass::kAggregation, 0,
+                                   std::move(bytes), {}});
+  }
+};
+
+void BM_AggregationEstimate(benchmark::State& state) {
+  // Cost of computing b̄ over `range` known origins.
+  AggregationTable t(static_cast<std::uint32_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agg.average_capability_bps());
+    benchmark::DoNotOptimize(t.agg->average_capability_bps());
   }
 }
 BENCHMARK(BM_AggregationEstimate)->Arg(16)->Arg(270)->Arg(1000);
+
+void BM_AggregationRound(benchmark::State& state) {
+  // One gossip round of a node that knows `range` origins, driven through
+  // the simulator: pick the records, encode, send, deliver.
+  AggregationTable t(static_cast<std::uint32_t>(state.range(0)));
+  const sim::SimTime period = aggregation::AggregationConfig{}.period;
+  t.agg->start();
+  for (auto _ : state) {
+    t.sim.run_until(t.sim.now() + period);  // exactly one round per period
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AggregationRound)->Arg(16)->Arg(270)->Arg(1000);
+
+void BM_AggregationMerge(benchmark::State& state) {
+  // One received round — decode 10 records and merge them into a table of
+  // `range` known origins. Every record is fresher than the one it replaces,
+  // so each merges and enters the freshest records.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  AggregationTable t(n);
+  t.sim.run_until(sim::SimTime::sec(1e6));  // room for ~10^12 fresher stamps
+  constexpr std::size_t kRing = 1024;
+  std::vector<net::BufferRef> ring;
+  std::vector<gossip::CapabilityRecord> records;
+  std::uint64_t next = 0;  // origin cursor and stamp (µs) of the next record
+  auto refill = [&] {
+    ring.clear();
+    for (std::size_t j = 0; j < kRing; ++j) {
+      records.clear();
+      for (int r = 0; r < 10; ++r, ++next) {
+        const auto stamp = sim::SimTime::sec(2) + sim::SimTime::us(static_cast<std::int64_t>(next));
+        records.push_back({NodeId{1 + static_cast<std::uint32_t>(next % (n - 1))}, 512'000, stamp});
+      }
+      ring.push_back(gossip::encode(gossip::AggregationMsg{NodeId{1}, records}));
+    }
+  };
+  std::size_t at = kRing;
+  for (auto _ : state) {
+    if (at == kRing) {
+      state.PauseTiming();
+      refill();
+      at = 0;
+      state.ResumeTiming();
+    }
+    t.receive(ring[at++]);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
+}
+BENCHMARK(BM_AggregationMerge)->Arg(16)->Arg(270)->Arg(1000);
 
 // --------------------------------------------------------------------------
 // Membership: a mass crash detected by every view

@@ -6,6 +6,23 @@
 
 namespace hg::aggregation {
 
+using gossip::CapabilityRecord;
+
+namespace {
+
+// The freshness ranking: later stamp first; equal stamps break toward the
+// smaller origin id, a total order, so which records propagate never
+// depends on container layout or sort internals.
+bool fresher(const CapabilityRecord& a, const CapabilityRecord& b) {
+  if (a.measured_at != b.measured_at) return a.measured_at > b.measured_at;
+  return a.origin < b.origin;
+}
+
+// The table's order.
+bool origin_below(const CapabilityRecord& r, NodeId origin) { return r.origin < origin; }
+
+}  // namespace
+
 FreshnessAggregator::FreshnessAggregator(sim::Simulator& simulator, net::NetworkFabric& fabric,
                                          membership::LocalView& view, NodeId self,
                                          BitRate own_capability, AggregationConfig config)
@@ -18,6 +35,8 @@ FreshnessAggregator::FreshnessAggregator(sim::Simulator& simulator, net::Network
       rng_(simulator.make_rng(0x41474752ULL ^ (std::uint64_t{self.value()} << 24))) {
   HG_ASSERT_MSG(config_.period > sim::SimTime::zero(),
                 "AggregationConfig::period must be positive");
+  HG_ASSERT_MSG(config_.records_per_gossip > 0,
+                "AggregationConfig::records_per_gossip must be positive");
 }
 
 void FreshnessAggregator::start() {
@@ -29,33 +48,12 @@ void FreshnessAggregator::start() {
 void FreshnessAggregator::stop() { timer_.cancel(); }
 
 void FreshnessAggregator::gossip_round() {
-  // Assemble the freshest `records_per_gossip` records, own value first
-  // (refreshed to now — the node keeps advertising what it can do).
-  std::vector<gossip::CapabilityRecord> fresh;
-  fresh.reserve(config_.records_per_gossip);
-  fresh.push_back({self_, own_capability_.bits_per_sec(), sim_.now()});
-
-  // Rank by freshness; equal timestamps break toward the smaller origin id
-  // (records_ indices ascend with origin), a total order — which records
-  // propagate can never depend on container layout or sort internals.
-  std::vector<std::uint32_t> by_age(records_.size());
-  for (std::uint32_t i = 0; i < records_.size(); ++i) by_age[i] = i;
-  const std::size_t want = config_.records_per_gossip - 1;
-  if (by_age.size() > want) {
-    std::partial_sort(by_age.begin(), by_age.begin() + static_cast<std::ptrdiff_t>(want),
-                      by_age.end(), [this](std::uint32_t a, std::uint32_t b) {
-                        if (records_[a].measured_at != records_[b].measured_at) {
-                          return records_[a].measured_at > records_[b].measured_at;
-                        }
-                        return a < b;
-                      });
-    by_age.resize(want);
-  }
-  for (std::uint32_t i : by_age) {
-    fresh.push_back({records_[i].origin, records_[i].capability_bps, records_[i].measured_at});
-  }
-
-  const auto bytes = gossip::encode(gossip::AggregationMsg{self_, fresh});
+  // Own record first, refreshed to now (the node keeps advertising what it
+  // can do). A table that fits in one gossip goes out whole, in origin
+  // order; a larger one sends its index of the freshest records.
+  const CapabilityRecord own{self_, own_capability_.bits_per_sec(), sim_.now()};
+  const auto bytes = gossip::encode_aggregation(
+      self_, own, records_.size() < config_.records_per_gossip ? records_ : freshest_);
   view_.select_nodes(config_.fanout, targets_scratch_, rng_);
   for (NodeId target : targets_scratch_) {
     fabric_.send(self_, target, net::MsgClass::kAggregation, bytes);
@@ -63,19 +61,48 @@ void FreshnessAggregator::gossip_round() {
   }
 }
 
-std::size_t FreshnessAggregator::lower_bound_index(NodeId origin) const {
-  const auto it =
-      std::lower_bound(records_.begin(), records_.end(), origin,
-                       [](const Known& k, NodeId o) { return k.origin.value() < o.value(); });
-  return static_cast<std::size_t>(it - records_.begin());
+void FreshnessAggregator::unindex(const CapabilityRecord& old) {
+  // The index holds exactly the table's records ranked at or ahead of its
+  // last entry. An updated record only gets fresher and an evicted one is
+  // the stalest, so an eviction reaches here only while the whole table
+  // fits in the index.
+  if (freshest_.empty() || fresher(freshest_.back(), old)) return;
+  const auto it = std::find_if(freshest_.begin(), freshest_.end(),
+                               [&](const CapabilityRecord& r) { return r.origin == old.origin; });
+  HG_ASSERT(it != freshest_.end());
+  freshest_.erase(it);
+}
+
+void FreshnessAggregator::index(const CapabilityRecord& rec) {
+  const std::size_t want = config_.records_per_gossip - 1;
+  if (freshest_.size() == want) {
+    if (want == 0 || !fresher(rec, freshest_.back())) return;
+    freshest_.pop_back();  // `rec` takes the last place
+  } else if (freshest_.capacity() == 0) {
+    freshest_.reserve(want);
+  }
+  const auto at = std::find_if(freshest_.begin(), freshest_.end(),
+                               [&](const CapabilityRecord& r) { return fresher(rec, r); });
+  freshest_.insert(at, rec);
 }
 
 void FreshnessAggregator::on_datagram(const net::Datagram& d) {
   auto msg = gossip::decode_aggregation(d.bytes);
-  if (!msg) return;
-  for (const gossip::CapabilityRecord& rec : msg->records) {
+  if (!msg) {
+    ++stats_.malformed;
+    return;
+  }
+  const sim::SimTime now = sim_.now();
+  for (const CapabilityRecord& rec : msg->records) {
+    // No such node, or a stamp from the future: such a record would lead
+    // the freshest index forever and never expire.
+    if (rec.origin.value() >= fabric_.node_count() || rec.measured_at > now) {
+      ++stats_.malformed;
+      continue;
+    }
     if (rec.origin == self_) continue;  // own value is authoritative locally
-    std::size_t pos = lower_bound_index(rec.origin);
+    const auto it = std::lower_bound(records_.begin(), records_.end(), rec.origin, origin_below);
+    auto pos = static_cast<std::size_t>(it - records_.begin());
     const bool present = pos < records_.size() && records_[pos].origin == rec.origin;
     if (config_.max_records > 0 && !present && records_.size() >= config_.max_records) {
       // Table full: the stalest record loses. A full scan per eviction is
@@ -91,20 +118,21 @@ void FreshnessAggregator::on_datagram(const net::Datagram& d) {
         ++stats_.records_stale_dropped;
         continue;  // the incoming record is the stalest of them all
       }
+      unindex(records_[stalest]);
       records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(stalest));
-      pos = lower_bound_index(rec.origin);
+      if (stalest < pos) --pos;
     }
     if (present) {
       if (records_[pos].measured_at >= rec.measured_at) {
         ++stats_.records_stale_dropped;
         continue;  // keep the fresher record
       }
+      unindex(records_[pos]);
+      records_[pos] = rec;
     } else {
-      records_.insert(records_.begin() + static_cast<std::ptrdiff_t>(pos),
-                      Known{rec.origin, 0, sim::SimTime::zero()});
+      records_.insert(records_.begin() + static_cast<std::ptrdiff_t>(pos), rec);
     }
-    records_[pos].capability_bps = rec.capability_bps;
-    records_[pos].measured_at = rec.measured_at;
+    index(rec);
     ++stats_.records_merged;
   }
 }
@@ -116,7 +144,7 @@ double FreshnessAggregator::average_capability_bps() const {
   std::int64_t sum = own_capability_.bits_per_sec();
   std::size_t count = 1;
   const sim::SimTime now = sim_.now();
-  for (const Known& known : records_) {
+  for (const CapabilityRecord& known : records_) {
     if (now - known.measured_at > config_.record_expiry) continue;
     sum += known.capability_bps;
     ++count;

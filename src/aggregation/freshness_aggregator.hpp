@@ -2,14 +2,14 @@
 // Protocol").
 //
 // Every aggPeriod (200 ms), a node sends the 10 freshest capability records
-// it knows (always refreshing its own) to agg_fanout random peers; received
+// it knows (always refreshing its own) to `fanout` random peers; received
 // records are merged by origin, keeping the freshest per origin. The
 // estimate of the system-wide average capability b̄ is the mean over all
 // non-expired records. Expiry makes the estimate track churn: records of
 // crashed nodes age out and b̄ re-converges to the surviving population.
 //
 // Cost note: the paper quotes ~1 KB/s for this protocol, which corresponds
-// to one partner per period (10 records * ~20 B * 5/s); agg_fanout defaults
+// to one partner per period (10 records * ~20 B * 5/s); `fanout` defaults
 // to 1 to match, and is configurable.
 #pragma once
 
@@ -72,11 +72,17 @@ class FreshnessAggregator final : public CapabilityEstimator {
     std::uint64_t gossips_sent = 0;
     std::uint64_t records_merged = 0;
     std::uint64_t records_stale_dropped = 0;
+    // Undecodable datagrams, plus records skipped because their origin is
+    // not a registered node or their stamp lies after the receiver's now.
+    std::uint64_t malformed = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
   void gossip_round();
+  // Keep `freshest_` in step with a record leaving or entering the table.
+  void unindex(const gossip::CapabilityRecord& old);
+  void index(const gossip::CapabilityRecord& rec);
 
   sim::Simulator& sim_;
   net::NetworkFabric& fabric_;
@@ -87,21 +93,21 @@ class FreshnessAggregator final : public CapabilityEstimator {
   Rng rng_;
 
   // Freshest record per origin (self excluded; own value is implicit), kept
-  // as a flat map: a vector sorted by origin id. The table is iterated on
-  // every 200ms round (freshness ranking) and every estimate read (expiry
-  // scan) — with a hash container those visits run in bucket-layout order,
-  // which is libstdc++-internal and feeds straight into which records gossip
-  // next; id-sorted storage makes every scan platform-independent (and the
-  // determinism linter now rejects unordered containers tree-wide). Lookup
-  // is O(log n); the O(n) insert memmove is bounded by max_records at scale
-  // and beaten by the per-round scans everywhere else.
-  struct Known {
-    NodeId origin;
-    std::int64_t capability_bps = 0;
-    sim::SimTime measured_at;
-  };
-  std::vector<Known> records_;  // sorted by origin id
-  [[nodiscard]] std::size_t lower_bound_index(NodeId origin) const;
+  // as a flat map: a vector sorted by origin id. The table is scanned on
+  // every estimate read (expiry) and every capped eviction (stalest record)
+  // — with a hash container those visits run in bucket-layout order, which
+  // is libstdc++-internal and feeds straight into which records survive;
+  // id-sorted storage makes every scan platform-independent (and the
+  // determinism linter rejects unordered containers tree-wide). Lookup is
+  // O(log n); the O(n) insert memmove is bounded by max_records at scale.
+  std::vector<gossip::CapabilityRecord> records_;  // sorted by origin id
+  // The table's records_per_gossip - 1 freshest records (the whole table
+  // while it holds fewer), ordered by measured_at descending, then origin
+  // ascending: what a round sends once the table outgrows one gossip. Each
+  // merge and eviction updates it in O(records_per_gossip), so a round
+  // reads k records, not the table. Reserved at the first merge; it never
+  // grows past that.
+  std::vector<gossip::CapabilityRecord> freshest_;
   sim::EventHandle timer_;
   std::vector<NodeId> targets_scratch_;
   Stats stats_;

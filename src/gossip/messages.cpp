@@ -100,17 +100,33 @@ net::BufferRef encode_serve_batch(NodeId sender, std::span<const Event> events,
   return w.finish();
 }
 
-net::BufferRef encode(const AggregationMsg& m) {
-  net::ByteWriter w(8 + m.records.size() * 20);
+namespace {
+
+// tag + sender + record count, then 20 bytes per record: `head`, then `tail`.
+net::BufferRef encode_records(NodeId sender, std::span<const CapabilityRecord> head,
+                              std::span<const CapabilityRecord> tail) {
+  const std::size_t count = head.size() + tail.size();
+  net::ByteWriter w(8 + count * 20);
   w.u8(static_cast<std::uint8_t>(MsgTag::kAggregation));
-  w.u32(m.sender.value());
-  w.varint(m.records.size());
-  for (const CapabilityRecord& rec : m.records) {
-    w.u32(rec.origin.value());
-    w.i64(rec.capability_bps);
-    w.i64(rec.measured_at.as_us());
+  w.u32(sender.value());
+  w.varint(count);
+  for (const auto records : {head, tail}) {
+    for (const CapabilityRecord& rec : records) {
+      w.u32(rec.origin.value());
+      w.i64(rec.capability_bps);
+      w.i64(rec.measured_at.as_us());
+    }
   }
   return w.finish();
+}
+
+}  // namespace
+
+net::BufferRef encode(const AggregationMsg& m) { return encode_records(m.sender, m.records, {}); }
+
+net::BufferRef encode_aggregation(NodeId sender, const CapabilityRecord& own,
+                                  std::span<const CapabilityRecord> others) {
+  return encode_records(sender, {&own, 1}, others);
 }
 
 std::optional<MsgTag> peek_tag(std::span<const std::uint8_t> buf) {

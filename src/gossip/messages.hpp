@@ -115,6 +115,10 @@ struct AggregationMsg {
 // vector — an allocation the steady-state wire path must not make).
 [[nodiscard]] net::BufferRef encode_propose(NodeId sender, std::span<const EventId> ids);
 [[nodiscard]] net::BufferRef encode_request(NodeId sender, std::span<const EventId> ids);
+// An aggregation round: `own` then `others`, bit-identical to encoding an
+// AggregationMsg whose records are own followed by others.
+[[nodiscard]] net::BufferRef encode_aggregation(NodeId sender, const CapabilityRecord& own,
+                                                std::span<const CapabilityRecord> others);
 
 // Exact wire size of one serve of `event`, header plus payload (virtual
 // payload bytes included: this is what the datagram *accounts*, not what it

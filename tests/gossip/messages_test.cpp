@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 
 namespace hg::gossip {
@@ -196,6 +198,20 @@ TEST(Messages, AggregationRoundTrip) {
   EXPECT_EQ(out->records[0].origin, NodeId{1});
   EXPECT_EQ(out->records[0].capability_bps, 512'000);
   EXPECT_EQ(out->records[1].measured_at, sim::SimTime::ms(250));
+}
+
+TEST(Messages, AggregationRoundEncodesLikeTheMessage) {
+  const CapabilityRecord own{NodeId{9}, 700'000, sim::SimTime::ms(900)};
+  const std::vector<CapabilityRecord> others{{NodeId{4}, 512'000, sim::SimTime::ms(800)},
+                                             {NodeId{2}, 3'072'000, sim::SimTime::ms(300)}};
+  std::vector<CapabilityRecord> all{own};
+  all.insert(all.end(), others.begin(), others.end());
+  const auto round = encode_aggregation(NodeId{9}, own, others);
+  const auto message = encode(AggregationMsg{NodeId{9}, all});
+  EXPECT_TRUE(std::ranges::equal(round.bytes(), message.bytes()));
+  // Alone, the own record is a one-record message.
+  EXPECT_TRUE(std::ranges::equal(encode_aggregation(NodeId{9}, own, {}).bytes(),
+                                 encode(AggregationMsg{NodeId{9}, {own}}).bytes()));
 }
 
 TEST(Messages, AggregationCostMatchesPaperClaim) {

@@ -83,6 +83,14 @@ TEST(DeploymentBuilderDeathTest, ZeroAggregationPeriodRejected) {
                "AggregationConfig::period must be positive");
 }
 
+TEST(DeploymentBuilderDeathTest, ZeroRecordsPerGossipRejected) {
+  PopulationPlan plan = tiny_population(5);
+  plan.node.mode = core::Mode::kHeap;
+  plan.node.aggregation.records_per_gossip = 0;
+  EXPECT_DEATH(Deployment::Builder{}.population(plan).build(),
+               "AggregationConfig::records_per_gossip must be positive");
+}
+
 TEST(DeploymentBuilderDeathTest, ZeroStreamWindowsRejected) {
   StreamPlan stream;
   stream.windows = 0;
