@@ -1,5 +1,4 @@
-// Aggregation substrate demo: the two estimators HEAP can run —
-// the paper's freshness gossip (Algorithm 2) and classic push-sum [13] —
+// Aggregation substrate demo: the paper's freshness gossip (Algorithm 2)
 // converging on the average upload capability of a heterogeneous swarm,
 // and the fanout each class would get from Equation 1.
 //
@@ -28,7 +27,6 @@ int main() {
 
   std::vector<std::unique_ptr<membership::LocalView>> views;
   std::vector<std::unique_ptr<aggregation::FreshnessAggregator>> fresh;
-  std::vector<std::unique_ptr<aggregation::PushSumNode>> pushsum;
 
   for (std::uint32_t i = 0; i < kNodes; ++i) directory.add_node(NodeId{i});
   for (std::uint32_t i = 0; i < kNodes; ++i) {
@@ -37,40 +35,21 @@ int main() {
     fresh.push_back(std::make_unique<aggregation::FreshnessAggregator>(
         sim, fabric, *views.back(), id, assignment[i].capability,
         aggregation::AggregationConfig{}));
-    pushsum.push_back(std::make_unique<aggregation::PushSumNode>(
-        sim, fabric, *views.back(), id,
-        static_cast<double>(assignment[i].capability.bits_per_sec()), 1.0,
-        aggregation::PushSumConfig{}));
     fabric.register_node(id, BitRate::unlimited(),
-                         [f = fresh.back().get(), p = pushsum.back().get()](
-                             const net::Datagram& d) {
-                           // Both protocols share the node's port; dispatch by
-                           // first byte (push-sum uses its private 0xf5 tag).
-                           if (!d.bytes.empty() && d.bytes.data()[0] == 0xf5) {
-                             p->on_datagram(d);
-                           } else {
-                             f->on_datagram(d);
-                           }
-                         });
+                         [f = fresh.back().get()](const net::Datagram& d) { f->on_datagram(d); });
   }
   for (auto& f : fresh) f->start();
-  for (auto& p : pushsum) p->start();
 
   const double truth = dist.average_kbps() * 1000.0;
   std::printf("true average capability: %.0f kbps (ms-691, %zu nodes)\n\n",
               truth / 1000.0, kNodes);
-  std::printf("%8s | %22s | %22s\n", "t (s)", "freshness mean err", "push-sum mean err");
+  std::printf("%8s | %22s\n", "t (s)", "freshness mean err");
 
   for (double t : {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
     sim.run_until(sim::SimTime::sec(t));
-    double err_f = 0, err_p = 0;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      err_f += std::abs(fresh[i]->average_capability_bps() - truth) / truth;
-      const double e = pushsum[i]->estimate();
-      err_p += std::isnan(e) ? 1.0 : std::abs(e - truth) / truth;
-    }
-    std::printf("%8.1f | %21.2f%% | %21.2f%%\n", t, 100.0 * err_f / kNodes,
-                100.0 * err_p / kNodes);
+    double err = 0;
+    for (const auto& f : fresh) err += std::abs(f->average_capability_bps() - truth) / truth;
+    std::printf("%8.1f | %21.2f%%\n", t, 100.0 * err / kNodes);
   }
 
   std::printf("\nEquation 1 fanouts (f = 7) after convergence:\n");

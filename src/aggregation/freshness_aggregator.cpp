@@ -37,6 +37,9 @@ FreshnessAggregator::FreshnessAggregator(sim::Simulator& simulator, net::Network
                 "AggregationConfig::period must be positive");
   HG_ASSERT_MSG(config_.records_per_gossip > 0,
                 "AggregationConfig::records_per_gossip must be positive");
+  // A round of more records than a receiver decodes is dropped as malformed.
+  HG_ASSERT_MSG(config_.records_per_gossip <= gossip::kMaxAggregationRecords,
+                "AggregationConfig::records_per_gossip exceeds gossip::kMaxAggregationRecords");
 }
 
 void FreshnessAggregator::start() {

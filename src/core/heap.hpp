@@ -18,10 +18,10 @@
 // Layers, bottom to top:
 //   sim          deterministic discrete-event kernel
 //   net          serialization, latency/loss, upload-rate limiting, fabric
-//   membership   full-view directory + Cyclon peer sampling
+//   membership   full-view directory with crash detection delays
 //   fec          GF(256) systematic Reed-Solomon windows
 //   gossip       three-phase propose/request/serve dissemination
-//   aggregation  capability averaging (freshness gossip + push-sum)
+//   aggregation  capability averaging by freshness gossip
 //   core         NodeRuntime + Protocol: tag-routed module composition
 //   stream       source, player, lag/jitter analysis
 //   scenario     experiment runner + paper report builders
@@ -29,7 +29,6 @@
 
 #include "aggregation/aggregation_module.hpp"
 #include "aggregation/freshness_aggregator.hpp"
-#include "aggregation/push_sum.hpp"
 #include "core/node_runtime.hpp"
 #include "core/protocol.hpp"
 #include "core/signal.hpp"
@@ -37,8 +36,6 @@
 #include "gossip/fanout_policy.hpp"
 #include "gossip/gossip_module.hpp"
 #include "gossip/three_phase.hpp"
-#include "membership/cyclon.hpp"
-#include "membership/cyclon_module.hpp"
 #include "membership/directory.hpp"
 #include "net/fabric.hpp"
 #include "scenario/deployment.hpp"
@@ -52,5 +49,3 @@
 #include "stream/player.hpp"
 #include "stream/player_module.hpp"
 #include "stream/source.hpp"
-#include "tree/static_tree.hpp"
-#include "tree/tree_module.hpp"

@@ -34,7 +34,7 @@ TagRegistration NodeRuntime::register_handler(gossip::MsgTag tag, void* ctx,
                                               DatagramHandler handler) {
   HG_ASSERT(handler != nullptr);
   HG_ASSERT_MSG(static_cast<std::uint8_t>(tag) < kTagTableSize,
-                "tag beyond the dispatch table: raise NodeRuntime::kTagTableSize");
+                "tag beyond the dispatch table: gossip::kLastMsgTag is not the last tag");
   Handler& slot = handlers_[static_cast<std::uint8_t>(tag)];
   HG_ASSERT_MSG(slot.fn == nullptr, "duplicate tag registration: two modules claim one tag");
   slot = Handler{handler, ctx};

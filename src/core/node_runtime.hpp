@@ -5,11 +5,11 @@
 // registers the message tags it owns; incoming datagrams are routed by tag
 // in O(1) through a flat per-runtime table of (function pointer, context)
 // pairs — no virtual dispatch and no branching chain on the hot path, and
-// the zero-copy BufferRef wire path is untouched. The table covers the low
-// kTagTableSize tag values (wire tags are small and centrally assigned in
-// gossip::MsgTag); a full 256-entry table would cost 4 KB per node — 400 MB
-// of dead weight across a 100k-node run. Datagrams with tags beyond the
-// table take the unknown-tag path.
+// the zero-copy BufferRef wire path is untouched. The table has one entry
+// per tag value up to gossip::kLastMsgTag (wire tags are small and centrally
+// assigned in gossip::MsgTag); a full 256-entry table would cost 4 KB per
+// node — 400 MB of dead weight across a 100k-node run. Datagrams with tags
+// beyond the table take the unknown-tag path.
 //
 // Application hooks are a typed signal bus instead of setter soup:
 //   deliveries()       every delivered event, multi-subscriber (player,
@@ -105,9 +105,8 @@ class NodeRuntime {
   using DatagramHandler = void (*)(void*, const net::Datagram&);
   using PublishFn = sim::BasicSmallFn<void(gossip::Event)>;
 
-  // One past the highest routable tag value. Must stay a power of two-ish
-  // small constant; raise it if gossip::MsgTag ever grows past it.
-  static constexpr std::size_t kTagTableSize = 16;
+  // One past the highest routable tag value.
+  static constexpr std::size_t kTagTableSize = static_cast<std::size_t>(gossip::kLastMsgTag) + 1;
 
   NodeRuntime(sim::Simulator& simulator, net::NetworkFabric& fabric,
               membership::Directory& directory, NodeId self, NodeConfig config);

@@ -2,8 +2,8 @@
 // implements.
 //
 // A module is one protocol of a node's stack: three-phase gossip, capability
-// aggregation, Cyclon sampling, a tree leg, or pure signal-bus glue like the
-// stream player adapter. The interface is deliberately lifecycle-only —
+// aggregation, FEC window decoding, or pure signal-bus glue like the stream
+// player adapter. The interface is deliberately lifecycle-only —
 // datagram routing does NOT go through this vtable. A module claims the
 // message tags it owns with NodeRuntime::register_tag, and the runtime
 // dispatches incoming datagrams through a flat tag table of plain function

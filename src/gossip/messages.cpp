@@ -14,7 +14,7 @@ void write_ids(net::ByteWriter& w, std::span<const EventId> ids) {
 
 [[nodiscard]] bool read_ids(net::ByteReader& r, std::vector<EventId>& out) {
   const auto n = r.varint();
-  if (!n || *n > 100000) return false;
+  if (!n || *n > kMaxIdsPerMessage) return false;
   out.reserve(*n);
   for (std::uint64_t i = 0; i < *n; ++i) {
     const auto raw = r.u64();
@@ -133,7 +133,7 @@ std::optional<MsgTag> peek_tag(std::span<const std::uint8_t> buf) {
   if (buf.empty()) return std::nullopt;
   const std::uint8_t t = buf[0];
   if (t < static_cast<std::uint8_t>(MsgTag::kPropose) ||
-      t > static_cast<std::uint8_t>(MsgTag::kTreePush)) {
+      t > static_cast<std::uint8_t>(kLastMsgTag)) {
     return std::nullopt;
   }
   return static_cast<MsgTag>(t);
@@ -156,7 +156,7 @@ std::optional<ProposeMsg> decode_propose(std::span<const std::uint8_t> buf) {
   net::ByteReader r(buf);
   ProposeMsg m;
   if (!read_header(r, MsgTag::kPropose, m.sender)) return std::nullopt;
-  if (!read_ids(r, m.ids)) return std::nullopt;
+  if (!read_ids(r, m.ids) || !r.exhausted()) return std::nullopt;
   return m;
 }
 
@@ -164,16 +164,15 @@ std::optional<RequestMsg> decode_request(std::span<const std::uint8_t> buf) {
   net::ByteReader r(buf);
   RequestMsg m;
   if (!read_header(r, MsgTag::kRequest, m.sender)) return std::nullopt;
-  if (!read_ids(r, m.ids)) return std::nullopt;
+  if (!read_ids(r, m.ids) || !r.exhausted()) return std::nullopt;
   return m;
 }
 
 std::optional<ServeMsg> decode_serve(std::span<const std::uint8_t> header,
-                                     const net::ChunkRef& body, bool virtual_payloads,
-                                     MsgTag tag) {
+                                     const net::ChunkRef& body, bool virtual_payloads) {
   net::ByteReader r(header);
   ServeMsg m;
-  if (!read_header(r, tag, m.sender)) return std::nullopt;
+  if (!read_header(r, MsgTag::kServe, m.sender)) return std::nullopt;
   const auto raw = r.u64();
   if (!raw) return std::nullopt;
   m.event.id = EventId::from_raw(*raw);
@@ -198,7 +197,7 @@ std::optional<AggregationMsg> decode_aggregation(std::span<const std::uint8_t> b
   AggregationMsg m;
   if (!read_header(r, MsgTag::kAggregation, m.sender)) return std::nullopt;
   const auto n = r.varint();
-  if (!n || *n > 10000) return std::nullopt;
+  if (!n || *n > kMaxAggregationRecords) return std::nullopt;
   m.records.reserve(*n);
   for (std::uint64_t i = 0; i < *n; ++i) {
     const auto origin = r.u32();
@@ -208,6 +207,7 @@ std::optional<AggregationMsg> decode_aggregation(std::span<const std::uint8_t> b
     m.records.push_back(
         CapabilityRecord{NodeId{*origin}, *cap, sim::SimTime::us(*ts)});
   }
+  if (!r.exhausted()) return std::nullopt;
   return m;
 }
 

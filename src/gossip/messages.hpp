@@ -24,10 +24,17 @@ enum class MsgTag : std::uint8_t {
   kRequest = 2,
   kServe = 3,
   kAggregation = 4,
-  kCyclonRequest = 5,
-  kCyclonReply = 6,
-  kTreePush = 7,
 };
+// The highest tag: peek_tag accepts tags up to it, and NodeRuntime's
+// dispatch table has one entry per value up to it.
+inline constexpr MsgTag kLastMsgTag = MsgTag::kAggregation;
+
+// Decoder limits: a message claiming more entries than these is malformed.
+// A propose or request carries one gossip period's ids; an aggregation
+// round carries AggregationConfig::records_per_gossip records, which the
+// aggregator checks against kMaxAggregationRecords at construction.
+inline constexpr std::size_t kMaxIdsPerMessage = 100000;
+inline constexpr std::size_t kMaxAggregationRecords = 10000;
 
 // The canonical (window, index) event identifier lives in common/types.hpp
 // alongside NodeId; re-exported here because the wire layer popularized the
@@ -102,8 +109,9 @@ struct AggregationMsg {
 
 // --- encode / decode ---------------------------------------------------
 // Encoders write into a pooled buffer and return a zero-copy reference
-// ready for NetworkFabric::send. Decoders return nullopt on any
-// truncation/corruption (treated as datagram loss).
+// ready for NetworkFabric::send, exactly as long as the message. Decoders
+// return nullopt on any truncation, corruption or trailing byte; the
+// receiving module counts such a datagram as malformed.
 
 [[nodiscard]] net::BufferRef encode(const ProposeMsg& m);
 [[nodiscard]] net::BufferRef encode(const RequestMsg& m);
@@ -158,11 +166,9 @@ struct ServeSpan {
 //    counts as zero bytes, so a real serve without one is malformed unless
 //    it declares an empty payload;
 //  * (virtual) a body arrives, or the declared length exceeds 32 bits.
-// `tag` lets the static tree's kTreePush share the framing.
 [[nodiscard]] std::optional<ServeMsg> decode_serve(std::span<const std::uint8_t> header,
                                                    const net::ChunkRef& body,
-                                                   bool virtual_payloads = false,
-                                                   MsgTag tag = MsgTag::kServe);
+                                                   bool virtual_payloads = false);
 [[nodiscard]] std::optional<AggregationMsg> decode_aggregation(
     std::span<const std::uint8_t> buf);
 

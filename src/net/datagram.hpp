@@ -19,8 +19,6 @@ enum class MsgClass : std::uint8_t {
   kRequest,
   kServe,
   kAggregation,
-  kMembership,
-  kTree,
   kOther,
   kCount_,
 };
@@ -28,11 +26,11 @@ enum class MsgClass : std::uint8_t {
 [[nodiscard]] const char* to_string(MsgClass c);
 
 // A datagram travels as up to two parts: `bytes`, the encoded message (or,
-// for a payload datagram, its header), and `body`, the payload chunk the
-// sender stores, shared by refcount. A gossip serve and a static-tree push
-// forward the sender's stored packet this way instead of copying it, and
-// the receiver stores that same chunk. The body is immutable (see ChunkRef):
-// no holder, sender or receiver, may write into it.
+// for a serve, its header), and `body`, the payload chunk the sender
+// stores, shared by refcount. A gossip serve forwards the sender's stored
+// packet this way instead of copying it, and the receiver stores that same
+// chunk. The body is immutable (see ChunkRef): no holder, sender or
+// receiver, may write into it.
 struct Datagram {
   NodeId src;
   NodeId dst;
@@ -43,7 +41,7 @@ struct Datagram {
   // traffic meters), so a virtual run's clock is bit-identical to a real one.
   // Virtual sizes are uint32 everywhere; this fills the padding after `cls`.
   std::uint32_t phantom_bytes = 0;
-  // The encoded message, or a payload datagram's header. A pooled,
+  // The encoded message, or a serve's header. A pooled,
   // refcounted slice: a propose fanned out to f targets is encoded once, and
   // a batched serve round shares one header buffer across all of its
   // per-event datagrams.

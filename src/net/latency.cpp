@@ -5,13 +5,6 @@
 
 namespace hg::net {
 
-sim::SimTime UniformLatency::sample(NodeId, NodeId, Rng& rng) {
-  const auto lo = lo_.as_us();
-  const auto hi = hi_.as_us();
-  return sim::SimTime::us(lo + static_cast<std::int64_t>(rng.below(
-                                   static_cast<std::uint64_t>(hi - lo + 1))));
-}
-
 PlanetLabLatency::PlanetLabLatency(PlanetLabLatencyConfig cfg, Rng rng)
     : cfg_(cfg), pair_rng_(std::move(rng)) {}
 

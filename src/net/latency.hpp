@@ -38,18 +38,6 @@ class ConstantLatency final : public LatencyModel {
   sim::SimTime delay_;
 };
 
-// Independent uniform delay per packet.
-class UniformLatency final : public LatencyModel {
- public:
-  UniformLatency(sim::SimTime lo, sim::SimTime hi) : lo_(lo), hi_(hi) {}
-  sim::SimTime sample(NodeId, NodeId, Rng& rng) override;
-  [[nodiscard]] sim::SimTime min_delay() const override { return lo_; }
-
- private:
-  sim::SimTime lo_;
-  sim::SimTime hi_;
-};
-
 struct PlanetLabLatencyConfig {
   // exp(N(mu, sigma)) milliseconds, clamped to [min, max].
   double log_mean_ms = 3.6;   // e^3.6 ~= 36 ms median one-way delay

@@ -8,8 +8,6 @@ const char* to_string(MsgClass c) {
     case MsgClass::kRequest: return "request";
     case MsgClass::kServe: return "serve";
     case MsgClass::kAggregation: return "aggregation";
-    case MsgClass::kMembership: return "membership";
-    case MsgClass::kTree: return "tree";
     case MsgClass::kOther: return "other";
     case MsgClass::kCount_: break;
   }

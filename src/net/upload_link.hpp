@@ -62,7 +62,7 @@ class UploadLink {
 
   void transmit_next();
   [[nodiscard]] bool is_control(MsgClass cls) const {
-    return cls != MsgClass::kServe && cls != MsgClass::kTree;
+    return cls != MsgClass::kServe;
   }
 
   sim::Simulator& sim_;

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "aggregation/freshness_aggregator.hpp"
-#include "aggregation/push_sum.hpp"
 #include "common/rng.hpp"
 
 namespace hg::aggregation {
@@ -359,6 +358,18 @@ TEST(FreshnessAggregatorRound, RejectedInputIsCountedAndSkipped) {
   EXPECT_EQ(origins_of(p.round()), (std::vector<std::uint32_t>{7, 3}));
 }
 
+TEST(FreshnessAggregatorRound, TrailingBytesAreMalformed) {
+  RoundProbe p(AggregationConfig{}, 10);
+  p.sim.run_until(kFeedAt);
+  auto bytes = gossip::encode(gossip::AggregationMsg{NodeId{1}, {rec(4, 300)}}).to_vector();
+  bytes.push_back(0);
+  p.agg->on_datagram(net::Datagram{NodeId{1}, NodeId{0}, net::MsgClass::kAggregation, 0,
+                                   net::BufferRef::copy_of(bytes), {}});
+  EXPECT_EQ(p.agg->stats().malformed, 1u);
+  EXPECT_EQ(p.agg->stats().records_merged, 0u);
+  EXPECT_EQ(p.agg->known_origins(), 0u);
+}
+
 // The aggregation rules written plainly: an origin-keyed map, a full scan for
 // the stalest record, and a partial_sort of the whole table for each round.
 struct TableModel {
@@ -471,108 +482,6 @@ TEST(FreshnessAggregatorRound, EveryRoundMatchesAPartialSortOfTheTable) {
   EXPECT_GT(crossed, 100);
   EXPECT_GT(capped_below, 50);
   EXPECT_GT(capped_above, 50);
-}
-
-TEST(PushSum, ConvergesToAverage) {
-  const std::size_t n = 64;
-  sim::ShardedEngine engine(9, n, {});
-  sim::Simulator& sim = engine.sim_of(0);
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
-                            std::make_unique<net::NoLoss>());
-  membership::Directory dir(engine, membership::DetectionConfig{});
-  std::vector<std::unique_ptr<membership::LocalView>> views;
-  std::vector<std::unique_ptr<PushSumNode>> nodes;
-  double truth = 0;
-  for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const double value = 100.0 + i;  // average = 131.5 (sum arg, weight 1)
-    truth += value;
-    views.push_back(dir.make_view(NodeId{i}));
-    nodes.push_back(std::make_unique<PushSumNode>(sim, fabric, *views.back(), NodeId{i},
-                                                  value, 1.0, PushSumConfig{}));
-    fabric.register_node(NodeId{i}, BitRate::unlimited(),
-                         [p = nodes.back().get()](const net::Datagram& d) {
-                           p->on_datagram(d);
-                         });
-  }
-  truth /= static_cast<double>(n);
-  for (auto& p : nodes) p->start();
-  sim.run_until(sim::SimTime::sec(10));
-  for (const auto& p : nodes) {
-    EXPECT_NEAR(p->estimate(), truth, truth * 0.02);
-  }
-}
-
-TEST(PushSum, MassConservation) {
-  // Sum of (sum, weight) over all nodes is invariant without loss.
-  const std::size_t n = 16;
-  sim::ShardedEngine engine(10, n, {});
-  sim::Simulator& sim = engine.sim_of(0);
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(5)),
-                            std::make_unique<net::NoLoss>());
-  membership::Directory dir(engine, membership::DetectionConfig{});
-  std::vector<std::unique_ptr<membership::LocalView>> views;
-  std::vector<std::unique_ptr<PushSumNode>> nodes;
-  for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
-  for (std::uint32_t i = 0; i < n; ++i) {
-    views.push_back(dir.make_view(NodeId{i}));
-    nodes.push_back(std::make_unique<PushSumNode>(sim, fabric, *views.back(), NodeId{i},
-                                                  static_cast<double>(i), 1.0,
-                                                  PushSumConfig{}));
-    fabric.register_node(NodeId{i}, BitRate::unlimited(),
-                         [p = nodes.back().get()](const net::Datagram& d) {
-                           p->on_datagram(d);
-                         });
-  }
-  for (auto& p : nodes) p->start();
-  // Run to a quiescent instant: drain all in-flight messages by running
-  // until shortly after a period boundary and summing.
-  sim.run_until(sim::SimTime::sec(7.777));
-  double sum = 0, weight = 0;
-  for (const auto& p : nodes) {
-    sum += p->sum();
-    weight += p->weight();
-  }
-  // In-flight mass makes this approximate at any instant; with 16 nodes and
-  // 200 ms periods the in-flight share is small.
-  EXPECT_NEAR(weight, static_cast<double>(n), 2.0);
-  EXPECT_NEAR(sum / weight, (0.0 + 15.0) / 2.0, 1.5);
-}
-
-TEST(PushSum, SizeEstimation) {
-  // value=1 everywhere, weight=1 only at node 0: estimate -> n at node 0.
-  const std::size_t n = 32;
-  sim::ShardedEngine engine(11, n, {});
-  sim::Simulator& sim = engine.sim_of(0);
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(5)),
-                            std::make_unique<net::NoLoss>());
-  membership::Directory dir(engine, membership::DetectionConfig{});
-  std::vector<std::unique_ptr<membership::LocalView>> views;
-  std::vector<std::unique_ptr<PushSumNode>> nodes;
-  for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
-  for (std::uint32_t i = 0; i < n; ++i) {
-    views.push_back(dir.make_view(NodeId{i}));
-    nodes.push_back(std::make_unique<PushSumNode>(sim, fabric, *views.back(), NodeId{i},
-                                                  1.0, i == 0 ? 1.0 : 0.0, PushSumConfig{}));
-    fabric.register_node(NodeId{i}, BitRate::unlimited(),
-                         [p = nodes.back().get()](const net::Datagram& d) {
-                           p->on_datagram(d);
-                         });
-  }
-  for (auto& p : nodes) p->start();
-  sim.run_until(sim::SimTime::sec(15));
-  // 1/estimate-of-(1/n)... here estimate = sum/weight = n directly.
-  double est_sum = 0;
-  std::size_t est_count = 0;
-  for (const auto& p : nodes) {
-    if (!std::isnan(p->estimate())) {
-      est_sum += p->estimate();
-      ++est_count;
-    }
-  }
-  ASSERT_GT(est_count, n / 2);
-  EXPECT_NEAR(est_sum / static_cast<double>(est_count), static_cast<double>(n),
-              static_cast<double>(n) * 0.15);
 }
 
 }  // namespace

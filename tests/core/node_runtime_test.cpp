@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "aggregation/aggregation_module.hpp"
 #include "core/signal.hpp"
+#include "fec/window_codec.hpp"
 #include "gossip/gossip_module.hpp"
-#include "membership/cyclon_module.hpp"
-#include "tree/tree_module.hpp"
+#include "stream/fec_module.hpp"
+#include "stream/player_module.hpp"
+#include "stream/source.hpp"
 
 namespace hg::core {
 namespace {
@@ -130,13 +134,13 @@ TEST(NodeRuntime, TagRegistrationDeregistersOnDestruction) {
   NodeRuntime rt(engine.sim_of(0), fabric, directory, NodeId{0}, NodeConfig{});
 
   int hits = 0;
-  const net::Datagram d{NodeId{0}, NodeId{0}, net::MsgClass::kTree, 0,
+  const net::Datagram d{NodeId{0}, NodeId{0}, net::MsgClass::kAggregation, 0,
                         net::BufferRef::copy_of(std::vector<std::uint8_t>{
-                            static_cast<std::uint8_t>(gossip::MsgTag::kTreePush)}),
+                            static_cast<std::uint8_t>(gossip::MsgTag::kAggregation)}),
                         {}};
   {
     TagRegistration reg = rt.register_handler(
-        gossip::MsgTag::kTreePush, &hits,
+        gossip::MsgTag::kAggregation, &hits,
         [](void* ctx, const net::Datagram&) { ++*static_cast<int*>(ctx); });
     EXPECT_TRUE(reg.active());
     rt.on_datagram(d);
@@ -148,7 +152,7 @@ TEST(NodeRuntime, TagRegistrationDeregistersOnDestruction) {
   EXPECT_EQ(rt.stats().unknown_tag_datagrams, 1u);
   // The slot is reusable after deregistration.
   TagRegistration again = rt.register_handler(
-      gossip::MsgTag::kTreePush, &hits,
+      gossip::MsgTag::kAggregation, &hits,
       [](void* ctx, const net::Datagram&) { *static_cast<int*>(ctx) += 10; });
   rt.on_datagram(d);
   EXPECT_EQ(hits, 11);
@@ -225,9 +229,11 @@ TEST(NodeRuntime, RequestGateIsAndOverSubscribers) {
   EXPECT_GT(s.gossip(1).stats().declined_requests, 0u);
 }
 
-TEST(NodeRuntime, CustomStackMultiplexesGossipCyclonAndTreeOnOnePort) {
-  // The payoff of tag routing: three protocols share each node's port, each
-  // claiming its own tags, with zero coordination between the modules.
+TEST(NodeRuntime, CustomStackMultiplexesGossipAggregationAndFecOnOnePort) {
+  // The payoff of tag routing: a stack assembled module by module shares
+  // each node's port, each module claiming its own tags or signals, with
+  // zero coordination between the modules. Strict mode makes any datagram
+  // no module claims abort the run.
   constexpr std::size_t kN = 6;
   sim::ShardedEngine engine(31, kN, {});
   sim::Simulator& sim = engine.sim_of(0);
@@ -236,36 +242,60 @@ TEST(NodeRuntime, CustomStackMultiplexesGossipCyclonAndTreeOnOnePort) {
   membership::Directory directory(engine, membership::DetectionConfig{});
   for (std::uint32_t i = 0; i < kN; ++i) directory.add_node(NodeId{i});
 
-  std::vector<int> tree_got(kN, 0);
-  tree::StaticTree tree(sim, fabric, kN, 2,
-                        [&tree_got](NodeId node, const gossip::Event&) {
-                          ++tree_got[node.value()];
-                        });
-  std::vector<NodeId> everyone;
-  for (std::uint32_t i = 0; i < kN; ++i) everyone.push_back(NodeId{i});
+  stream::StreamConfig stream_cfg;
+  stream_cfg.data_per_window = 5;
+  stream_cfg.parity_per_window = 3;
+  stream_cfg.packet_bytes = 64;
+  stream_cfg.real_payloads = true;
+  const fec::WindowCodec codec({.data_per_window = stream_cfg.data_per_window,
+                                .parity_per_window = stream_cfg.parity_per_window,
+                                .packet_bytes = stream_cfg.packet_bytes});
 
+  // Per node, the decoded windows whose data packets are the source's bytes.
+  std::vector<int> windows_intact(kN, 0);
+  auto count_intact = [&windows_intact, &stream_cfg](std::size_t node) {
+    return [&windows_intact, &stream_cfg, node](
+               std::uint32_t w, std::span<const std::span<const std::uint8_t>> data) {
+      bool intact = true;
+      for (std::uint16_t k = 0; k < data.size(); ++k) {
+        const auto sent = stream::synth_payload_bytes(w, k, stream_cfg.packet_bytes);
+        if (!std::ranges::equal(data[k], sent)) intact = false;
+      }
+      if (intact) ++windows_intact[node];
+    };
+  };
+
+  std::vector<std::unique_ptr<stream::Player>> players;
   std::vector<std::unique_ptr<NodeRuntime>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) {
     NodeConfig cfg;
-    cfg.mode = Mode::kStandard;
-    auto rt = NodeRuntime::standard(sim, fabric, directory, NodeId{i}, cfg);
-    rt->emplace_module<membership::CyclonModule>(membership::CyclonConfig{}).bootstrap(everyone);
-    rt->emplace_module<tree::TreeModule>(tree);
+    cfg.capability = BitRate::kbps(500 + 100 * i);
+    cfg.gossip.packets_per_window = static_cast<std::uint32_t>(stream_cfg.window_packets());
+    auto rt = std::make_unique<NodeRuntime>(sim, fabric, directory, NodeId{i}, cfg);
+    rt->set_strict_unknown_tags(true);
+    auto& agg = rt->emplace_module<aggregation::AggregationModule>(cfg.capability, cfg.aggregation);
+    auto policy = std::make_unique<gossip::AdaptiveFanout>(cfg.capability, &agg.aggregator(),
+                                                           gossip::AdaptiveFanoutConfig{});
+    rt->emplace_module<gossip::GossipModule>(cfg.gossip, std::move(policy));
+    players.push_back(std::make_unique<stream::Player>(sim, stream_cfg, 1));
+    rt->emplace_module<stream::PlayerModule>(*players.back());
+    rt->emplace_module<stream::FecModule>(codec, 1).set_window_sink(count_intact(i));
     rt->attach(BitRate::unlimited());
     nodes.push_back(std::move(rt));
   }
+  stream::StreamSource source(
+      sim, stream_cfg, [&nodes](gossip::Event e) { nodes[0]->publish(std::move(e)); }, &codec);
+  source.start(sim::SimTime::ms(100), 1);
   for (auto& n : nodes) n->start();
-
-  nodes[0]->publish(make_event(0, 0));  // gossip leg
-  tree.publish(make_event(9, 9));       // tree leg (root = node 0)
   sim.run_until(sim::SimTime::sec(6));
 
   for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_TRUE(nodes[i]->module<gossip::GossipModule>().engine().has_delivered(
-        gossip::EventId{0, 0}))
-        << i;
-    EXPECT_EQ(tree_got[i], 1) << i;
-    EXPECT_GE(nodes[i]->module<membership::CyclonModule>().sampler().view_size(), 1u) << i;
+    EXPECT_TRUE(players[i]->decodable_by(0, sim.now())) << i;
+    EXPECT_TRUE(nodes[i]->module<stream::FecModule>().window_decoded(0)) << i;
+    EXPECT_EQ(windows_intact[i], 1) << i;
+    const auto& agg = nodes[i]->module<aggregation::AggregationModule>().aggregator();
+    EXPECT_GT(agg.known_origins(), 0u) << i;
+    EXPECT_GT(agg.average_capability_bps(), 0.0) << i;
     EXPECT_EQ(nodes[i]->stats().unknown_tag_datagrams, 0u) << i;
   }
 }

@@ -184,8 +184,6 @@ TEST(Messages, ServeFramingMismatchesAreMalformed) {
   for (std::uint8_t b : header) w.u8(b);
   w.u8(0);
   EXPECT_FALSE(decode_serve(w.finish(), wire.body).has_value());
-  // The static tree's tag is not a serve, and vice versa.
-  EXPECT_FALSE(decode_serve(wire.header, wire.body, false, MsgTag::kTreePush).has_value());
 }
 
 TEST(Messages, AggregationRoundTrip) {
@@ -246,11 +244,55 @@ TEST(Messages, DecodeRejectsTruncation) {
   }
 }
 
+// `buf` followed by `extra` zero bytes.
+std::vector<std::uint8_t> with_trailing(const net::BufferRef& buf, std::size_t extra) {
+  std::vector<std::uint8_t> bytes = buf.to_vector();
+  bytes.resize(bytes.size() + extra, 0);
+  return bytes;
+}
+
+TEST(Messages, DecodeRejectsTrailingBytes) {
+  // Encoders write exact lengths, so a byte after the last id or record is
+  // corruption: the datagram is malformed, not a message to act on.
+  const auto propose = encode(ProposeMsg{NodeId{1}, {EventId{1, 1}, EventId{1, 2}}});
+  const auto request = encode(RequestMsg{NodeId{2}, {EventId{3, 4}}});
+  const auto aggregation =
+      encode(AggregationMsg{NodeId{3}, {{NodeId{4}, 512'000, sim::SimTime::ms(9)}}});
+  ASSERT_TRUE(decode_propose(propose).has_value());
+  ASSERT_TRUE(decode_request(request).has_value());
+  ASSERT_TRUE(decode_aggregation(aggregation).has_value());
+  for (const std::size_t extra : {1U, 2U}) {
+    EXPECT_FALSE(decode_propose(with_trailing(propose, extra)).has_value()) << extra;
+    EXPECT_FALSE(decode_request(with_trailing(request, extra)).has_value()) << extra;
+    EXPECT_FALSE(decode_aggregation(with_trailing(aggregation, extra)).has_value()) << extra;
+  }
+}
+
+TEST(Messages, ListsAtTheDecoderLimitsRoundTrip) {
+  AggregationMsg records{
+      NodeId{1}, std::vector<CapabilityRecord>(kMaxAggregationRecords,
+                                               {NodeId{2}, 512'000, sim::SimTime::ms(3)})};
+  const auto at_limit = decode_aggregation(encode(records));
+  ASSERT_TRUE(at_limit.has_value());
+  EXPECT_EQ(at_limit->records.size(), kMaxAggregationRecords);
+  records.records.push_back(records.records.back());
+  EXPECT_FALSE(decode_aggregation(encode(records)).has_value());
+
+  ProposeMsg ids{NodeId{1}, std::vector<EventId>(kMaxIdsPerMessage, EventId{1, 1})};
+  const auto ids_at_limit = decode_propose(encode(ids));
+  ASSERT_TRUE(ids_at_limit.has_value());
+  EXPECT_EQ(ids_at_limit->ids.size(), kMaxIdsPerMessage);
+  ids.ids.push_back(EventId{1, 2});
+  EXPECT_FALSE(decode_propose(encode(ids)).has_value());
+}
+
 TEST(Messages, PeekTagRejectsGarbage) {
   std::vector<std::uint8_t> junk{0xee, 1, 2, 3};
   EXPECT_FALSE(peek_tag(junk).has_value());
   std::vector<std::uint8_t> empty;
   EXPECT_FALSE(peek_tag(empty).has_value());
+  std::vector<std::uint8_t> past_last{static_cast<std::uint8_t>(kLastMsgTag) + 1};
+  EXPECT_FALSE(peek_tag(past_last).has_value());
 }
 
 // --- randomized robustness: all four codecs -------------------------------

@@ -294,6 +294,25 @@ TEST(ThreePhase, ProposeWithOutOfRangePacketIndexIsMalformed) {
   EXPECT_EQ(s.nodes[3]->retransmit_stats().timers_started, 1u);
 }
 
+TEST(ThreePhase, TrailingBytesAreMalformed) {
+  Swarm s(4);
+  // A valid propose and request, each with one byte appended.
+  auto propose = encode(ProposeMsg{NodeId{1}, {EventId{0, 0}}}).to_vector();
+  auto request = encode(RequestMsg{NodeId{2}, {EventId{0, 0}}}).to_vector();
+  propose.push_back(0);
+  request.push_back(0);
+  s.nodes[0]->publish(s.make_event(0, 0));
+  const auto serves_before = s.nodes[0]->stats().serves_sent;
+  s.nodes[3]->on_datagram(
+      datagram(1, 3, net::MsgClass::kPropose, net::BufferRef::copy_of(propose)));
+  s.nodes[0]->on_datagram(
+      datagram(2, 0, net::MsgClass::kRequest, net::BufferRef::copy_of(request)));
+  EXPECT_EQ(s.nodes[3]->stats().malformed, 1u);
+  EXPECT_EQ(s.nodes[3]->stats().requests_sent, 0u);
+  EXPECT_EQ(s.nodes[0]->stats().malformed, 1u);
+  EXPECT_EQ(s.nodes[0]->stats().serves_sent, serves_before);
+}
+
 TEST(ThreePhase, ServeWithOutOfRangePacketIndexIsMalformed) {
   Swarm s(2);
   const std::uint16_t ppw =

@@ -15,16 +15,6 @@ TEST(Latency, ConstantAlwaysSame) {
   }
 }
 
-TEST(Latency, UniformWithinBounds) {
-  UniformLatency lat(sim::SimTime::ms(10), sim::SimTime::ms(50));
-  Rng rng(2);
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = lat.sample(NodeId{0}, NodeId{1}, rng);
-    EXPECT_GE(v, sim::SimTime::ms(10));
-    EXPECT_LE(v, sim::SimTime::ms(50));
-  }
-}
-
 TEST(Latency, PlanetLabWithinConfiguredClamp) {
   PlanetLabLatencyConfig cfg;
   PlanetLabLatency lat(cfg, Rng(3));

@@ -91,6 +91,16 @@ TEST(DeploymentBuilderDeathTest, ZeroRecordsPerGossipRejected) {
                "AggregationConfig::records_per_gossip must be positive");
 }
 
+TEST(DeploymentBuilderDeathTest, RecordsPerGossipAboveTheDecoderLimitRejected) {
+  // Every receiver would drop such a round as malformed once the table
+  // holds that many origins.
+  PopulationPlan plan = tiny_population(5);
+  plan.node.mode = core::Mode::kHeap;
+  plan.node.aggregation.records_per_gossip = gossip::kMaxAggregationRecords + 1;
+  EXPECT_DEATH(Deployment::Builder{}.population(plan).build(),
+               "records_per_gossip exceeds gossip::kMaxAggregationRecords");
+}
+
 TEST(DeploymentBuilderDeathTest, ZeroStreamWindowsRejected) {
   StreamPlan stream;
   stream.windows = 0;
