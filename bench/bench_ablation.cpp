@@ -32,10 +32,12 @@ Row measure(const std::string& name, scenario::ExperimentConfig cfg) {
                                                        : std::nan("");
   double usage = 0;
   std::size_t n = 0;
-  for (std::size_t i = 0; i < exp.receivers(); ++i) {
-    if (exp.info(i).capability.is_unlimited() || exp.info(i).crashed) continue;
-    usage += exp.upload_usage(i);
-    ++n;
+  for (const auto& run : exp.runs) {
+    for (std::size_t i = 0; i < run->receivers(); ++i) {
+      if (run->info(i).capability.is_unlimited() || run->info(i).crashed) continue;
+      usage += run->upload_usage(i);
+      ++n;
+    }
   }
   r.mean_usage_pct = 100.0 * usage / static_cast<double>(n);
   return r;

@@ -5,9 +5,9 @@
 // prints the same series the paper's figure shows.
 //
 // Replication control: HG_SEEDS=n (default 1) runs every experiment as n
-// seeds in parallel on HG_THREADS workers (default: hardware cores) via
-// scenario::SweepRunner, and the report helpers below pool/average across
-// the replicas. With the default HG_SEEDS=1 the output matches a plain
+// seeds in parallel on a sim::WorkerPool of HG_THREADS threads (default:
+// hardware cores), and the report helpers below pool/average across the
+// replicas. With the default HG_SEEDS=1 the output matches a plain
 // single-run binary.
 //
 // Every binary also writes BENCH_<name>.json through write_bench_json
@@ -28,6 +28,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "common/env.hpp"
 #include "core/heap.hpp"
 #include "metrics/table.hpp"
+#include "sim/parallel.hpp"
 
 namespace hg::bench {
 
@@ -75,8 +77,8 @@ inline std::size_t seeds_from_env() {
 }
 
 inline std::size_t threads_from_env() {
-  // Unset = 0 = SweepRunner picks hardware concurrency; an explicit value
-  // must be a positive worker count.
+  // Unset = 0 = one thread per hardware core; an explicit value must be a
+  // positive thread count.
   return static_cast<std::size_t>(env_int_or("HG_THREADS", 0, 1, 4096));
 }
 
@@ -209,38 +211,44 @@ class JsonReport {
 };
 
 // ---------------------------------------------------------------------------
-// Timed seed sweeps
+// Seed replicas
 // ---------------------------------------------------------------------------
 
-// Runs `cfg` as HG_SEEDS replicas (seeds cfg.seed, cfg.seed+1, ...) on
-// HG_THREADS threads, which the sweep divides by the intra-run worker count.
-// `sweep(runner, configs)` drives the runner (run_experiments or map);
-// returns its result and the sweep's wall-clock seconds.
-template <class Sweep>
-auto timed_sweep(scenario::ExperimentConfig cfg, Sweep&& sweep) {
-  const std::size_t n_seeds = seeds_from_env();
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t i = 0; i < n_seeds; ++i) seeds.push_back(cfg.seed + i);
+// Runs `cfg` as HG_SEEDS replicas, replica i at seed cfg.seed + i, and hands
+// each finished one to `done(i, experiment)` on the thread that ran it.
+// Replicas run on a sim::WorkerPool of HG_THREADS threads divided by the
+// intra-run worker count (so 8 threads with 4-worker runs run two replicas
+// at a time, not 32 threads), capped by the seed count. Replicas share
+// nothing and callers store results by index, so the output never depends
+// on the thread count. Returns the sweep's wall-clock seconds.
+template <class Done>
+double run_replicas(const scenario::ExperimentConfig& cfg, Done&& done) {
+  const std::size_t seeds = seeds_from_env();
+  std::size_t threads = threads_from_env();
+  if (threads == 0) threads = std::max(1U, std::thread::hardware_concurrency());
+  if (cfg.workers > 1) threads = std::max<std::size_t>(1, threads / cfg.workers);
   const auto t0 = std::chrono::steady_clock::now();
-  scenario::SweepRunner runner(scenario::SweepOptions{.threads = threads_from_env(),
-                                                      .workers_per_job = cfg.workers});
-  auto result = sweep(runner, scenario::SweepRunner::seed_sweep(std::move(cfg), seeds));
-  const double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return std::pair{std::move(result), wall};
+  sim::WorkerPool pool(std::min(threads, seeds));
+  pool.run(seeds, [&](std::size_t i) {
+    scenario::ExperimentConfig replica = cfg;
+    replica.seed = cfg.seed + i;
+    auto exp = std::make_unique<scenario::Experiment>(std::move(replica));
+    exp->run();
+    done(i, std::move(exp));
+  });
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 // ---------------------------------------------------------------------------
 // Multi-seed experiment sets
 // ---------------------------------------------------------------------------
 
-// The finished replicas of one experiment configuration (HG_SEEDS runs).
-// Flat receiver indexing spans all replicas: [seed0's receivers, seed1's...].
+// The finished replicas of one experiment configuration (HG_SEEDS runs), in
+// seed order.
 struct SeedSet {
   std::vector<std::unique_ptr<scenario::Experiment>> runs;
 
-  [[nodiscard]] const scenario::Experiment& first() const { return *runs.front(); }
-  [[nodiscard]] std::size_t seeds() const { return runs.size(); }
-
+  // Receivers over all replicas.
   [[nodiscard]] std::size_t receivers() const {
     std::size_t n = 0;
     for (const auto& r : runs) n += r->receivers();
@@ -248,30 +256,12 @@ struct SeedSet {
   }
 
   // Publish timeline is seed-independent (the source schedule is fixed).
-  [[nodiscard]] const stream::LagAnalyzer& analyzer() const { return first().analyzer(); }
-
-  [[nodiscard]] const scenario::ReceiverInfo& info(std::size_t flat) const {
-    const auto [run, i] = locate(flat);
-    return runs[run]->info(i);
-  }
-  [[nodiscard]] double upload_usage(std::size_t flat) const {
-    const auto [run, i] = locate(flat);
-    return runs[run]->upload_usage(i);
-  }
-
- private:
-  [[nodiscard]] std::pair<std::size_t, std::size_t> locate(std::size_t flat) const {
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      if (flat < runs[r]->receivers()) return {r, flat};
-      flat -= runs[r]->receivers();
-    }
-    HG_ASSERT_MSG(false, "flat receiver index out of range");
-    return {0, 0};
-  }
+  [[nodiscard]] const stream::LagAnalyzer& analyzer() const { return runs.front()->analyzer(); }
 };
 
-// Runs `cfg` through timed_sweep with a progress note on stderr (stdout
-// carries only the tables), and records the sweep in the JSON report.
+// Runs `cfg`'s replicas and keeps them all, with a progress note on stderr
+// (stdout carries only the tables), and records the sweep in the JSON
+// report.
 inline SeedSet run(scenario::ExperimentConfig cfg, const char* label) {
   const std::size_t n_seeds = seeds_from_env();
   if (cfg.workers == 0) cfg.workers = workers_from_env();
@@ -291,11 +281,11 @@ inline SeedSet run(scenario::ExperimentConfig cfg, const char* label) {
       .set("windows", cfg.stream_windows)
       .set("seeds", n_seeds)
       .set("workers", cfg.workers);
-  auto [runs, wall] =
-      timed_sweep(std::move(cfg), [](scenario::SweepRunner& runner, const auto& configs) {
-        return runner.run_experiments(configs);
+  SeedSet set{std::vector<std::unique_ptr<scenario::Experiment>>(n_seeds)};
+  const double wall =
+      run_replicas(cfg, [&](std::size_t i, std::unique_ptr<scenario::Experiment> exp) {
+        set.runs[i] = std::move(exp);
       });
-  SeedSet set{std::move(runs)};
   std::uint64_t events = 0;
   for (const auto& e : set.runs) events += e->events_executed();
   record.set("wall_sec", wall)
@@ -479,15 +469,16 @@ inline Tally tally_receivers(const scenario::Experiment& e) {
   return t;
 }
 
-// Runs `cfg` through timed_sweep, tallies each replica with `analyze` right
-// after it finishes (SweepRunner::map frees it next, so memory stays bounded
-// by the thread count), and pools the tallies. Returns the pool and the
-// sweep's wall-clock seconds.
+// Runs `cfg`'s replicas, tallies each with `analyze` as soon as it finishes
+// and frees it (so memory stays bounded by the thread count), and pools the
+// tallies in seed order. Returns the pool and the sweep's wall-clock
+// seconds.
 template <class Fn>
-std::pair<Tally, double> pooled_sweep(scenario::ExperimentConfig cfg, Fn&& analyze) {
-  auto [per_seed, wall] =
-      timed_sweep(std::move(cfg), [&](scenario::SweepRunner& runner, const auto& configs) {
-        return runner.map(configs, analyze);
+std::pair<Tally, double> pooled_sweep(const scenario::ExperimentConfig& cfg, Fn&& analyze) {
+  std::vector<Tally> per_seed(seeds_from_env());
+  const double wall =
+      run_replicas(cfg, [&](std::size_t i, std::unique_ptr<scenario::Experiment> exp) {
+        per_seed[i] = analyze(*exp);
       });
   Tally pool = std::move(per_seed.front());
   for (std::size_t s = 1; s < per_seed.size(); ++s) pool.merge_from(per_seed[s]);

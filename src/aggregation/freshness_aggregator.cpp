@@ -98,8 +98,11 @@ void FreshnessAggregator::on_datagram(const net::Datagram& d) {
   const sim::SimTime now = sim_.now();
   for (const CapabilityRecord& rec : msg->records) {
     // No such node, or a stamp from the future: such a record would lead
-    // the freshest index forever and never expire.
-    if (rec.origin.value() >= fabric_.node_count() || rec.measured_at > now) {
+    // the freshest index forever and never expire. No rate is negative or
+    // above unlimited: such a capability would turn the estimate negative or
+    // push every fanout target to zero.
+    if (rec.origin.value() >= fabric_.node_count() || rec.measured_at > now ||
+        rec.capability_bps < 0 || rec.capability_bps > BitRate::unlimited().bits_per_sec()) {
       ++stats_.malformed;
       continue;
     }
@@ -143,8 +146,9 @@ void FreshnessAggregator::on_datagram(const net::Datagram& d) {
 double FreshnessAggregator::average_capability_bps() const {
   // Integer accumulation: the sum is exact, so the estimate is independent of
   // visit order by construction (a double running sum is only incidentally
-  // so while partial sums stay under 2^53).
-  std::int64_t sum = own_capability_.bits_per_sec();
+  // so while partial sums stay under 2^53). 128 bits hold any table of
+  // records up to BitRate::unlimited() without overflow.
+  __int128 sum = own_capability_.bits_per_sec();
   std::size_t count = 1;
   const sim::SimTime now = sim_.now();
   for (const CapabilityRecord& known : records_) {

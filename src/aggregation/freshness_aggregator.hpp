@@ -73,7 +73,8 @@ class FreshnessAggregator final : public CapabilityEstimator {
     std::uint64_t records_merged = 0;
     std::uint64_t records_stale_dropped = 0;
     // Undecodable datagrams, plus records skipped because their origin is
-    // not a registered node or their stamp lies after the receiver's now.
+    // not a registered node, their stamp lies after the receiver's now, or
+    // their capability is negative or above BitRate::unlimited().
     std::uint64_t malformed = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }

@@ -42,7 +42,6 @@
 #include "scenario/distribution.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/report.hpp"
-#include "scenario/sweep_runner.hpp"
 #include "sim/simulator.hpp"
 #include "stream/fec_module.hpp"
 #include "stream/lag_analyzer.hpp"

@@ -121,7 +121,6 @@ std::unique_ptr<NodeRuntime> NodeRuntime::heap(sim::Simulator& simulator,
       config.capability, &aggregation->aggregator(),
       gossip::AdaptiveFanoutConfig{.base_fanout = config.gossip.base_fanout,
                                    .max_fanout = config.max_fanout,
-                                   .min_fanout = 0.0,
                                    .rounding = config.rounding});
   rt->emplace_module<gossip::GossipModule>(config.gossip, std::move(policy));
   rt->add_module(std::move(aggregation));

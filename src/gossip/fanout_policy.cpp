@@ -39,7 +39,8 @@ double AdaptiveFanout::current_target() const {
   const double avg = estimator_->average_capability_bps();
   if (avg <= 0.0) return config_.base_fanout;  // no estimate yet: behave like std gossip
   const double ratio = static_cast<double>(own_capability_.bits_per_sec()) / avg;
-  return std::clamp(config_.base_fanout * ratio, config_.min_fanout, config_.max_fanout);
+  // No floor above 0: HEAP lets very poor nodes drop below one target.
+  return std::clamp(config_.base_fanout * ratio, 0.0, config_.max_fanout);
 }
 
 std::size_t AdaptiveFanout::fanout_for_round(Rng& rng) {

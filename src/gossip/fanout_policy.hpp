@@ -69,7 +69,6 @@ class FixedFanout final : public FanoutPolicy {
 struct AdaptiveFanoutConfig {
   double base_fanout = 7.0;   // the system-wide average f
   double max_fanout = 64.0;   // safety cap (also ablation knob)
-  double min_fanout = 0.0;    // HEAP lets very poor nodes drop below 1
   FanoutRounding rounding = FanoutRounding::kRandomized;
 };
 

@@ -10,12 +10,13 @@
 // storage, and payload forwarding all share the same bytes without copying
 // or hashing.
 //
-// Threading model: simulations are single-threaded per replica (SweepRunner
-// runs one Simulator per worker thread), so refcounts are plain integers.
-// A chunk released on a thread other than its allocator (e.g. a finished
-// Experiment destroyed on the main thread) is freed directly instead of
-// being pushed onto a foreign free list; the owner pool pointer is only ever
-// compared against the releasing thread's own pool, never dereferenced.
+// Threading model: simulations are single-threaded per replica (concurrent
+// seed replicas each run start to end on one thread), so refcounts are plain
+// integers. A chunk released on a thread other than its allocator (e.g. a
+// finished Experiment destroyed on the main thread, even after its worker
+// thread has exited) is freed directly instead of being pushed onto a
+// foreign free list; the owner pool pointer is only ever compared against
+// the releasing thread's own pool, never dereferenced.
 //
 // In the sharded engine (P >= 2), the same rule is what keeps the non-atomic
 // refcounts sound: every chunk is confined to the partition (and thus the

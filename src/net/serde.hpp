@@ -14,7 +14,6 @@
 #include <cstring>
 #include <optional>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,11 +34,9 @@ class ByteWriter {
   ByteWriter& operator=(const ByteWriter&) = delete;
 
   void u8(std::uint8_t v) { append(&v, sizeof v); }
-  void u16(std::uint16_t v) { append(&v, sizeof v); }
   void u32(std::uint32_t v) { append(&v, sizeof v); }
   void u64(std::uint64_t v) { append(&v, sizeof v); }
   void i64(std::int64_t v) { append(&v, sizeof v); }
-  void f64(double v) { append(&v, sizeof v); }
 
   // LEB128-style unsigned varint (1 byte for values < 128).
   void varint(std::uint64_t v) {
@@ -51,16 +48,6 @@ class ByteWriter {
     }
     tmp[n++] = static_cast<std::uint8_t>(v);
     append(tmp, n);
-  }
-
-  void bytes(std::span<const std::uint8_t> data) {
-    varint(data.size());
-    append(data.data(), data.size());
-  }
-
-  void str(const std::string& s) {
-    varint(s.size());
-    append(s.data(), s.size());
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -114,11 +101,9 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
   [[nodiscard]] std::optional<std::uint8_t> u8() { return fixed<std::uint8_t>(); }
-  [[nodiscard]] std::optional<std::uint16_t> u16() { return fixed<std::uint16_t>(); }
   [[nodiscard]] std::optional<std::uint32_t> u32() { return fixed<std::uint32_t>(); }
   [[nodiscard]] std::optional<std::uint64_t> u64() { return fixed<std::uint64_t>(); }
   [[nodiscard]] std::optional<std::int64_t> i64() { return fixed<std::int64_t>(); }
-  [[nodiscard]] std::optional<double> f64() { return fixed<double>(); }
 
   // Rejects non-terminating varints, encodings longer than 10 bytes, and
   // 10-byte encodings whose final byte would overflow 64 bits — a malformed
@@ -135,22 +120,6 @@ class ByteReader {
       if (shift > 63) return std::nullopt;  // > 10 bytes
     }
     return std::nullopt;  // truncated
-  }
-
-  [[nodiscard]] std::optional<std::span<const std::uint8_t>> bytes() {
-    const auto n = varint();
-    // Compare against remaining() — an oversized length claim must fail the
-    // check rather than overflow pos_ + *n.
-    if (!n || *n > remaining()) return std::nullopt;
-    auto out = data_.subspan(pos_, *n);
-    pos_ += *n;
-    return out;
-  }
-
-  [[nodiscard]] std::optional<std::string> str() {
-    auto b = bytes();
-    if (!b) return std::nullopt;
-    return std::string(b->begin(), b->end());
   }
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }

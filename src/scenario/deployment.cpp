@@ -38,12 +38,7 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
   // Latency first: the engine's epoch width is the latency floor.
   // Rng(seed).fork(tag) is exactly what the engine's make_rng(tag) returns,
   // so the latency base stream is identical at every partition count.
-  std::unique_ptr<net::LatencyModel> latency;
-  if (network_.latency.has_value()) {
-    latency = std::make_unique<net::PlanetLabLatency>(*network_.latency, Rng(seed_).fork(7));
-  } else {
-    latency = std::make_unique<net::ConstantLatency>(sim::SimTime::ms(30));
-  }
+  auto latency = std::make_unique<net::PlanetLabLatency>(network_.latency, Rng(seed_).fork(7));
   std::unique_ptr<net::LossModel> loss;
   if (network_.loss_rate > 0) {
     loss = std::make_unique<net::BernoulliLoss>(network_.loss_rate);

@@ -36,8 +36,7 @@ struct ChurnEvent {
 struct NetworkPlan {
   double loss_rate = 0.005;
   net::QueueDiscipline discipline = net::QueueDiscipline::kFifo;
-  // Engaged: PlanetLab-like pairwise latencies. Empty: constant 30 ms.
-  std::optional<net::PlanetLabLatencyConfig> latency = net::PlanetLabLatencyConfig{};
+  net::PlanetLabLatencyConfig latency;  // PlanetLab-like pairwise latencies
 };
 
 struct PopulationPlan {

@@ -5,12 +5,12 @@
 // builders.
 //
 // This is the in-silico equivalent of the paper's 270-node PlanetLab
-// testbed driver. For multi-seed / multi-config executions across a thread
-// pool, see scenario/sweep_runner.hpp.
+// testbed driver. An Experiment shares nothing with another, so seed
+// replicas can run concurrently, one per thread (the benches run them on a
+// sim::WorkerPool).
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "scenario/deployment.hpp"
@@ -40,7 +40,7 @@ struct ExperimentConfig {
   // Network.
   double loss_rate = 0.005;
   net::QueueDiscipline discipline = net::QueueDiscipline::kFifo;
-  std::optional<net::PlanetLabLatencyConfig> latency = net::PlanetLabLatencyConfig{};
+  net::PlanetLabLatencyConfig latency;
 
   // Churn (Fig. 10): crashes + failure-detection latency.
   std::vector<ChurnEvent> churn;

@@ -370,6 +370,41 @@ TEST(FreshnessAggregatorRound, TrailingBytesAreMalformed) {
   EXPECT_EQ(p.agg->known_origins(), 0u);
 }
 
+TEST(FreshnessAggregatorRound, OutOfRangeCapabilitiesAreMalformed) {
+  RoundProbe p(AggregationConfig{}, 10);
+  p.sim.run_until(kFeedAt);
+  p.receive({rec(2, 100), rec(3, 200)});
+  const double before = p.agg->average_capability_bps();
+
+  // A negative rate would drive the estimate below zero, and one above
+  // unlimited would push every fanout target to zero. Both are skipped.
+  p.receive({{NodeId{4}, -1'000'000'000, sim::SimTime::ms(300)},
+             {NodeId{5}, 9'000'000'000'000'000'000, sim::SimTime::ms(300)}});
+  EXPECT_EQ(p.agg->stats().malformed, 2u);
+  EXPECT_EQ(p.agg->stats().records_merged, 2u);
+  EXPECT_EQ(p.agg->known_origins(), 2u);
+  EXPECT_EQ(p.agg->average_capability_bps(), before);
+}
+
+TEST(FreshnessAggregatorRound, UnlimitedCapabilitiesSumWithoutOverflow) {
+  RoundProbe p(AggregationConfig{}, 10);
+  p.sim.run_until(kFeedAt);
+  const std::int64_t unlimited = BitRate::unlimited().bits_per_sec();
+  std::vector<CapabilityRecord> records;
+  for (std::uint32_t origin = 1; origin < 10; ++origin) {
+    records.push_back({NodeId{origin}, unlimited, sim::SimTime::ms(100)});
+  }
+  p.receive(std::move(records));
+  EXPECT_EQ(p.agg->stats().malformed, 0u);
+  EXPECT_EQ(p.agg->known_origins(), 9u);
+
+  // Nine records of 2^62 sum past the int64 range; the estimate stays exact.
+  const double avg = p.agg->average_capability_bps();
+  EXPECT_TRUE(std::isfinite(avg));
+  EXPECT_GT(avg, 0.0);
+  EXPECT_DOUBLE_EQ(avg, (9.0 * static_cast<double>(unlimited) + RoundProbe::kOwnBps) / 10.0);
+}
+
 // The aggregation rules written plainly: an origin-keyed map, a full scan for
 // the stalest record, and a partial_sort of the whole table for each round.
 struct TableModel {

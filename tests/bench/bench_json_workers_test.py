@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The scale benches' BENCH json is worker-invariant and keeps its keys.
+"""The scale benches' BENCH json is worker- and thread-invariant and keeps its keys.
 
 Runs bench_fig_scale and bench_fig_fec on a 300-node rung at HG_WORKERS=1
 and 2, each into its own scratch directory, and diffs each pair with
@@ -7,6 +7,10 @@ scripts/compare_bench_metrics.py (timing fields ignored), as CI's 10k-node
 scale-smoke job does. It also checks that the keys CI's diffs name are
 present: a renamed key would turn a --strip flag or the RSS gate into a
 silent no-op.
+
+Then it runs bench_fig_scale's two seed replicas (HG_SEEDS=2) on one and on
+two threads (HG_THREADS=1 and 2) and diffs those: replicas that run
+concurrently must pool to the same results as replicas run one by one.
 
 Usage: bench_json_workers_test.py BENCH_FIG_SCALE BENCH_FIG_FEC
 """
@@ -20,6 +24,8 @@ from pathlib import Path
 
 COMPARE = Path(__file__).resolve().parents[2] / "scripts" / "compare_bench_metrics.py"
 NODES = "300"
+# Environment knobs a run sets itself; inherited values are dropped.
+KNOBS = ("HG_WORKERS", "HG_SEEDS", "HG_THREADS", "HG_BENCH_JSON")
 
 PERCENTILE_KEYS = {f"{m}_p{q}" for m in ("lag", "jitter_pct") for q in (50, 90, 99)}
 # Per bench: keys every run record must carry, and keys of its class records.
@@ -42,6 +48,22 @@ def missing_keys(doc, run_keys, class_keys):
     return missing
 
 
+def run_bench(binary, out_dir, **knobs):
+    """Runs `binary` on the test rung with `knobs` set and the other KNOBS
+    unset; returns the path of its BENCH json."""
+    out_dir.mkdir()
+    env = {k: v for k, v in os.environ.items() if k not in KNOBS}
+    env.update({k: str(v) for k, v in knobs.items()}, HG_BENCH_JSON_DIR=str(out_dir))
+    subprocess.run([binary, NODES], env=env, check=True)
+    return out_dir / f"BENCH_{Path(binary).name}.json"
+
+
+def compare(paths):
+    """True when compare_bench_metrics.py finds the two files' metrics equal."""
+    cmd = [sys.executable, str(COMPARE), *map(str, paths)]
+    return subprocess.run(cmd, check=False).returncode == 0
+
+
 def main(argv):
     if len(argv) != 3:
         print(f"usage: {argv[0]} BENCH_FIG_SCALE BENCH_FIG_FEC", file=sys.stderr)
@@ -50,21 +72,18 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for binary in argv[1:]:
             name = Path(binary).name
-            paths = []
-            for workers in (1, 2):
-                out_dir = Path(tmp) / f"{name}-w{workers}"
-                out_dir.mkdir()
-                env = dict(os.environ, HG_WORKERS=str(workers), HG_BENCH_JSON_DIR=str(out_dir))
-                env.pop("HG_BENCH_JSON", None)
-                subprocess.run([binary, NODES], env=env, check=True)
-                paths.append(out_dir / f"BENCH_{name}.json")
+            paths = [run_bench(binary, Path(tmp) / f"{name}-w{w}", HG_WORKERS=w) for w in (1, 2)]
             with open(paths[0], encoding="utf-8") as f:
                 missing = missing_keys(json.load(f), *REQUIRED[name])
             if missing:
                 print(f"{name}: BENCH json lacks {sorted(missing)}", file=sys.stderr)
                 failed = True
-            compare = [sys.executable, str(COMPARE), *map(str, paths)]
-            failed |= subprocess.run(compare, check=False).returncode != 0
+            failed |= not compare(paths)
+        scale = argv[1]
+        paths = [
+            run_bench(scale, Path(tmp) / f"seeds2-t{t}", HG_SEEDS=2, HG_THREADS=t) for t in (1, 2)
+        ]
+        failed |= not compare(paths)
     return 1 if failed else 0
 
 

@@ -167,7 +167,6 @@ TEST(AdaptiveFanoutProperty, ExpectedTotalFanoutIsPopulationTimesBase) {
 
     AdaptiveFanoutConfig cfg;
     cfg.base_fanout = base_fanout;
-    cfg.min_fanout = 0.0;
     cfg.max_fanout = 1e9;  // no clamping: the algebraic identity must be exact
     double total_target = 0.0;
     for (double c : caps_bps) {
