@@ -214,6 +214,23 @@ class JsonReport {
 // Seed replicas
 // ---------------------------------------------------------------------------
 
+// Warns, once per process, when `replicas` concurrent runs of `workers`
+// engine threads each ask for more threads than the machine has cores.
+// Oversubscribing turns a parallelism knob into a slowdown knob, which
+// users reliably misread as a regression — warn, don't die (CI runners
+// legitimately overcommit).
+inline void warn_if_oversubscribed(std::size_t replicas, std::size_t workers) {
+  static bool warned = false;
+  const unsigned cores = std::thread::hardware_concurrency();
+  if (warned || replicas <= 1 || workers <= 1 || cores == 0) return;
+  if (replicas * workers <= cores) return;
+  warned = true;
+  std::fprintf(stderr,
+               "WARNING: %zu concurrent replicas x HG_WORKERS=%zu run %zu threads on %u "
+               "hardware cores; expect slowdown, not speedup (results are unaffected)\n",
+               replicas, workers, replicas * workers, cores);
+}
+
 // Runs `cfg` as HG_SEEDS replicas, replica i at seed cfg.seed + i, and hands
 // each finished one to `done(i, experiment)` on the thread that ran it.
 // Replicas run on a sim::WorkerPool of HG_THREADS threads divided by the
@@ -229,6 +246,7 @@ double run_replicas(const scenario::ExperimentConfig& cfg, Done&& done) {
   if (cfg.workers > 1) threads = std::max<std::size_t>(1, threads / cfg.workers);
   const auto t0 = std::chrono::steady_clock::now();
   sim::WorkerPool pool(std::min(threads, seeds));
+  warn_if_oversubscribed(pool.workers(), cfg.workers);
   pool.run(seeds, [&](std::size_t i) {
     scenario::ExperimentConfig replica = cfg;
     replica.seed = cfg.seed + i;
@@ -265,9 +283,6 @@ struct SeedSet {
 inline SeedSet run(scenario::ExperimentConfig cfg, const char* label) {
   const std::size_t n_seeds = seeds_from_env();
   if (cfg.workers == 0) cfg.workers = workers_from_env();
-  warn_if_oversubscribed(cfg.workers,
-                         threads_from_env() > 0 ? std::min(threads_from_env(), n_seeds)
-                                                : n_seeds);
   const bool heap = cfg.mode == core::Mode::kHeap;
   std::fprintf(stderr,
                "[bench] running %-28s (%s, %zu nodes, %u windows, %zu seed%s, %zu worker%s)...\n",
@@ -327,33 +342,13 @@ inline metrics::Samples jitter_percent_offline(const SeedSet& set) {
       set, [](const scenario::Experiment& e) { return scenario::jitter_percent_offline(e); });
 }
 
-// Per-class stats: node-weighted mean of each class across replicas (NaN
-// entries — e.g. "no jittered windows in this class this seed" — are skipped).
+// Per-class stats pooled across replicas (scenario::pool_class_stats).
 template <class Fn>
 std::vector<scenario::ClassStat> merged_class_stats(const SeedSet& set, Fn&& per_run) {
-  std::vector<scenario::ClassStat> merged;
-  std::vector<double> weights;
-  for (const auto& run : set.runs) {
-    const auto stats = per_run(*run);
-    if (merged.empty()) {
-      merged.resize(stats.size());
-      weights.assign(stats.size(), 0.0);
-      for (std::size_t c = 0; c < stats.size(); ++c) {
-        merged[c].class_name = stats[c].class_name;
-        merged[c].value = 0.0;
-      }
-    }
-    for (std::size_t c = 0; c < stats.size(); ++c) {
-      merged[c].nodes += stats[c].nodes;
-      if (std::isnan(stats[c].value)) continue;
-      merged[c].value += stats[c].value * static_cast<double>(stats[c].nodes);
-      weights[c] += static_cast<double>(stats[c].nodes);
-    }
-  }
-  for (std::size_t c = 0; c < merged.size(); ++c) {
-    merged[c].value = weights[c] > 0 ? merged[c].value / weights[c] : std::nan("");
-  }
-  return merged;
+  std::vector<std::vector<scenario::ClassStat>> per_seed;
+  per_seed.reserve(set.runs.size());
+  for (const auto& run : set.runs) per_seed.push_back(per_run(*run));
+  return scenario::pool_class_stats(per_seed);
 }
 
 inline std::vector<scenario::ClassStat> usage_by_class(const SeedSet& set) {

@@ -123,8 +123,6 @@ int main(int argc, char** argv) {
                "retransmission alone pays a round trip per loss");
 
   const std::size_t workers = workers_from_env();
-  hg::warn_if_oversubscribed(workers, threads_from_env() > 0 ? threads_from_env()
-                                                             : seeds_from_env());
   std::vector<JsonRecord> runs;
   for (const std::size_t n : rungs) {
     std::printf("--- %zu nodes ---\n", n);

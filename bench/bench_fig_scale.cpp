@@ -166,8 +166,6 @@ int main(int argc, char** argv) {
                "class stratification persists at large N; footprint stays bounded");
 
   const std::size_t workers = workers_from_env();
-  hg::warn_if_oversubscribed(workers, threads_from_env() > 0 ? threads_from_env()
-                                                             : seeds_from_env());
   std::vector<JsonRecord> runs;
   for (std::size_t i = 0; i < ladder.size(); ++i) {
     runs.push_back(run_rung(ladder[i], workers, /*churn=*/false));

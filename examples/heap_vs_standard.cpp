@@ -3,10 +3,9 @@
 // average fanout, same network. Reproduces the core claim of the paper in
 // one screen of output.
 //
-// Nodes are protocol stacks: the node factory hands every peer an explicit
-// NodeRuntime preset (standard = fixed-fanout gossip module only; heap =
-// gossip + capability aggregation driving the Eq. 1 adaptive fanout), and
-// the table below is the only behavioural difference between the two runs.
+// The two runs differ in NodeConfig::mode alone: standard nodes gossip at a
+// fixed fanout; HEAP nodes add capability aggregation driving the Eq. 1
+// adaptive fanout.
 //
 //   $ ./examples/heap_vs_standard [nodes] [windows]
 #include <cstdio>
@@ -26,23 +25,13 @@ void run_one(hg::core::Mode mode, const char* label, std::size_t nodes,
   cfg.distribution = scenario::BandwidthDistribution::ms691();
   cfg.seed = 7;
 
-  // Hand out the stacks explicitly (NodeRuntime::make would pick the same
-  // presets from cfg.mode; spelled out here to show the composition API).
-  // The broadcaster (node 0) arrives with mode forced to kStandard.
-  cfg.node_factory = [](sim::Simulator& s, net::NetworkFabric& f,
-                        membership::Directory& dir, NodeId id,
-                        const core::NodeConfig& node_cfg) {
-    return node_cfg.mode == core::Mode::kHeap
-               ? core::NodeRuntime::heap(s, f, dir, id, node_cfg)
-               : core::NodeRuntime::standard(s, f, dir, id, node_cfg);
-  };
-
   scenario::Experiment exp(cfg);
   exp.run();
 
-  std::printf("--- %s (stack:", label);
-  for (const char* m : exp.node(0).module_names()) std::printf(" %s", m);
-  std::printf(") ---\n");
+  std::printf("--- %s (stack: gossip%s) ---\n", label,
+              exp.node(0).find_module<aggregation::AggregationModule>() != nullptr
+                  ? " aggregation"
+                  : "");
   std::printf("  %-10s %7s %12s %14s %16s\n", "class", "nodes", "upload-use",
               "jitter@10s", "delivery-ratio");
   const auto usage = scenario::usage_by_class(exp);

@@ -1,9 +1,7 @@
-// Mixed population: a minority of receivers runs the fixed-fanout standard
-// stack inside a HEAP deployment — impossible with a monolithic node class,
-// a five-line node factory with pluggable stacks. The run also demonstrates
-// the typed signal bus: a delivery observer subscribes to one runtime *next
-// to* its player, something the old set_deliver single-slot setter could
-// not express.
+// Mixed population: a minority of receivers runs fixed-fanout standard
+// gossip inside a HEAP deployment — a node factory that picks the mode per
+// id. Standard nodes mount no aggregator, so the capability records HEAP
+// peers still gossip at them count as unknown-tag datagrams.
 //
 // The question the scenario answers: does a non-adapting minority free-ride
 // on (or drag down) the adapting majority? Compare the two sub-populations'
@@ -46,22 +44,13 @@ int main(int argc, char** argv) {
           .stream(stream_plan)
           .node_factory([standard_count](sim::Simulator& s, net::NetworkFabric& f,
                                          membership::Directory& dir, NodeId id,
-                                         const core::NodeConfig& cfg) {
-            const bool standard_minority =
-                id.value() >= 1 && id.value() <= standard_count;
-            if (!standard_minority) return core::NodeRuntime::make(s, f, dir, id, cfg);
-            auto rt = core::NodeRuntime::standard(s, f, dir, id, cfg);
-            // HEAP peers will still gossip capability records at us —
-            // expected traffic, not junk.
-            rt->ignore_tag(gossip::MsgTag::kAggregation);
-            return rt;
+                                         core::NodeConfig cfg) {
+            if (id.value() >= 1 && id.value() <= standard_count) {
+              cfg.mode = core::Mode::kStandard;
+            }
+            return core::NodeRuntime::make(s, f, dir, id, cfg);
           })
           .build();
-
-  // Signal bus: count node 1's deliveries alongside its player.
-  std::uint64_t observed = 0;
-  core::Subscription observer = deployment->node(0).deliveries().subscribe(
-      [&observed](const gossip::Event&) { ++observed; });
 
   deployment->start();
   const sim::SimTime run_end =
@@ -99,15 +88,12 @@ int main(int argc, char** argv) {
                 groups[g].fully_jitter_free, groups[g].n);
   }
 
-  std::printf("\nnode 1 stack:");
-  for (const char* m : deployment->node(0).module_names()) std::printf(" %s", m);
-  std::printf("  |  deliveries seen by player AND observer: %llu\n",
-              static_cast<unsigned long long>(observed));
+  const core::NodeRuntime& node1 = deployment->node(0);
   std::printf(
-      "runtime stats (node 1): %llu datagrams dispatched, %llu aggregation ignored, "
-      "%llu unknown-tag\n",
-      static_cast<unsigned long long>(deployment->node(0).stats().datagrams_dispatched),
-      static_cast<unsigned long long>(deployment->node(0).stats().ignored_datagrams),
-      static_cast<unsigned long long>(deployment->node(0).stats().unknown_tag_datagrams));
+      "\nnode 1 (%s): %llu packets played, %llu datagrams dispatched, %llu unknown-tag\n",
+      node1.config().mode == core::Mode::kStandard ? "standard" : "HEAP",
+      static_cast<unsigned long long>(deployment->player(0).packets_received()),
+      static_cast<unsigned long long>(node1.stats().datagrams_dispatched),
+      static_cast<unsigned long long>(node1.stats().unknown_tag_datagrams));
   return 0;
 }

@@ -1,33 +1,25 @@
-// Mounts the freshness-based capability aggregation on a NodeRuntime,
-// claiming the kAggregation tag. The wrapped aggregator doubles as the
-// CapabilityEstimator an AdaptiveFanout policy reads b̄ from — the heap()
-// preset constructs this module first and points the policy at it.
+// The freshness-based capability aggregation as a member of a HEAP node's
+// stack (core::NodeRuntime routes kAggregation datagrams to it). The wrapped
+// aggregator doubles as the CapabilityEstimator the node's AdaptiveFanout
+// reads b̄ from, so the runtime builds this module before the policy.
 #pragma once
 
 #include "aggregation/freshness_aggregator.hpp"
-#include "core/node_runtime.hpp"
 
 namespace hg::aggregation {
 
-class AggregationModule final : public core::Protocol {
+class AggregationModule {
  public:
-  AggregationModule(core::NodeRuntime& runtime, BitRate own_capability, AggregationConfig config)
-      : aggregator_(runtime.sim(), runtime.fabric(), runtime.view(), runtime.self(),
-                    own_capability, config),
-        tag_(runtime.register_tag(gossip::MsgTag::kAggregation, this)) {}
-
-  void start() override { aggregator_.start(); }
-  void stop() override { aggregator_.stop(); }
-  [[nodiscard]] const char* name() const override { return "aggregation"; }
-
-  void on_datagram(const net::Datagram& d) { aggregator_.on_datagram(d); }
+  AggregationModule(sim::Simulator& simulator, net::NetworkFabric& fabric,
+                    membership::LocalView& view, NodeId self, BitRate own_capability,
+                    AggregationConfig config)
+      : aggregator_(simulator, fabric, view, self, own_capability, config) {}
 
   [[nodiscard]] FreshnessAggregator& aggregator() { return aggregator_; }
   [[nodiscard]] const FreshnessAggregator& aggregator() const { return aggregator_; }
 
  private:
   FreshnessAggregator aggregator_;
-  core::TagRegistration tag_;
 };
 
 }  // namespace hg::aggregation

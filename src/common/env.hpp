@@ -15,7 +15,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <climits>
-#include <thread>
 
 namespace hg {
 
@@ -65,23 +64,6 @@ namespace hg {
 // prove exactly that byte-for-byte.
 [[nodiscard]] inline std::uint32_t env_partitions() {
   return static_cast<std::uint32_t>(env_int_or("HG_PARTITIONS", 0, 0, 65536));
-}
-
-// Loud sanity check for the two-level thread budget: `workers` intra-run
-// threads per job × `threads` concurrent jobs. Oversubscribing cores turns a
-// parallelism knob into a slowdown knob, which users reliably misread as a
-// regression — warn, don't die (CI runners legitimately overcommit).
-inline void warn_if_oversubscribed(std::size_t workers, std::size_t threads) {
-  if (workers <= 1 || threads <= 1) return;
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return;
-  const std::size_t demand = workers * threads;
-  if (demand > hw) {
-    std::fprintf(stderr,
-                 "WARNING: HG_WORKERS=%zu x HG_THREADS=%zu asks for %zu threads on %u "
-                 "hardware cores; expect slowdown, not speedup (results are unaffected)\n",
-                 workers, threads, demand, hw);
-  }
 }
 
 }  // namespace hg

@@ -10,10 +10,12 @@
 //   exp.run();
 //   auto lag = hg::scenario::jitter_free_lags(exp, /*max_jitter=*/0.0);
 //
-// Nodes are protocol stacks: a core::NodeRuntime routes datagrams by tag to
-// the protocol modules mounted on it, and applications observe the stack
-// through its typed signal bus. NodeRuntime::heap / ::standard are the
-// paper's two presets; custom stacks mount any mix of modules.
+// Every node is one fixed stack, a core::NodeRuntime: three-phase gossip,
+// plus capability aggregation driving the Eq. 1 adaptive fanout when
+// NodeConfig::mode is kHeap, plus a player (and, with real payloads, an
+// online FEC decoder) on receivers. The runtime routes datagrams to them by
+// tag in one switch, and a delivery reaches the player and the decoder by
+// direct call.
 //
 // Layers, bottom to top:
 //   sim          deterministic discrete-event kernel
@@ -22,16 +24,14 @@
 //   fec          GF(256) systematic Reed-Solomon windows
 //   gossip       three-phase propose/request/serve dissemination
 //   aggregation  capability averaging by freshness gossip
-//   core         NodeRuntime + Protocol: tag-routed module composition
-//   stream       source, player, lag/jitter analysis
+//   stream       source, player, FEC decoder, lag/jitter analysis
+//   core         NodeRuntime: the fixed per-node stack and its tag switch
 //   scenario     experiment runner + paper report builders
 #pragma once
 
 #include "aggregation/aggregation_module.hpp"
 #include "aggregation/freshness_aggregator.hpp"
 #include "core/node_runtime.hpp"
-#include "core/protocol.hpp"
-#include "core/signal.hpp"
 #include "fec/window_codec.hpp"
 #include "gossip/fanout_policy.hpp"
 #include "gossip/gossip_module.hpp"
@@ -46,5 +46,4 @@
 #include "stream/fec_module.hpp"
 #include "stream/lag_analyzer.hpp"
 #include "stream/player.hpp"
-#include "stream/player_module.hpp"
 #include "stream/source.hpp"

@@ -1,33 +1,22 @@
-// Mounts the three-phase dissemination engine on a NodeRuntime.
-//
-// Owns the engine and its fanout policy, claims the kPropose / kRequest /
-// kServe tags, and bridges the engine's hooks onto the runtime's signal
-// bus: deliveries fan out to every subscriber, request vetoes come from the
-// gate, and window_cancelled() commands feed cancel_window_requests. It
-// also installs itself as the runtime's publisher, so NodeRuntime::publish
-// reaches Algorithm 1's publish path.
+// The three-phase dissemination engine as a member of a node's stack
+// (core::NodeRuntime routes kPropose / kRequest / kServe datagrams to it).
+// Owns the engine's fanout policy: a FixedFanout for standard gossip, an
+// AdaptiveFanout over the node's aggregator for HEAP.
 #pragma once
 
 #include <memory>
 
-#include "core/node_runtime.hpp"
 #include "gossip/fanout_policy.hpp"
 #include "gossip/three_phase.hpp"
 
 namespace hg::gossip {
 
-class GossipModule final : public core::Protocol {
+class GossipModule {
  public:
-  GossipModule(core::NodeRuntime& runtime, GossipConfig config,
-               std::unique_ptr<FanoutPolicy> policy);
-
-  void start() override { engine_.start(); }
-  void stop() override { engine_.stop(); }
-  [[nodiscard]] const char* name() const override { return "gossip"; }
-
-  void on_datagram(const net::Datagram& d) { engine_.on_datagram(d); }
-
-  void publish(Event event) { engine_.publish(std::move(event)); }
+  GossipModule(sim::Simulator& simulator, net::NetworkFabric& fabric,
+               membership::LocalView& view, NodeId self, GossipConfig config,
+               std::unique_ptr<FanoutPolicy> policy)
+      : policy_(std::move(policy)), engine_(simulator, fabric, view, self, config, *policy_) {}
 
   [[nodiscard]] ThreePhaseGossip& engine() { return engine_; }
   [[nodiscard]] const ThreePhaseGossip& engine() const { return engine_; }
@@ -37,8 +26,6 @@ class GossipModule final : public core::Protocol {
  private:
   std::unique_ptr<FanoutPolicy> policy_;
   ThreePhaseGossip engine_;
-  core::TagRegistration tags_[3];
-  core::Subscription cancel_sub_;
 };
 
 }  // namespace hg::gossip

@@ -25,8 +25,7 @@ enum class MsgTag : std::uint8_t {
   kServe = 3,
   kAggregation = 4,
 };
-// The highest tag: peek_tag accepts tags up to it, and NodeRuntime's
-// dispatch table has one entry per value up to it.
+// The highest tag: peek_tag accepts tags up to it.
 inline constexpr MsgTag kLastMsgTag = MsgTag::kAggregation;
 
 // Decoder limits: a message claiming more entries than these is malformed.

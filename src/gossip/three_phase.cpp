@@ -97,41 +97,29 @@ void ThreePhaseGossip::gossip_ids(const std::vector<EventId>& ids) {
 }
 
 void ThreePhaseGossip::on_datagram(const net::Datagram& d) {
+  // Requests and serves answer the message's sender field, and every honest
+  // encoder writes its own id there. A sender other than the datagram's
+  // source is forged: it could name a node that does not exist, or this one.
   const auto tag = peek_tag(d.bytes);
-  if (!tag) {
-    ++stats_.malformed;
-    return;
+  if (tag == MsgTag::kPropose) {
+    if (auto m = decode_propose(d.bytes); m && m->sender == d.src) {
+      on_propose(*m);
+      return;
+    }
+  } else if (tag == MsgTag::kRequest) {
+    if (auto m = decode_request(d.bytes); m && m->sender == d.src) {
+      on_request(*m);
+      return;
+    }
+  } else if (tag == MsgTag::kServe) {
+    // Zero copy: the decoded payload is the datagram's body chunk.
+    if (auto m = decode_serve(d.bytes, d.body, config_.virtual_payloads);
+        m && m->sender == d.src) {
+      on_serve(*m);
+      return;
+    }
   }
-  switch (*tag) {
-    case MsgTag::kPropose: {
-      if (auto m = decode_propose(d.bytes)) {
-        on_propose(*m);
-      } else {
-        ++stats_.malformed;
-      }
-      break;
-    }
-    case MsgTag::kRequest: {
-      if (auto m = decode_request(d.bytes)) {
-        on_request(*m);
-      } else {
-        ++stats_.malformed;
-      }
-      break;
-    }
-    case MsgTag::kServe: {
-      // Zero copy: the decoded payload is the datagram's body chunk.
-      if (auto m = decode_serve(d.bytes, d.body, config_.virtual_payloads)) {
-        on_serve(*m);
-      } else {
-        ++stats_.malformed;
-      }
-      break;
-    }
-    default:
-      ++stats_.malformed;
-      break;
-  }
+  ++stats_.malformed;
 }
 
 void ThreePhaseGossip::record_proposer(EventId id, NodeId proposer) {

@@ -59,7 +59,8 @@ class ThreePhaseGossip {
   // propose — immediately by default, else in the next round.
   void publish(Event event);
 
-  // Dispatches kPropose / kRequest / kServe datagrams addressed to self.
+  // Dispatches kPropose / kRequest / kServe datagrams addressed to self. A
+  // datagram whose sender field is not its source counts as malformed.
   void on_datagram(const net::Datagram& d);
 
   // Stop requesting/retransmitting packets of `window` (already decodable).
@@ -84,7 +85,7 @@ class ThreePhaseGossip {
     std::uint64_t duplicate_serves = 0;
     std::uint64_t declined_requests = 0;   // vetoed by should_request
     std::uint64_t unknown_requests = 0;    // asked for events we lack
-    std::uint64_t malformed = 0;           // undecodable datagrams + out-of-domain ids
+    std::uint64_t malformed = 0;           // undecodable/forged datagrams + out-of-domain ids
     std::uint64_t windows_cancelled = 0;   // cancel commands honored (decode-on-k)
     std::uint64_t timers_cancelled_by_window = 0;  // retransmit timers those cancels killed
   };

@@ -5,10 +5,11 @@
 // Assembly is split into four composable plans (network, population, stream,
 // churn) glued together by a Builder, so scenarios can vary one axis without
 // re-describing the rest, and a pluggable NodeFactory handing out
-// core::NodeRuntime stacks so experiments can deploy custom or misbehaving
-// node compositions — including mixed populations where different receivers
-// run different stacks. `Experiment` remains the paper-shaped front end: it
-// flattens an ExperimentConfig into these plans.
+// core::NodeRuntime stacks so experiments can deploy per-node variants —
+// misbehaving nodes (a freerider declaring less than it has) or mixed
+// populations where some receivers run standard gossip inside a HEAP
+// deployment. `Experiment` remains the paper-shaped front end: it flattens
+// an ExperimentConfig into these plans.
 #pragma once
 
 #include <functional>
@@ -116,9 +117,9 @@ struct ReceiverInfo {
 class Deployment {
  public:
   // Hands out the protocol stack each node runs. The default is
-  // core::NodeRuntime::make (preset selected by NodeConfig::mode); override
-  // to deploy custom stacks — instrumented nodes, freeriders, or mixed
-  // populations choosing a preset per id.
+  // core::NodeRuntime::make (stack selected by NodeConfig::mode); override
+  // to vary the config per id — freeriders, or mixed populations choosing
+  // the mode per id.
   using NodeFactory = std::function<std::unique_ptr<core::NodeRuntime>(
       sim::Simulator&, net::NetworkFabric&, membership::Directory&, NodeId,
       const core::NodeConfig&)>;
@@ -224,8 +225,9 @@ class Deployment {
 
   struct Receiver {
     ReceiverInfo info;
-    std::unique_ptr<core::NodeRuntime> node;
+    // Declared before the node, which borrows it.
     std::unique_ptr<stream::Player> player;
+    std::unique_ptr<core::NodeRuntime> node;
   };
 
   void apply_churn(const ChurnEvent& event);

@@ -70,8 +70,8 @@ struct ExperimentConfig {
   Placement placement = Placement::kContiguous;
   bool epoch_widening = true;
 
-  // Optional override for the protocol stack each node runs (mixed
-  // populations, instrumented stacks). Null: preset selected by `mode`.
+  // Optional override of how each node's runtime is built, e.g. a mixed
+  // population choosing the mode per id. Null: NodeRuntime::make.
   Deployment::NodeFactory node_factory;
 
   std::uint64_t seed = 1;

@@ -2,16 +2,25 @@
 
 #include <cmath>
 
+#include "common/assert.hpp"
+
 namespace hg::scenario {
 
 namespace {
+
+// Turns each value from a sum over the class's contributors into their mean.
+void sums_to_means(std::vector<ClassStat>& stats) {
+  for (ClassStat& stat : stats) {
+    stat.value = stat.contributors > 0 ? stat.value / static_cast<double>(stat.contributors)
+                                       : std::nan("");
+  }
+}
 
 // Applies `fn(receiver_index)` per class and averages the results.
 template <typename Fn>
 std::vector<ClassStat> per_class_mean(const Experiment& e, Fn&& fn) {
   const auto& classes = e.config().distribution.classes();
   std::vector<ClassStat> out(classes.size());
-  std::vector<std::size_t> counted(classes.size(), 0);
   for (std::size_t c = 0; c < classes.size(); ++c) {
     out[c].class_name = classes[c].name;
   }
@@ -22,17 +31,33 @@ std::vector<ClassStat> per_class_mean(const Experiment& e, Fn&& fn) {
     out[c].nodes += 1;
     if (v.has_value()) {
       out[c].value += *v;
-      counted[c] += 1;
+      out[c].contributors += 1;
     }
   }
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    out[c].value = counted[c] > 0 ? out[c].value / static_cast<double>(counted[c])
-                                  : std::nan("");
-  }
+  sums_to_means(out);
   return out;
 }
 
 }  // namespace
+
+std::vector<ClassStat> pool_class_stats(const std::vector<std::vector<ClassStat>>& per_seed) {
+  if (per_seed.empty()) return {};
+  std::vector<ClassStat> pooled(per_seed.front().size());
+  for (std::size_t c = 0; c < pooled.size(); ++c) {
+    pooled[c].class_name = per_seed.front()[c].class_name;
+  }
+  for (const std::vector<ClassStat>& table : per_seed) {
+    HG_ASSERT_MSG(table.size() == pooled.size(), "seed tables list different classes");
+    for (std::size_t c = 0; c < table.size(); ++c) {
+      pooled[c].nodes += table[c].nodes;
+      if (table[c].contributors == 0) continue;
+      pooled[c].value += table[c].value * static_cast<double>(table[c].contributors);
+      pooled[c].contributors += table[c].contributors;
+    }
+  }
+  sums_to_means(pooled);
+  return pooled;
+}
 
 std::vector<ClassStat> usage_by_class(const Experiment& e) {
   return per_class_mean(e, [&](std::size_t i) -> std::optional<double> {

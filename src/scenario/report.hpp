@@ -14,9 +14,17 @@ namespace hg::scenario {
 
 struct ClassStat {
   std::string class_name;
-  std::size_t nodes = 0;
-  double value = 0.0;  // meaning depends on the builder
+  std::size_t nodes = 0;         // surviving receivers of the class
+  std::size_t contributors = 0;  // of those, the ones `value` averages over
+  double value = 0.0;            // meaning depends on the builder
 };
+
+// Pools per-seed tables of one builder (the same classes in the same order)
+// into one: node and contributor counts add up, and each class's value is
+// the mean over every seed's contributors — the seeds' means weighted by
+// their contributor counts. NaN where no seed has a contributor.
+[[nodiscard]] std::vector<ClassStat> pool_class_stats(
+    const std::vector<std::vector<ClassStat>>& per_seed);
 
 // Fig. 4: mean upload usage (fraction of capacity, incl. overhead) by class.
 [[nodiscard]] std::vector<ClassStat> usage_by_class(const Experiment& e);

@@ -8,9 +8,7 @@
 // 40-byte net::Datagram, exactly the inline budget) therefore cost zero heap
 // allocations. Larger or throwing-move callables fall back
 // to a single heap allocation, exactly like std::function — but with a
-// 48-byte threshold instead of libstdc++'s 16. The signal bus
-// (core/signal.hpp) stores its subscribers in the non-nullary
-// instantiations, so delivery observers get the same allocation model.
+// 48-byte threshold instead of libstdc++'s 16.
 #pragma once
 
 #include <cstddef>

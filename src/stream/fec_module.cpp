@@ -2,13 +2,6 @@
 
 namespace hg::stream {
 
-FecModule::FecModule(core::NodeRuntime& runtime, const fec::WindowCodec& codec,
-                     std::uint32_t windows_total)
-    : codec_(codec), windows_(windows_total) {
-  deliver_sub_ =
-      runtime.deliveries().subscribe([this](const gossip::Event& e) { on_deliver(e); });
-}
-
 void FecModule::on_deliver(const gossip::Event& event) {
   const gossip::EventId id = event.id;
   if (id.window() >= windows_.size()) return;

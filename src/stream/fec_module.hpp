@@ -1,16 +1,16 @@
-// Online FEC decoding as a protocol-stack member.
+// Online FEC decoding as a member of a receiver's stack.
 //
-// PlayerModule records *when* packets arrive; FecModule reconstructs *what*
+// The player records *when* packets arrive; FecModule reconstructs *what*
 // arrived. It keeps each window's delivered packets as the delivered
 // net::BufferRef — the gossip store already holds the same bytes, so a shard
 // costs a refcount, not a copy — and, the moment any k of the n coded
 // packets are present (the MDS counting rule), repairs the window through
 // byte views: only the missing data packets are rebuilt from parity, the
 // window's k data packets are handed to an optional sink as views, and the
-// shard references are dropped. Riding the same deliveries() signal as the
-// player means decode happens at exactly the arrival the player stamps as
-// decode_time — and on which, in smart mode, it cancels the window's
-// outstanding requests/retransmit timers via window_cancelled().
+// shard references are dropped. core::NodeRuntime hands it each delivery
+// right after the player, so decode happens at exactly the arrival the
+// player stamps as decode_time — and on which, in smart mode, the player
+// cancels the window's outstanding requests and retransmit timers.
 //
 // Only meaningful in real-payload deployments (there are no bytes to decode
 // in virtual runs — decodability there is pure counting, which the player
@@ -24,13 +24,13 @@
 #include <span>
 #include <vector>
 
-#include "core/node_runtime.hpp"
 #include "fec/window_codec.hpp"
+#include "gossip/messages.hpp"
 #include "net/buffer.hpp"
 
 namespace hg::stream {
 
-class FecModule final : public core::Protocol {
+class FecModule {
  public:
   // Receives each window's k data packets, in index order, immediately after
   // its decode succeeds. The views are valid only during the call.
@@ -46,10 +46,11 @@ class FecModule final : public core::Protocol {
   };
 
   // `codec` is shared, not copied: it must outlive the module.
-  FecModule(core::NodeRuntime& runtime, const fec::WindowCodec& codec,
-            std::uint32_t windows_total);
+  FecModule(const fec::WindowCodec& codec, std::uint32_t windows_total)
+      : codec_(codec), windows_(windows_total) {}
 
-  [[nodiscard]] const char* name() const override { return "fec"; }
+  // One delivered event; ids outside the stream's windows are ignored.
+  void on_deliver(const gossip::Event& event);
 
   void set_window_sink(WindowSink sink) { sink_ = std::move(sink); }
 
@@ -69,14 +70,12 @@ class FecModule final : public core::Protocol {
     bool decoded = false;
   };
 
-  void on_deliver(const gossip::Event& event);
   void try_decode(std::uint32_t w);
 
   const fec::WindowCodec& codec_;
   std::vector<WindowState> windows_;
   Stats stats_;
   WindowSink sink_;
-  core::Subscription deliver_sub_;
 };
 
 }  // namespace hg::stream

@@ -11,8 +11,11 @@ silent no-op.
 Then it runs bench_fig_scale's two seed replicas (HG_SEEDS=2) on one and on
 two threads (HG_THREADS=1 and 2) and diffs those: replicas that run
 concurrently must pool to the same results as replicas run one by one.
+Likewise, the figure bench BENCH_TABLE2 (Table 2, whose class table pools
+the replicas' per-class means) must print byte-identical stdout at
+HG_SEEDS=2 on one and on two threads.
 
-Usage: bench_json_workers_test.py BENCH_FIG_SCALE BENCH_FIG_FEC
+Usage: bench_json_workers_test.py BENCH_FIG_SCALE BENCH_FIG_FEC BENCH_TABLE2
 """
 
 import json
@@ -24,8 +27,9 @@ from pathlib import Path
 
 COMPARE = Path(__file__).resolve().parents[2] / "scripts" / "compare_bench_metrics.py"
 NODES = "300"
-# Environment knobs a run sets itself; inherited values are dropped.
-KNOBS = ("HG_WORKERS", "HG_SEEDS", "HG_THREADS", "HG_BENCH_JSON")
+# Environment knobs a run sets itself or leaves at their defaults; inherited
+# values are dropped.
+KNOBS = ("HG_WORKERS", "HG_SEEDS", "HG_THREADS", "HG_BENCH_JSON", "HG_SCALE")
 
 PERCENTILE_KEYS = {f"{m}_p{q}" for m in ("lag", "jitter_pct") for q in (50, 90, 99)}
 # Per bench: keys every run record must carry, and keys of its class records.
@@ -58,6 +62,14 @@ def run_bench(binary, out_dir, **knobs):
     return out_dir / f"BENCH_{Path(binary).name}.json"
 
 
+def figure_stdout(binary, **knobs):
+    """Runs the figure bench `binary` at quick scale with `knobs` set, the
+    other KNOBS unset and no BENCH json; returns its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in KNOBS}
+    env.update({k: str(v) for k, v in knobs.items()}, HG_BENCH_JSON="0")
+    return subprocess.run([binary], env=env, check=True, stdout=subprocess.PIPE).stdout
+
+
 def compare(paths):
     """True when compare_bench_metrics.py finds the two files' metrics equal."""
     cmd = [sys.executable, str(COMPARE), *map(str, paths)]
@@ -65,12 +77,12 @@ def compare(paths):
 
 
 def main(argv):
-    if len(argv) != 3:
-        print(f"usage: {argv[0]} BENCH_FIG_SCALE BENCH_FIG_FEC", file=sys.stderr)
+    if len(argv) != 4:
+        print(f"usage: {argv[0]} BENCH_FIG_SCALE BENCH_FIG_FEC BENCH_TABLE2", file=sys.stderr)
         return 2
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        for binary in argv[1:]:
+        for binary in argv[1:3]:
             name = Path(binary).name
             paths = [run_bench(binary, Path(tmp) / f"{name}-w{w}", HG_WORKERS=w) for w in (1, 2)]
             with open(paths[0], encoding="utf-8") as f:
@@ -84,6 +96,11 @@ def main(argv):
             run_bench(scale, Path(tmp) / f"seeds2-t{t}", HG_SEEDS=2, HG_THREADS=t) for t in (1, 2)
         ]
         failed |= not compare(paths)
+    table2 = argv[3]
+    outputs = [figure_stdout(table2, HG_SEEDS=2, HG_THREADS=t) for t in (1, 2)]
+    if outputs[0] != outputs[1]:
+        print(f"{Path(table2).name}: stdout differs between HG_THREADS=1 and 2", file=sys.stderr)
+        failed = True
     return 1 if failed else 0
 
 

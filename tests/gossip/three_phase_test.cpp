@@ -313,6 +313,39 @@ TEST(ThreePhase, TrailingBytesAreMalformed) {
   EXPECT_EQ(s.nodes[0]->stats().serves_sent, serves_before);
 }
 
+TEST(ThreePhase, ForgedSenderIsMalformed) {
+  // Requests and serves answer a message's sender field. Node 1 forges it
+  // in every message kind: once naming a node that does not exist, once
+  // naming the receiver itself. Answering either would address a datagram
+  // the fabric cannot send.
+  Swarm s(4);
+  s.nodes[0]->publish(s.make_event(0, 0));
+  const auto serves_before = s.nodes[0]->stats().serves_sent;
+  for (const std::uint32_t forged : {999u, 2u}) {
+    s.nodes[2]->on_datagram(datagram(1, 2, net::MsgClass::kPropose,
+                                     encode(ProposeMsg{NodeId{forged}, {EventId{0, 1}}})));
+  }
+  for (const std::uint32_t forged : {999u, 0u}) {
+    s.nodes[0]->on_datagram(datagram(1, 0, net::MsgClass::kRequest,
+                                     encode(RequestMsg{NodeId{forged}, {EventId{0, 0}}})));
+  }
+  for (const std::uint32_t forged : {999u, 3u}) {
+    ServeDatagram wire = encode(ServeMsg{NodeId{forged}, s.make_event(0, 2)});
+    s.nodes[3]->on_datagram(net::Datagram{NodeId{1}, NodeId{3}, net::MsgClass::kServe,
+                                          wire.phantom_bytes, std::move(wire.header),
+                                          std::move(wire.body)});
+  }
+  EXPECT_EQ(s.nodes[2]->stats().malformed, 2u);
+  EXPECT_EQ(s.nodes[2]->stats().requests_sent, 0u);
+  EXPECT_EQ(s.nodes[0]->stats().malformed, 2u);
+  EXPECT_EQ(s.nodes[0]->stats().serves_sent, serves_before);
+  EXPECT_EQ(s.nodes[3]->stats().malformed, 2u);
+  EXPECT_FALSE(s.nodes[3]->has_delivered(EventId{0, 2}));
+  // The honest dissemination of (0,0) carries on.
+  s.sim.run_until(sim::SimTime::sec(5));
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(s.nodes[i]->has_delivered(EventId{0, 0})) << i;
+}
+
 TEST(ThreePhase, ServeWithOutOfRangePacketIndexIsMalformed) {
   Swarm s(2);
   const std::uint16_t ppw =

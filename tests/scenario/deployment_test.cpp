@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "aggregation/aggregation_module.hpp"
 #include "gossip/gossip_module.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/report.hpp"
@@ -149,7 +150,9 @@ TEST(DeploymentBuilder, DefaultFactoryHandsOutPresetByMode) {
   plan.node.mode = core::Mode::kStandard;
   auto d = Deployment::Builder{}.population(plan).build();
   EXPECT_EQ(d->node(0).config().mode, core::Mode::kStandard);
-  EXPECT_EQ(d->node(0).module_names().size(), 2u);  // gossip + player glue
+  EXPECT_NE(d->node(0).find_module<gossip::GossipModule>(), nullptr);
+  EXPECT_EQ(d->node(0).find_module<aggregation::AggregationModule>(), nullptr);
+  EXPECT_EQ(d->node(0).find_module<stream::FecModule>(), nullptr);  // virtual payloads
 }
 
 // Real payloads: the source and every receiver's FecModule borrow the
@@ -291,28 +294,29 @@ TEST(Deployment, MixedPopulationStillConverges) {
   cfg.tail = sim::SimTime::sec(40.0);
   cfg.seed = 5;
   cfg.node_factory = [](sim::Simulator& s, net::NetworkFabric& f, membership::Directory& dir,
-                        NodeId id, const core::NodeConfig& node_cfg) {
-    const bool standard_minority = id.value() >= 1 && id.value() <= kStandardCount;
-    auto rt = standard_minority ? core::NodeRuntime::standard(s, f, dir, id, node_cfg)
-                                : core::NodeRuntime::make(s, f, dir, id, node_cfg);
-    // Fixed-fanout stacks (the minority AND the non-adapting source) keep
-    // receiving kAggregation records from HEAP peers: expected, not junk.
-    // With those declared, the whole mixed run passes under strict tags.
-    if (rt->config().mode == core::Mode::kStandard) {
-      rt->ignore_tag(gossip::MsgTag::kAggregation);
-    }
-    rt->set_strict_unknown_tags(true);
-    return rt;
+                        NodeId id, core::NodeConfig node_cfg) {
+    if (id.value() >= 1 && id.value() <= kStandardCount) node_cfg.mode = core::Mode::kStandard;
+    return core::NodeRuntime::make(s, f, dir, id, node_cfg);
   };
   Experiment exp(cfg);
   exp.run();
 
-  // Both sub-populations exist as requested.
+  // Both sub-populations exist as requested. Fixed-fanout nodes drop their
+  // HEAP peers' capability records as unknown tags; HEAP nodes claim every
+  // datagram they receive.
   std::size_t standard_nodes = 0;
+  std::uint64_t standard_unknown = 0;
   for (std::size_t i = 0; i < exp.receivers(); ++i) {
-    standard_nodes += exp.node(i).config().mode == core::Mode::kStandard;
+    const bool standard = exp.node(i).config().mode == core::Mode::kStandard;
+    standard_nodes += standard;
+    if (standard) {
+      standard_unknown += exp.node(i).stats().unknown_tag_datagrams;
+    } else {
+      EXPECT_EQ(exp.node(i).stats().unknown_tag_datagrams, 0u) << "receiver " << i;
+    }
   }
   EXPECT_EQ(standard_nodes, kStandardCount);
+  EXPECT_GT(standard_unknown, 0u);
 
   // Convergence: at a 15 s lag, both groups enjoy a near-jitter-free stream
   // on the reference distribution.

@@ -9,6 +9,44 @@
 namespace hg::scenario {
 namespace {
 
+ClassStat stat(const char* name, std::size_t nodes, std::size_t contributors,
+               double value = std::nan("")) {
+  return ClassStat{name, nodes, contributors, value};
+}
+
+TEST(PoolClassStats, WeighsEachSeedByItsContributors) {
+  // Seed 1 averages 2 of its 4 nodes, seed 2 all 4: the pooled mean is over
+  // the 6 contributing nodes, not the 8 surviving ones.
+  const std::vector<std::vector<ClassStat>> per_seed = {
+      {stat("poor", 4, 2, 0.90), stat("rich", 3, 3, 0.50), stat("none", 2, 0)},
+      {stat("poor", 4, 4, 0.60), stat("rich", 1, 0), stat("none", 5, 0)},
+  };
+  const auto pooled = pool_class_stats(per_seed);
+  ASSERT_EQ(pooled.size(), 3u);
+  EXPECT_EQ(pooled[0].class_name, "poor");
+  EXPECT_EQ(pooled[0].nodes, 8u);
+  EXPECT_EQ(pooled[0].contributors, 6u);
+  EXPECT_DOUBLE_EQ(pooled[0].value, (2 * 0.90 + 4 * 0.60) / 6);
+  // A seed without contributors adds nodes but no weight.
+  EXPECT_EQ(pooled[1].nodes, 4u);
+  EXPECT_EQ(pooled[1].contributors, 3u);
+  EXPECT_DOUBLE_EQ(pooled[1].value, 0.50);
+  EXPECT_EQ(pooled[2].nodes, 7u);
+  EXPECT_TRUE(std::isnan(pooled[2].value));
+  EXPECT_TRUE(pool_class_stats({}).empty());
+}
+
+TEST(PoolClassStats, OneSeedPassesThrough) {
+  const std::vector<ClassStat> table = {stat("a", 5, 5, 0.25), stat("b", 3, 1, 0.75)};
+  const auto pooled = pool_class_stats({table});
+  ASSERT_EQ(pooled.size(), 2u);
+  for (std::size_t c = 0; c < table.size(); ++c) {
+    EXPECT_EQ(pooled[c].nodes, table[c].nodes);
+    EXPECT_EQ(pooled[c].contributors, table[c].contributors);
+    EXPECT_DOUBLE_EQ(pooled[c].value, table[c].value);
+  }
+}
+
 class ReportFixture : public ::testing::Test {
  protected:
   static const Experiment& experiment() {
@@ -45,6 +83,12 @@ TEST_F(ReportFixture, JitterFreePctConsistentWithNodeCount) {
   for (const auto& c : q) {
     EXPECT_GE(c.value, 0.0);
     EXPECT_LE(c.value, 1.0);
+    EXPECT_EQ(c.contributors, c.nodes);  // every node has a jitter fraction
+  }
+  // Only nodes with a jittered window have a delivery ratio inside one.
+  for (const auto& c : delivery_in_jittered_by_class(experiment(), 10.0)) {
+    EXPECT_LE(c.contributors, c.nodes) << c.class_name;
+    EXPECT_EQ(std::isnan(c.value), c.contributors == 0) << c.class_name;
   }
 }
 

@@ -1,4 +1,4 @@
-// FecModule: online decode-on-k-of-n over the node's delivery signal.
+// FecModule: online decode-on-k-of-n over the events delivered to it.
 #include "stream/fec_module.hpp"
 
 #include <gtest/gtest.h>
@@ -31,27 +31,14 @@ std::vector<std::uint8_t> to_vector(std::span<const std::uint8_t> bytes) {
 }
 
 struct Rig {
-  sim::ShardedEngine engine{7, 1, {}};
-  sim::Simulator& sim = engine.sim_of(0);
-  net::NetworkFabric fabric;
-  membership::Directory directory;
-  fec::WindowCodec codec;  // outlives the node's FecModule, which borrows it
-  std::unique_ptr<core::NodeRuntime> node;
-  FecModule* fec = nullptr;
+  fec::WindowCodec codec;  // outlives the FecModule, which borrows it
+  FecModule fec;
 
   explicit Rig(StreamConfig cfg, std::uint32_t windows)
-      : fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
-               std::make_unique<net::NoLoss>()),
-        directory(engine, membership::DetectionConfig{}),
-        codec(codec_config(cfg)) {
-    directory.add_node(NodeId{0});
-    node = core::NodeRuntime::make(sim, fabric, directory, NodeId{0}, core::NodeConfig{});
-    fec = &node->emplace_module<FecModule>(codec, windows);
-  }
+      : codec(codec_config(cfg)), fec(codec, windows) {}
 
   void deliver(std::uint32_t w, std::uint16_t i, const std::vector<std::uint8_t>& bytes) {
-    node->deliveries().emit(
-        gossip::Event{gossip::EventId{w, i}, net::BufferRef::copy_of(bytes)});
+    fec.on_deliver(gossip::Event{gossip::EventId{w, i}, net::BufferRef::copy_of(bytes)});
   }
 };
 
@@ -80,7 +67,7 @@ TEST(FecModule, DecodesAtTheKthArrivalAndRepairsErasures) {
   CodedWindow win(cfg, 0);
 
   std::uint32_t sink_calls = 0;
-  rig.fec->set_window_sink(
+  rig.fec.set_window_sink(
       [&](std::uint32_t w, std::span<const std::span<const std::uint8_t>> decoded) {
         ++sink_calls;
         EXPECT_EQ(w, 0u);
@@ -94,20 +81,20 @@ TEST(FecModule, DecodesAtTheKthArrivalAndRepairsErasures) {
   // packets arrive, decode must fire on the last one and not before.
   const std::uint16_t arrivals[] = {0, 2, 5, 4, 7};
   for (std::size_t a = 0; a < std::size(arrivals); ++a) {
-    EXPECT_FALSE(rig.fec->window_decoded(0));
+    EXPECT_FALSE(rig.fec.window_decoded(0));
     rig.deliver(0, arrivals[a], win.packet(cfg, arrivals[a]));
   }
-  EXPECT_TRUE(rig.fec->window_decoded(0));
+  EXPECT_TRUE(rig.fec.window_decoded(0));
   EXPECT_EQ(sink_calls, 1u);
-  EXPECT_EQ(rig.fec->stats().windows_decoded, 1u);
-  EXPECT_EQ(rig.fec->stats().erasures_repaired, 2u);  // data packets 1 and 3
-  EXPECT_EQ(rig.fec->stats().windows_complete, 0u);
-  EXPECT_EQ(rig.fec->stats().decode_failures, 0u);
+  EXPECT_EQ(rig.fec.stats().windows_decoded, 1u);
+  EXPECT_EQ(rig.fec.stats().erasures_repaired, 2u);  // data packets 1 and 3
+  EXPECT_EQ(rig.fec.stats().windows_complete, 0u);
+  EXPECT_EQ(rig.fec.stats().decode_failures, 0u);
 
   // Late arrivals to a decoded window are no-ops.
   rig.deliver(0, 1, win.packet(cfg, 1));
   EXPECT_EQ(sink_calls, 1u);
-  EXPECT_EQ(rig.fec->stats().windows_decoded, 1u);
+  EXPECT_EQ(rig.fec.stats().windows_decoded, 1u);
 }
 
 TEST(FecModule, AllDataWindowNeedsNoRepair) {
@@ -117,10 +104,10 @@ TEST(FecModule, AllDataWindowNeedsNoRepair) {
   for (std::uint16_t i = 0; i < cfg.data_per_window; ++i) {
     rig.deliver(0, i, win.data[i]);
   }
-  EXPECT_TRUE(rig.fec->window_decoded(0));
-  EXPECT_EQ(rig.fec->stats().windows_decoded, 1u);
-  EXPECT_EQ(rig.fec->stats().windows_complete, 1u);
-  EXPECT_EQ(rig.fec->stats().erasures_repaired, 0u);
+  EXPECT_TRUE(rig.fec.window_decoded(0));
+  EXPECT_EQ(rig.fec.stats().windows_decoded, 1u);
+  EXPECT_EQ(rig.fec.stats().windows_complete, 1u);
+  EXPECT_EQ(rig.fec.stats().erasures_repaired, 0u);
 }
 
 TEST(FecModule, HoldsDeliveredBuffersUntilDecodeThenReleasesThem) {
@@ -131,7 +118,7 @@ TEST(FecModule, HoldsDeliveredBuffersUntilDecodeThenReleasesThem) {
   CodedWindow repaired(cfg, 0);
   CodedWindow complete(cfg, 1);
   std::vector<std::vector<std::vector<std::uint8_t>>> sunk(2);
-  rig.fec->set_window_sink(
+  rig.fec.set_window_sink(
       [&](std::uint32_t w, std::span<const std::span<const std::uint8_t>> decoded) {
         for (const auto& packet : decoded) sunk[w].push_back(to_vector(packet));
       });
@@ -143,16 +130,16 @@ TEST(FecModule, HoldsDeliveredBuffersUntilDecodeThenReleasesThem) {
     EXPECT_EQ(live_chunks(), baseline + static_cast<std::int64_t>(a) + 1);
   }
   rig.deliver(0, 4, repaired.packet(cfg, 4));  // the k-th packet decodes
-  ASSERT_TRUE(rig.fec->window_decoded(0));
+  ASSERT_TRUE(rig.fec.window_decoded(0));
   EXPECT_EQ(live_chunks(), baseline);
   EXPECT_EQ(sunk[0], repaired.data);
 
   for (std::uint16_t i = 0; i < cfg.data_per_window; ++i) rig.deliver(1, i, complete.data[i]);
-  ASSERT_TRUE(rig.fec->window_decoded(1));
+  ASSERT_TRUE(rig.fec.window_decoded(1));
   EXPECT_EQ(live_chunks(), baseline);
   EXPECT_EQ(sunk[1], complete.data);
-  EXPECT_EQ(rig.fec->stats().windows_complete, 1u);
-  EXPECT_EQ(rig.fec->stats().erasures_repaired, 2u);
+  EXPECT_EQ(rig.fec.stats().windows_complete, 1u);
+  EXPECT_EQ(rig.fec.stats().erasures_repaired, 2u);
 }
 
 TEST(FecModule, IgnoresDuplicatesMalformedAndOutOfRange) {
@@ -164,16 +151,16 @@ TEST(FecModule, IgnoresDuplicatesMalformedAndOutOfRange) {
   rig.deliver(0, 0, win.data[0]);  // duplicate: not counted twice
   rig.deliver(0, 1, std::vector<std::uint8_t>(cfg.packet_bytes - 1, 9));  // short
   rig.deliver(7, 0, win.data[0]);  // window beyond the stream: ignored
-  EXPECT_EQ(rig.fec->stats().malformed_packets, 1u);
-  EXPECT_FALSE(rig.fec->window_decoded(0));
+  EXPECT_EQ(rig.fec.stats().malformed_packets, 1u);
+  EXPECT_FALSE(rig.fec.window_decoded(0));
 
   // The short packet was dropped, so index 1 is still repairable: complete
   // the window with the real remaining packets plus one parity.
   for (std::uint16_t i = 2; i < cfg.data_per_window; ++i) rig.deliver(0, i, win.data[i]);
   rig.deliver(0, 5, win.packet(cfg, 5));
-  EXPECT_TRUE(rig.fec->window_decoded(0));
-  EXPECT_EQ(rig.fec->stats().erasures_repaired, 1u);
-  EXPECT_EQ(rig.fec->stats().decode_failures, 0u);
+  EXPECT_TRUE(rig.fec.window_decoded(0));
+  EXPECT_EQ(rig.fec.stats().erasures_repaired, 1u);
+  EXPECT_EQ(rig.fec.stats().decode_failures, 0u);
 }
 
 }  // namespace
