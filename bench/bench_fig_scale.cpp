@@ -31,9 +31,9 @@ double peak_rss_mb() {
 }
 
 // One replica's samples, its surviving receivers' end-of-run gossip state,
-// and the superstep engine counters. Those are zero at one partition and
-// otherwise functions of (seed, partitions, placement) only — never of the
-// worker count.
+// and the superstep engine counters. The epoch and cross-partition counters
+// are zero at one partition; all are functions of (seed, partitions,
+// placement) only — never of the worker count.
 Tally analyze(scenario::Experiment& e) {
   Tally t = tally_receivers(e);
   for (std::size_t i = 0; i < e.receivers(); ++i) {

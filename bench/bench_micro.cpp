@@ -322,8 +322,7 @@ struct AggregationTable {
   explicit AggregationTable(std::uint32_t n)
       : engine(3, n, {}),
         sim(engine.sim_of(0)),
-        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
-               std::make_unique<net::NoLoss>()),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1))),
         dir(engine, membership::DetectionConfig{}) {
     for (std::uint32_t i = 0; i < n; ++i) dir.add_node(NodeId{i});
     view = dir.make_view(NodeId{0});
@@ -492,8 +491,7 @@ void BM_ParallelSuperstepBufferExchange(benchmark::State& state) {
   constexpr std::uint32_t kNodes = 256;
   sim::ShardedEngine engine(11, kNodes,
                             {.partitions = 4, .workers = workers, .epoch = sim::SimTime::ms(1)});
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
-                            std::make_unique<net::NoLoss>());
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)));
   std::vector<std::uint64_t> received(engine.partitions(), 0);
   for (std::uint32_t i = 0; i < kNodes; ++i) {
     std::uint64_t* count = &received[engine.partition_of(i)];

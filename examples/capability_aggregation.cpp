@@ -18,7 +18,7 @@ int main() {
   net::NetworkFabric fabric(engine,
                             std::make_unique<net::PlanetLabLatency>(
                                 net::PlanetLabLatencyConfig{}, sim.make_rng(1)),
-                            std::make_unique<net::BernoulliLoss>(0.01));
+                            net::FabricConfig{.loss_rate = 0.01});
   membership::Directory directory(engine, membership::DetectionConfig{});
 
   Rng assign_rng = sim.make_rng(2);

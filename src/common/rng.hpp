@@ -36,7 +36,8 @@ class Rng {
   // Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi);
 
-  // Bernoulli trial.
+  // Bernoulli trial. Draws nothing when p <= 0 or p >= 1, so a loss rate of
+  // 0 consumes no draw.
   [[nodiscard]] bool chance(double p);
 
   // Exponentially distributed with the given mean.

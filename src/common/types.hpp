@@ -57,14 +57,6 @@ class EventId {
     return static_cast<std::uint16_t>(v_ & 0xffff);
   }
 
-  // Validity against a deployment's window geometry: a well-formed id of a
-  // stream coded at `packets_per_window` packets never carries an index at
-  // or beyond it. Ids that fail this came off the wire malformed (or from a
-  // misconfigured publisher) and must not be allowed to materialize state.
-  [[nodiscard]] constexpr bool index_valid(std::uint32_t packets_per_window) const {
-    return index() < packets_per_window;
-  }
-
   friend constexpr auto operator<=>(EventId, EventId) = default;
 
  private:

@@ -1,6 +1,5 @@
 #include "core/node_runtime.hpp"
 
-#include "common/log.hpp"
 #include "stream/fec_module.hpp"
 #include "stream/player.hpp"
 
@@ -103,8 +102,6 @@ void NodeRuntime::on_datagram(const net::Datagram& d) {
       return;
   }
   ++stats_.unknown_tag_datagrams;
-  HG_LOG_DEBUG("node %u: dropping datagram with unknown tag %u from node %u", self_.value(),
-               d.bytes.empty() ? 0u : static_cast<unsigned>(tag), d.src.value());
 }
 
 }  // namespace hg::core

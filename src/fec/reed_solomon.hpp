@@ -35,10 +35,6 @@ class ReedSolomon {
   // k data shards, m parity shards; k + m <= 255.
   ReedSolomon(std::size_t k, std::size_t m);
 
-  [[nodiscard]] std::size_t data_shards() const { return k_; }
-  [[nodiscard]] std::size_t parity_shards() const { return m_; }
-  [[nodiscard]] std::size_t total_shards() const { return k_ + m_; }
-
   // data: k equally sized shards. Returns m parity shards of the same size.
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode(
       std::span<const std::vector<std::uint8_t>> data) const;

@@ -33,6 +33,10 @@ AdaptiveFanout::AdaptiveFanout(BitRate own_capability,
   HG_ASSERT(estimator_ != nullptr);
   HG_ASSERT_MSG(!std::isnan(config_.base_fanout), "AdaptiveFanout configured with NaN");
   HG_ASSERT(config_.base_fanout >= 0.0);
+  // The upper bound of current_target()'s clamp: a negative cap breaks the
+  // clamp's precondition (and mutes the node), and NaN would mean no cap.
+  HG_ASSERT_MSG(config_.max_fanout >= 0.0,
+                "AdaptiveFanoutConfig::max_fanout must not be negative or NaN");
 }
 
 double AdaptiveFanout::current_target() const {

@@ -1,6 +1,7 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/assert.hpp"
 
@@ -14,14 +15,14 @@ constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
 }  // namespace
 
 NetworkFabric::NetworkFabric(sim::ShardedEngine& engine, std::unique_ptr<LatencyModel> latency,
-                             std::unique_ptr<LossModel> loss, FabricConfig config)
+                             FabricConfig config)
     : engine_(engine),
       latency_(std::move(latency)),
-      loss_(std::move(loss)),
       config_(config),
       rng_(engine.make_rng(kFabricStream)) {
   HG_ASSERT(latency_ != nullptr);
-  HG_ASSERT(loss_ != nullptr);
+  HG_ASSERT_MSG(config_.loss_rate >= 0.0 && config_.loss_rate <= 1.0,
+                "FabricConfig::loss_rate must be within [0, 1]");
   HG_ASSERT_MSG(engine.partitions() == 1 || latency_->min_delay() >= engine.epoch(),
                 "latency floor below the engine's epoch width breaks the superstep "
                 "delivery invariant");
@@ -29,54 +30,49 @@ NetworkFabric::NetworkFabric(sim::ShardedEngine& engine, std::unique_ptr<Latency
   for (std::uint32_t p = 0; p < engine.partitions(); ++p) {
     parts_.emplace_back(&engine.sim_of(p));
   }
+  // Reserved once, never exceeded (register_node asserts ids against the
+  // engine's node count): pending transmit events point at the links.
+  const std::size_t n = engine.node_count();
+  links_.reserve(n);
+  receive_.reserve(n);
+  meters_.reserve(n);
+  alive_.reserve(n);
+  if (sender_streams()) senders_.reserve(n);
   tiebreak_salt_ = engine.make_rng(kTiebreakStream).next();
   sender_seed_base_ = engine.make_rng(kSenderStream).next();
   engine.set_bridge(this);
 }
 
-NetworkFabric::Shard::Shard() {
-  // Reserve up front: UploadLink addresses must never move (pending transmit
-  // events point at them), and SoA vectors must not reallocate mid-run.
-  links.reserve(kShardSize);
-  receive.reserve(kShardSize);
-  meters.reserve(kShardSize);
-  alive.reserve(kShardSize);
-  rngs.reserve(kShardSize);
-  xmit_seq.reserve(kShardSize);
-}
-
 void NetworkFabric::register_node(NodeId id, BitRate upload_capacity, ReceiveFn receive) {
-  HG_ASSERT_MSG(id.value() == node_count_,
-                "register nodes with consecutive ids from 0 (shards index by id)");
-  if (id.value() / kShardSize == shards_.size()) shards_.push_back(std::make_unique<Shard>());
-  Shard& s = *shards_.back();
-  // Node_count_ is bumped after sim_of_node (it asserts against the
-  // engine's node table, which already covers this id).
-  s.links.emplace_back(engine_.sim_of_node(id.value()), upload_capacity, config_.discipline,
-                       [this](Datagram&& d) { on_wire(std::move(d)); });
-  s.receive.push_back(std::move(receive));
-  s.meters.emplace_back();
-  s.alive.push_back(1);
+  HG_ASSERT_MSG(id.value() == links_.size(),
+                "register nodes with consecutive ids from 0 (per-node arrays index by id)");
+  // sim_of_node asserts the id against the engine's node count.
+  links_.emplace_back(engine_.sim_of_node(id.value()), upload_capacity, config_.discipline,
+                      [this](Datagram&& d) { on_wire(std::move(d)); });
+  receive_.push_back(std::move(receive));
+  meters_.emplace_back();
+  alive_.push_back(1);
   if (sender_streams()) {
-    // One loss+latency stream per sender node, a pure function of (run seed,
-    // node id): partition count and placement cannot perturb any draw.
     std::uint64_t state = sender_seed_base_ ^ (kGolden * (id.value() + 1));
-    s.rngs.emplace_back(splitmix64(state));
-    s.xmit_seq.push_back(0);
+    senders_.push_back(SenderStream{Rng(splitmix64(state))});
   }
-  ++node_count_;
 }
 
 void NetworkFabric::send(NodeId src, NodeId dst, MsgClass cls, BufferRef bytes, ChunkRef body,
                          std::uint32_t phantom_bytes) {
   HG_ASSERT_MSG(static_cast<bool>(bytes), "send requires an encoded message");
-  Shard& s = shard(src);
-  const std::size_t i = index_in_shard(src);
-  if (s.alive[i] == 0) return;
+  const std::size_t s = index(src);
+  if (dst.value() >= node_count()) {
+    char msg[96];
+    std::snprintf(msg, sizeof msg, "send to node %u, which is not registered (%zu nodes)",
+                  dst.value(), node_count());
+    hg::detail::assert_fail("dst.value() < node_count()", __FILE__, __LINE__, msg);
+  }
+  if (alive_[s] == 0) return;
   HG_ASSERT_MSG(src != dst, "self-sends indicate a peer-selection bug");
   Datagram d{src, dst, cls, phantom_bytes, std::move(bytes), std::move(body)};
-  s.meters[i].on_offered(cls, d.wire_bytes());
-  s.links[i].enqueue(std::move(d));
+  meters_[s].on_offered(cls, d.wire_bytes());
+  links_[s].enqueue(std::move(d));
 }
 
 std::uint64_t NetworkFabric::cross_tiebreak(NodeId src, NodeId dst, std::uint64_t seq) const {
@@ -87,75 +83,52 @@ std::uint64_t NetworkFabric::cross_tiebreak(NodeId src, NodeId dst, std::uint64_
 }
 
 void NetworkFabric::on_wire(Datagram&& d) {
+  // Runs on the sender's partition: the upload link schedules its transmit
+  // completions there.
+  const std::uint32_t src = d.src.value();
+  const std::uint32_t sp = engine_.partition_of(src);
+  Partition& part = parts_[sp];
   // The datagram has fully left the sender: this is what "used upload
   // bandwidth" means (Fig. 4), loss or not.
-  shard(d.src).meters[index_in_shard(d.src)].on_sent(d.cls, d.wire_bytes());
-  if (!sender_streams()) {
-    // Sequential semantics (P == 1: everything is local, the shared stream
-    // draws in event order). Loss is evaluated when the datagram leaves the
-    // sender.
-    Partition& part = parts_[0];
-    if (loss_->lost(d.src, d.dst, rng_)) {
-      ++part.lost;
-      shard(d.src).meters[index_in_shard(d.src)].on_dropped_in_flight(d.wire_bytes());
-      return;
-    }
-    const sim::SimTime delay = latency_->sample(d.src, d.dst, rng_);
-    part.sim->after(delay, [this, d = std::move(d)]() { deliver(d, parts_[0]); });
-    return;
-  }
-
-  // P >= 2: this runs on the *sender's* partition (the upload link
-  // schedules its transmit completions there). Loss and latency draw from
-  // the sender node's private stream, and the send sequence number counts
-  // per sender — both functions of the run alone, so every partition layout
-  // produces the same draws and the same delivery keys.
-  const std::uint32_t sp = engine_.partition_of(d.src.value());
-  Partition& part = parts_[sp];
-  Shard& ss = shard(d.src);
-  const std::size_t si = index_in_shard(d.src);
-  const std::uint64_t seq = ss.xmit_seq[si]++;
-  if (loss_->lost(d.src, d.dst, ss.rngs[si])) {
+  meters_[src].on_sent(d.cls, d.wire_bytes());
+  // The partition count's two selections (see the file comment): the stream
+  // loss and latency draw from, and the same-time delivery key.
+  Rng& rng = sender_streams() ? senders_[src].rng : rng_;
+  const std::uint64_t key =
+      sender_streams() ? cross_tiebreak(d.src, d.dst, senders_[src].sends++) : 0;
+  if (rng.chance(config_.loss_rate)) {
     ++part.lost;
-    ss.meters[si].on_dropped_in_flight(d.wire_bytes());
+    meters_[src].on_dropped_in_flight(d.wire_bytes());
     return;
   }
-  const sim::SimTime delay = latency_->sample(d.src, d.dst, ss.rngs[si]);
-  // Filter sends to already-crashed destinations *after* the draws (stream
-  // consumption must not depend on liveness). Crash-stop: a destination dead
-  // now is dead at delivery, so this drop is exactly the delivery-time drop
-  // — no counter or meter ever sees such a datagram. Alive flags only change
-  // at barriers, so the cross-partition read is race-free.
-  if (shard(d.dst).alive[index_in_shard(d.dst)] == 0) {
+  const sim::SimTime delay = latency_->sample(d.src, d.dst, rng);
+  // After the draws, so stream consumption never depends on liveness.
+  // Crash-stop: a destination dead now is dead at delivery, so no counter
+  // or meter but `filtered_dead` ever sees this datagram. Alive flags only
+  // change at barriers, so the cross-partition read is race-free.
+  if (alive_[d.dst.value()] == 0) {
     ++part.filtered_dead;
     return;
   }
-  const std::uint64_t tb = cross_tiebreak(d.src, d.dst, seq);
   const std::uint32_t dp = engine_.partition_of(d.dst.value());
   if (dp == sp) {
     ++part.local_datagrams;
-    // Keyed by the same tiebreak an exchange import would carry: same-time
-    // arrivals at one node order identically whether the sender is co-located
-    // or remote.
-    part.sim->after(delay, [this, d = std::move(d)]() { deliver_parallel(d); }, tb);
+    // Keyed like an exchange import: same-time arrivals at one node order
+    // identically whether the sender is co-located or remote.
+    part.sim->after(delay, [this, d = std::move(d)]() { deliver(d); }, key);
     return;
   }
   ++part.xpart_datagrams;
   part.xpart_bytes += d.bytes.size() + d.body.size();
-  part.outbox.push_back(OutMsg{std::move(d), part.sim->now() + delay, tb, dp});
+  part.outbox.push_back(OutMsg{std::move(d), part.sim->now() + delay, key, dp});
 }
 
-void NetworkFabric::deliver(const Datagram& d, Partition& part) {
-  Shard& r = shard(d.dst);
-  const std::size_t i = index_in_shard(d.dst);
-  if (r.alive[i] == 0) return;  // crashed while in flight
-  ++part.delivered;
-  r.meters[i].on_received(d.cls, d.wire_bytes());
-  if (r.receive[i]) r.receive[i](d);
-}
-
-void NetworkFabric::deliver_parallel(const Datagram& d) {
-  deliver(d, parts_[engine_.partition_of(d.dst.value())]);
+void NetworkFabric::deliver(const Datagram& d) {
+  const std::uint32_t dst = d.dst.value();
+  if (alive_[dst] == 0) return;  // crashed while in flight
+  ++parts_[engine_.partition_of(dst)].delivered;
+  meters_[dst].on_received(d.cls, d.wire_bytes());
+  if (receive_[dst]) receive_[dst](d);
 }
 
 void NetworkFabric::begin_epoch(std::uint32_t partition) {
@@ -198,7 +171,7 @@ void NetworkFabric::exchange(std::uint32_t partition) {
     Datagram copy{m.d.src, m.d.dst, m.d.cls, m.d.phantom_bytes,
                   BufferRef::copy_of(m.d.bytes.bytes()),
                   m.d.body ? ChunkRef::copy_of(m.d.body.bytes()) : ChunkRef{}};
-    dst.sim->at(m.arrive, [this, c = std::move(copy)]() { deliver_parallel(c); }, m.tiebreak);
+    dst.sim->at(m.arrive, [this, c = std::move(copy)]() { deliver(c); }, m.tiebreak);
   }
   dst.import_order.clear();
 }
@@ -235,11 +208,10 @@ void NetworkFabric::kill(NodeId id) {
                 "NetworkFabric::kill outside a barrier: crash-stop must run from a "
                 "control task (ShardedEngine::schedule_control), never from a "
                 "worker-driven event");
-  Shard& s = shard(id);
-  const std::size_t i = index_in_shard(id);
-  s.alive[i] = 0;
-  s.links[i].shutdown();
-  s.receive[i] = nullptr;
+  const std::size_t i = index(id);
+  alive_[i] = 0;
+  links_[i].shutdown();
+  receive_[i] = nullptr;
 }
 
 }  // namespace hg::net

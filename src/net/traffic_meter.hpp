@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "net/datagram.hpp"
-#include "sim/time.hpp"
 
 namespace hg::net {
 
@@ -67,9 +66,6 @@ class TrafficMeter {
     return total;
   }
   [[nodiscard]] std::uint64_t dropped_msgs() const { return dropped_msgs_; }
-
-  // Mean upload rate over [0, duration] as a fraction of `capacity_bps`.
-  [[nodiscard]] double usage_fraction(sim::SimTime duration, std::int64_t capacity_bps) const;
 
  private:
   static constexpr std::size_t kClasses = static_cast<std::size_t>(MsgClass::kCount_);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace hg::scenario {
 
@@ -44,12 +43,6 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
   // Rng(seed).fork(tag) is exactly what the engine's make_rng(tag) returns,
   // so the latency base stream is identical at every partition count.
   auto latency = std::make_unique<net::PlanetLabLatency>(network_.latency, Rng(seed_).fork(7));
-  std::unique_ptr<net::LossModel> loss;
-  if (network_.loss_rate > 0) {
-    loss = std::make_unique<net::BernoulliLoss>(network_.loss_rate);
-  } else {
-    loss = std::make_unique<net::NoLoss>();
-  }
 
   // Population assignment before engine construction: the clustered
   // placement needs per-node capabilities, and the assignment stream
@@ -65,13 +58,6 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
     // partition, big runs get enough blocks for 16 workers.
     parts = static_cast<std::uint32_t>(
         std::min<std::size_t>(16, std::max<std::size_t>(1, total / 64)));
-  }
-  if (epoch <= sim::SimTime::zero() && parts > 1) {
-    HG_LOG_WARN(
-        "latency model has a zero delay floor: superstep epochs cannot bound "
-        "cross-partition traffic, forcing partitions=1 (was %u)",
-        parts);
-    parts = 1;
   }
   std::vector<std::uint32_t> placement;
   if (parallel_.placement == Placement::kClustered && parts > 1 && total >= parts) {
@@ -102,9 +88,9 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
   sim::ShardedEngine::Config config{parts, parallel_.workers, epoch, std::move(placement),
                                     parallel_.epoch_widening};
   d->engine_ = std::make_unique<sim::ShardedEngine>(seed_, total, std::move(config));
-  d->fabric_ = std::make_unique<net::NetworkFabric>(*d->engine_, std::move(latency),
-                                                    std::move(loss),
-                                                    net::FabricConfig{network_.discipline});
+  d->fabric_ = std::make_unique<net::NetworkFabric>(
+      *d->engine_, std::move(latency),
+      net::FabricConfig{.discipline = network_.discipline, .loss_rate = network_.loss_rate});
   d->directory_ = std::make_unique<membership::Directory>(*d->engine_, churn_.detection);
 
   for (std::uint32_t i = 0; i < total; ++i) d->directory_->add_node(NodeId{i});
@@ -216,8 +202,6 @@ void Deployment::apply_churn(const ChurnEvent& event) {
       event.fraction * static_cast<double>(receivers_.size()));
   churn_rng.shuffle(alive_idx);
   const std::size_t n = std::min(kill_count, alive_idx.size());
-  HG_LOG_INFO("churn at t=%.1fs: crashing %zu of %zu receivers", event.at.as_sec(), n,
-              alive_idx.size());
   for (std::size_t k = 0; k < n; ++k) {
     Receiver& r = receivers_[alive_idx[k]];
     r.info.crashed = true;

@@ -8,8 +8,13 @@
 //
 //   * lean players      — seen-bitmaps + per-window decode times instead of
 //                         per-packet arrival timestamps
-//   * tight gc horizon  — per-event gossip state trimmed a few windows
-//                         behind the stream head
+//   * tight gc horizon  — sizes the gossip rings to 5 delivered and 10
+//                         requested windows. At the preset's 4 windows the
+//                         newest window index (3) never reaches the horizon
+//                         (4), so nothing is ever collected. No example,
+//                         perfbench workload or quick-scale bench streams
+//                         past its horizon, so none of them runs the
+//                         collection in ThreePhaseGossip::gc.
 //   * capped aggregation— the b̄ estimate runs on a bounded record table
 //                         (the uncapped table converges on O(N) per node)
 //   * ln(N) + c fanout  — the reliability threshold scales with N

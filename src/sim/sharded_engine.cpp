@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace hg::sim {
 
@@ -16,7 +15,6 @@ std::uint32_t clamp_partitions(std::uint32_t requested, std::size_t node_count) 
     // More partitions than nodes is a degenerate plan (empty shards would
     // still pay every barrier). Collapse to the single-partition delegation
     // shell, which runs the sequential loop.
-    HG_LOG_WARN("partitions (%u) exceed node count (%zu); clamping to 1", partitions, node_count);
     return 1;
   }
   return partitions;

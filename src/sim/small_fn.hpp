@@ -1,7 +1,5 @@
-// Move-only type-erased callable with inline small-object storage.
-//
-// `BasicSmallFn<R(Args...)>` is the general template; `SmallFn` is the
-// nullary alias the event queue stores every scheduled callback in.
+// Move-only type-erased nullary callable with inline small-object storage:
+// the type the event queue stores every scheduled callback in.
 // Callables up to kInlineBytes that are nothrow-move-constructible live
 // inside the object itself — the common simulation callbacks (datagram
 // transmit and delivery capture 48 bytes: an 8-byte fabric pointer plus a
@@ -18,20 +16,15 @@
 
 namespace hg::sim {
 
-template <class Sig>
-class BasicSmallFn;
-
-template <class R, class... Args>
-class BasicSmallFn<R(Args...)> {
+class SmallFn {
  public:
   static constexpr std::size_t kInlineBytes = 48;
 
-  BasicSmallFn() = default;
+  SmallFn() = default;
 
   template <class F, class D = std::decay_t<F>,
-            class = std::enable_if_t<!std::is_same_v<D, BasicSmallFn> &&
-                                     std::is_invocable_r_v<R, D&, Args...>>>
-  BasicSmallFn(F&& fn) {  // NOLINT(google-explicit-constructor): mirrors std::function
+            class = std::enable_if_t<!std::is_same_v<D, SmallFn> && std::is_invocable_v<D&>>>
+  SmallFn(F&& fn) {  // NOLINT(google-explicit-constructor): mirrors std::function
     if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
@@ -42,14 +35,14 @@ class BasicSmallFn<R(Args...)> {
     }
   }
 
-  BasicSmallFn(BasicSmallFn&& o) noexcept : ops_(o.ops_) {
+  SmallFn(SmallFn&& o) noexcept : ops_(o.ops_) {
     if (ops_ != nullptr) {
       ops_->relocate(buf_, o.buf_);
       o.ops_ = nullptr;
     }
   }
 
-  BasicSmallFn& operator=(BasicSmallFn&& o) noexcept {
+  SmallFn& operator=(SmallFn&& o) noexcept {
     if (this != &o) {
       reset();
       ops_ = o.ops_;
@@ -61,10 +54,10 @@ class BasicSmallFn<R(Args...)> {
     return *this;
   }
 
-  BasicSmallFn(const BasicSmallFn&) = delete;
-  BasicSmallFn& operator=(const BasicSmallFn&) = delete;
+  SmallFn(const SmallFn&) = delete;
+  SmallFn& operator=(const SmallFn&) = delete;
 
-  ~BasicSmallFn() { reset(); }
+  ~SmallFn() { reset(); }
 
   void reset() {
     if (ops_ != nullptr) {
@@ -78,11 +71,11 @@ class BasicSmallFn<R(Args...)> {
   // Whether the callable lives in the inline buffer (introspection/tests).
   [[nodiscard]] bool is_inline() const { return ops_ != nullptr && ops_->inline_storage; }
 
-  R operator()(Args... args) { return ops_->invoke(buf_, std::forward<Args>(args)...); }
+  void operator()() { ops_->invoke(buf_); }
 
  private:
   struct Ops {
-    R (*invoke)(void*, Args&&...);
+    void (*invoke)(void*);
     // Move-construct *src into dst, then destroy *src.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
@@ -92,9 +85,7 @@ class BasicSmallFn<R(Args...)> {
   template <class D>
   static const Ops* inline_ops() {
     static constexpr Ops ops{
-        [](void* p, Args&&... args) -> R {
-          return (*std::launder(reinterpret_cast<D*>(p)))(std::forward<Args>(args)...);
-        },
+        [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); },
         [](void* dst, void* src) noexcept {
           D* s = std::launder(reinterpret_cast<D*>(src));
           ::new (dst) D(std::move(*s));
@@ -109,9 +100,7 @@ class BasicSmallFn<R(Args...)> {
   template <class D>
   static const Ops* heap_ops() {
     static constexpr Ops ops{
-        [](void* p, Args&&... args) -> R {
-          return (**std::launder(reinterpret_cast<D**>(p)))(std::forward<Args>(args)...);
-        },
+        [](void* p) { (**std::launder(reinterpret_cast<D**>(p)))(); },
         [](void* dst, void* src) noexcept {
           ::new (dst) D*(*std::launder(reinterpret_cast<D**>(src)));
         },
@@ -124,8 +113,5 @@ class BasicSmallFn<R(Args...)> {
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
-
-// The event queue's callback type: nullary, void.
-using SmallFn = BasicSmallFn<void()>;
 
 }  // namespace hg::sim

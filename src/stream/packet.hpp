@@ -48,10 +48,6 @@ struct StreamConfig {
   return gossip::EventId{window, index};
 }
 
-[[nodiscard]] inline bool is_parity(gossip::EventId id, const StreamConfig& cfg) {
-  return id.index() >= cfg.data_per_window;
-}
-
 // Deterministic pseudo-random data payload for (window, index): the decoder
 // side can verify reconstructed windows byte-for-byte without shipping a
 // reference stream around. The vector form feeds the FEC codec; the

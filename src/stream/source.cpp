@@ -53,7 +53,6 @@ void StreamSource::emit_next() {
   if (!config_.real_payloads) {
     // No payload bytes exist anywhere in a virtual run.
     publish_(gossip::Event{id, {}, static_cast<std::uint32_t>(config_.packet_bytes)});
-    ++packets_published_;
     advance_cursor();
     return;
   }
@@ -78,7 +77,6 @@ void StreamSource::emit_next() {
   }
 
   publish_(gossip::Event{id, std::move(payload)});
-  ++packets_published_;
   advance_cursor();
 }
 

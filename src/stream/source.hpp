@@ -38,7 +38,6 @@ class StreamSource {
   [[nodiscard]] sim::SimTime window_complete_time(std::uint32_t window) const;
 
   [[nodiscard]] std::uint32_t windows_total() const { return windows_total_; }
-  [[nodiscard]] std::uint64_t packets_published() const { return packets_published_; }
   [[nodiscard]] const StreamConfig& config() const { return config_; }
   [[nodiscard]] const fec::WindowCodec* codec() const { return codec_; }
 
@@ -56,7 +55,6 @@ class StreamSource {
   std::uint32_t windows_total_ = 0;
   std::uint32_t next_window_ = 0;
   std::uint16_t next_index_ = 0;
-  std::uint64_t packets_published_ = 0;
   bool stopped_ = false;
   // Real mode: data packets of the in-progress window, for parity encoding.
   std::vector<std::vector<std::uint8_t>> window_data_;

@@ -24,8 +24,7 @@ struct AggSwarm {
            std::uint64_t seed = 5)
       : engine(seed, capabilities_kbps.size(), {}),
         sim(engine.sim_of(0)),
-        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(20)),
-               std::make_unique<net::NoLoss>()),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(20))),
         directory(engine, membership::DetectionConfig{}) {
     const auto n = capabilities_kbps.size();
     for (std::uint32_t i = 0; i < n; ++i) directory.add_node(NodeId{i});
@@ -163,8 +162,7 @@ struct RoundProbe {
   explicit RoundProbe(AggregationConfig config, std::uint32_t n = 48, std::uint64_t seed = 7)
       : engine(seed, n, {}),
         sim(engine.sim_of(0)),
-        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::zero()),
-               std::make_unique<net::NoLoss>()),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::zero())),
         directory(engine, membership::DetectionConfig{}),
         cfg(config) {
     for (std::uint32_t i = 0; i < n; ++i) directory.add_node(NodeId{i});

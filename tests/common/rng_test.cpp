@@ -55,6 +55,21 @@ TEST(Rng, ChanceExtremes) {
   }
 }
 
+// The fabric draws loss through chance(loss_rate) on the stream latency
+// also draws from: a rate of 0 or 1 must consume nothing, or every
+// loss-free run's latencies would move.
+TEST(Rng, ChanceAtZeroOrOneConsumesNoDraw) {
+  Rng rng(5);
+  Rng reference(5);
+  for (int i = 0; i < 100; ++i) {
+    (void)rng.chance(0.0);
+    (void)rng.chance(1.0);
+    (void)rng.chance(-0.5);
+    (void)rng.chance(1.5);
+  }
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.next(), reference.next());
+}
+
 TEST(Rng, ChanceMatchesProbability) {
   Rng rng(9);
   int hits = 0;

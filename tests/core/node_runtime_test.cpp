@@ -28,8 +28,7 @@ struct Swarm {
   explicit Swarm(const std::vector<Mode>& modes, BitRate cap = BitRate::kbps(1000))
       : engine(17, modes.size(), {}),
         sim(engine.sim_of(0)),
-        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
-               std::make_unique<net::NoLoss>()),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10))),
         directory(engine, membership::DetectionConfig{}) {
     const auto n = static_cast<std::uint32_t>(modes.size());
     for (std::uint32_t i = 0; i < n; ++i) directory.add_node(NodeId{i});
@@ -152,8 +151,7 @@ TEST(NodeRuntime, DeliverySignalFansOutToSubscribersInOrder) {
   // k-th packet, the player has already counted that packet.
   sim::ShardedEngine engine(19, 2, {});
   sim::Simulator& sim = engine.sim_of(0);
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
-                            std::make_unique<net::NoLoss>());
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)));
   membership::Directory directory(engine, membership::DetectionConfig{});
   for (std::uint32_t i = 0; i < 2; ++i) directory.add_node(NodeId{i});
 
@@ -203,8 +201,7 @@ TEST(NodeRuntime, CustomStackMultiplexesGossipAggregationAndFecOnOnePort) {
   constexpr std::size_t kN = 6;
   sim::ShardedEngine engine(31, kN, {});
   sim::Simulator& sim = engine.sim_of(0);
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
-                            std::make_unique<net::NoLoss>());
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)));
   membership::Directory directory(engine, membership::DetectionConfig{});
   for (std::uint32_t i = 0; i < kN; ++i) directory.add_node(NodeId{i});
 
@@ -275,8 +272,7 @@ TEST(NodeRuntime, FreeriderAdvertisingLowCapabilityContributesLess) {
   constexpr std::size_t kN = 20;
   sim::ShardedEngine engine(23, kN, {});
   sim::Simulator& sim = engine.sim_of(0);
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
-                            std::make_unique<net::NoLoss>());
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)));
   membership::Directory directory(engine, membership::DetectionConfig{});
   std::vector<std::unique_ptr<NodeRuntime>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) directory.add_node(NodeId{i});

@@ -64,6 +64,19 @@ TEST(AdaptiveFanoutDeathTest, NanBaseFanoutAbortsLoudly) {
   EXPECT_DEATH(AdaptiveFanout(BitRate::kbps(512), &est, cfg), "NaN");
 }
 
+// max_fanout is the upper bound of the target's clamp: a negative cap would
+// break the clamp's precondition and mute the node, and NaN would mean no
+// cap at all.
+TEST(AdaptiveFanoutDeathTest, NegativeOrNanMaxFanoutRejected) {
+  FakeEstimator est(691'000.0);
+  for (const double cap : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    AdaptiveFanoutConfig cfg;
+    cfg.max_fanout = cap;
+    EXPECT_DEATH(AdaptiveFanout(BitRate::kbps(512), &est, cfg),
+                 "AdaptiveFanoutConfig::max_fanout must not be negative or NaN");
+  }
+}
+
 TEST(AdaptiveFanout, PaperEquationFp) {
   // ms-691: b̄=691 kbps, f=7. Expected targets: 512k -> 5.19, 1M -> 10.37,
   // 3M -> 31.1 (paper Eq. 1 with the aggregation estimate).

@@ -23,8 +23,7 @@ double run_delivery_fraction(std::size_t n, double fanout, std::uint64_t seed,
                              bool heterogeneous = false) {
   sim::ShardedEngine engine(seed, n, {});
   sim::Simulator& sim = engine.sim_of(0);
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
-                            std::make_unique<net::NoLoss>());
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)));
   membership::Directory directory(engine, membership::DetectionConfig{});
   std::vector<std::unique_ptr<membership::LocalView>> views;
   std::vector<std::unique_ptr<FixedFanout>> policies;

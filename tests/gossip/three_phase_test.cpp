@@ -25,9 +25,7 @@ struct Swarm {
       : engine(seed, n, {}),
         sim(engine.sim_of(0)),
         fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(15)),
-               loss > 0
-                   ? std::unique_ptr<net::LossModel>(std::make_unique<net::BernoulliLoss>(loss))
-                   : std::unique_ptr<net::LossModel>(std::make_unique<net::NoLoss>())),
+               net::FabricConfig{.loss_rate = loss}),
         directory(engine, membership::DetectionConfig{}) {
     delivered.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) directory.add_node(NodeId{i});

@@ -166,8 +166,7 @@ TEST(ByteWriter, FinishTransfersOwnershipWithoutCopy) {
 TEST(BufferPool, SteadyStateWirePathIsAllocationFree) {
   sim::ShardedEngine engine(7, 2, {});
   sim::Simulator& sim = engine.sim_of(0);
-  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::ms(2)),
-                       std::make_unique<NoLoss>());
+  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::ms(2)));
   constexpr std::size_t kBatch = 8;
   constexpr std::size_t kPayloadBytes = 1316;
 
@@ -241,8 +240,7 @@ TEST(BufferPool, GossipSwarmSteadyStateRecyclesChunks) {
   constexpr std::uint32_t kNodes = 8;
   sim::ShardedEngine engine(99, kNodes, {});
   sim::Simulator& sim = engine.sim_of(0);
-  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::ms(5)),
-                       std::make_unique<NoLoss>());
+  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::ms(5)));
   membership::Directory directory(engine, membership::DetectionConfig{});
   for (std::uint32_t i = 0; i < kNodes; ++i) directory.add_node(NodeId{i});
 

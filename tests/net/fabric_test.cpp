@@ -18,12 +18,11 @@ struct Harness {
   std::vector<std::vector<Datagram>> received;
 
   explicit Harness(std::size_t nodes, double loss = 0.0,
-                   sim::SimTime latency = sim::SimTime::ms(10))
-      : engine(42, nodes, {}),
+                   sim::SimTime latency = sim::SimTime::ms(10), std::uint32_t partitions = 1)
+      : engine(42, nodes, {.partitions = partitions, .workers = partitions, .epoch = latency}),
         sim(engine.sim_of(0)),
         fabric(engine, std::make_unique<ConstantLatency>(latency),
-               loss > 0 ? std::unique_ptr<LossModel>(std::make_unique<BernoulliLoss>(loss))
-                        : std::unique_ptr<LossModel>(std::make_unique<NoLoss>())) {
+               FabricConfig{.loss_rate = loss}) {
     received.resize(nodes);
     for (std::size_t i = 0; i < nodes; ++i) {
       const NodeId id{static_cast<std::uint32_t>(i)};
@@ -91,11 +90,32 @@ TEST(Fabric, DeadReceiverDropsInFlight) {
   EXPECT_TRUE(h.received[1].empty());
 }
 
+// A send to an already-crashed node is dropped at the sender, after the
+// loss and latency draws, at every partition count: it counts in
+// filtered_dead and never becomes a delivery event.
+TEST(Fabric, CrashedDestinationIsDroppedAtTheSender) {
+  for (const std::uint32_t partitions : {1u, 2u}) {
+    // At two partitions (on two workers) 0 -> 1 stays on the sender's
+    // partition and 0 -> 3 crosses to the other one.
+    Harness h(4, /*loss=*/0.0, sim::SimTime::ms(10), partitions);
+    h.fabric.kill(NodeId{1});
+    h.fabric.kill(NodeId{3});
+    h.fabric.send(NodeId{0}, NodeId{1}, MsgClass::kPropose, make_bytes(10));
+    h.fabric.send(NodeId{0}, NodeId{3}, MsgClass::kPropose, make_bytes(10));
+    h.engine.run_until(sim::SimTime::sec(1));
+    // Only the upload link's two transmit completions ran.
+    EXPECT_EQ(h.engine.events_executed(), 2u) << "partitions=" << partitions;
+    EXPECT_EQ(h.fabric.superstep_counters().filtered_dead, 2u) << "partitions=" << partitions;
+    EXPECT_EQ(h.fabric.datagrams_delivered(), 0u) << "partitions=" << partitions;
+    EXPECT_EQ(h.fabric.meter(NodeId{1}).total_received_bytes(), 0);
+    EXPECT_EQ(h.fabric.meter(NodeId{3}).total_received_bytes(), 0);
+  }
+}
+
 TEST(Fabric, UploadCapacitySerializesTraffic) {
   sim::ShardedEngine engine(7, 2, {});
   sim::Simulator& s = engine.sim_of(0);
-  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::zero()),
-                       std::make_unique<NoLoss>());
+  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::zero()));
   std::vector<sim::SimTime> arrival;
   // 1000 bps sender: each 125-byte wire datagram takes 1 s to push out.
   fabric.register_node(NodeId{0}, BitRate::bps(1000), nullptr);
@@ -127,8 +147,7 @@ TEST(Fabric, SlicedBatchMetersLikeIndividualDatagrams) {
 
 TEST(FabricDeathTest, RegisterNodeEnforcesConsecutiveIds) {
   sim::ShardedEngine engine(1, 3, {});
-  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::ms(1)),
-                       std::make_unique<NoLoss>());
+  NetworkFabric fabric(engine, std::make_unique<ConstantLatency>(sim::SimTime::ms(1)));
   fabric.register_node(NodeId{0}, BitRate::unlimited(), nullptr);
   // Skipping an id breaks entry()'s index-by-id contract: must abort loudly,
   // not corrupt the entry table.
@@ -137,6 +156,13 @@ TEST(FabricDeathTest, RegisterNodeEnforcesConsecutiveIds) {
   // Re-registering an existing id is equally fatal.
   EXPECT_DEATH(fabric.register_node(NodeId{0}, BitRate::unlimited(), nullptr),
                "consecutive ids");
+}
+
+TEST(FabricDeathTest, SendToUnregisteredNodeAborts) {
+  Harness h(4);
+  // Rejected at the call that is wrong, before it is metered or queued.
+  EXPECT_DEATH(h.fabric.send(NodeId{0}, NodeId{999}, MsgClass::kPropose, make_bytes(10)),
+               "send to node 999, which is not registered");
 }
 
 TEST(Fabric, PlanetLabLatencyIsStablePerPair) {

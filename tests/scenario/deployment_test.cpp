@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "aggregation/aggregation_module.hpp"
 #include "gossip/gossip_module.hpp"
 #include "scenario/experiment.hpp"
@@ -107,6 +109,36 @@ TEST(DeploymentBuilderDeathTest, ZeroStreamWindowsRejected) {
   stream.windows = 0;
   EXPECT_DEATH(Deployment::Builder{}.population(tiny_population(5)).stream(stream).build(),
                "StreamPlan::windows must be positive");
+}
+
+TEST(DeploymentBuilderDeathTest, NegativeMaxFanoutRejected) {
+  PopulationPlan plan = tiny_population(5);
+  plan.node.mode = core::Mode::kHeap;  // the mode that builds AdaptiveFanout
+  plan.node.max_fanout = -1.0;
+  EXPECT_DEATH(Deployment::Builder{}.population(plan).build(),
+               "AdaptiveFanoutConfig::max_fanout must not be negative or NaN");
+}
+
+TEST(DeploymentBuilderDeathTest, LossRateOutsideUnitIntervalRejected) {
+  for (const double rate : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    NetworkPlan network;
+    network.loss_rate = rate;
+    EXPECT_DEATH(Deployment::Builder{}.population(tiny_population(5)).network(network).build(),
+                 "FabricConfig::loss_rate must be within");
+  }
+}
+
+// Superstep epochs are the latency floor: with none, cross-partition
+// datagrams could arrive inside the epoch that sent them.
+TEST(DeploymentBuilderDeathTest, ZeroLatencyFloorWithPartitionsRejected) {
+  NetworkPlan network;
+  network.latency.min_ms = 0.0;
+  EXPECT_DEATH(Deployment::Builder{}
+                   .population(tiny_population(5))
+                   .network(network)
+                   .parallel(ParallelPlan{.workers = 1, .partitions = 2})
+                   .build(),
+               "multiple partitions require a positive epoch width");
 }
 
 TEST(DeploymentBuilder, GossipWindowGeometryFollowsTheStream) {

@@ -137,8 +137,7 @@ TEST(ShardedEngine, CountsEventsAcrossPartitions) {
 std::vector<std::uint32_t> arrival_order(std::size_t workers) {
   constexpr std::size_t kNodes = 12;
   ShardedEngine engine(99, kNodes, {.partitions = 4, .workers = workers, .epoch = SimTime::ms(10)});
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
-                            std::make_unique<net::NoLoss>());
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)));
   std::vector<std::uint32_t> order;
   for (std::uint32_t i = 0; i < kNodes; ++i) {
     fabric.register_node(NodeId{i}, BitRate::unlimited(),
@@ -263,8 +262,7 @@ ExchangeRun exchange_run(std::uint32_t partitions, std::size_t workers) {
   constexpr std::uint32_t kNodes = 24;
   ShardedEngine engine(123, kNodes,
                        {.partitions = partitions, .workers = workers, .epoch = SimTime::ms(5)});
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(10)),
-                            std::make_unique<net::NoLoss>());
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(10)));
   ExchangeRun run;
   run.sent.resize(kNodes);
   // A node's deliveries run on its partition's worker, so each slot is
@@ -317,8 +315,7 @@ TEST(ShardedEngine, OversizedPayloadSurvivesExchange) {
   // the unpooled allocation path on import; contents must arrive intact.
   constexpr std::size_t kBig = 300 * 1024;
   ShardedEngine engine(5, 4, {.partitions = 2, .workers = 1, .epoch = SimTime::ms(1)});
-  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(2)),
-                            std::make_unique<net::NoLoss>());
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(2)));
   std::vector<std::uint8_t> got;
   for (std::uint32_t i = 0; i < 4; ++i) {
     fabric.register_node(NodeId{i}, BitRate::unlimited(), [&got](const net::Datagram& d) {
@@ -338,8 +335,7 @@ TEST(ShardedEngine, SplitRunKeepsDatagramsSentAtTheBound) {
   // whether or not the run is split at that bound.
   for (const bool split : {false, true}) {
     ShardedEngine engine(3, 4, {.partitions = 2, .workers = 1, .epoch = SimTime::ms(1)});
-    net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(2)),
-                              std::make_unique<net::NoLoss>());
+    net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(SimTime::ms(2)));
     std::vector<SimTime> arrivals;
     for (std::uint32_t i = 0; i < 4; ++i) {
       fabric.register_node(NodeId{i}, BitRate::unlimited(), [&](const net::Datagram&) {
