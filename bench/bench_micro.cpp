@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 
 #include "aggregation/freshness_aggregator.hpp"
 #include "common/rng.hpp"
@@ -21,39 +22,47 @@ namespace {
 
 using namespace hg;
 
-// GF(256) slice kernels: the scalar log/exp loop vs the runtime-dispatched
-// split-nibble SIMD path (PSHUFB / NEON TBL). Identical bytes by contract
-// (gf256_test.cpp proves it); this row tracks the speedup.
-void BM_Gf256MulAddScalar(benchmark::State& state) {
+// GF(256) mul_add, one row per kernel this CPU runs (GFNI, SSSE3 or NEON,
+// and the scalar log/exp loop), labelled with the kernel's name. Identical
+// bytes by contract (gf256_test.cpp proves it); the rows track the speedups.
+void BM_Gf256MulAdd(benchmark::State& state, fec::GF256::MulAddFn mul_add, const char* name) {
   const auto len = static_cast<std::size_t>(state.range(0));
   std::vector<std::uint8_t> dst(len, 0), src(len);
   for (std::size_t i = 0; i < len; ++i) src[i] = static_cast<std::uint8_t>(i * 37 + 11);
   std::uint8_t coeff = 1;
+  state.SetLabel(name);
   for (auto _ : state) {
-    fec::GF256::mul_add_slice_scalar(dst.data(), src.data(), len, coeff);
+    mul_add(dst.data(), src.data(), len, coeff);
     coeff = static_cast<std::uint8_t>(coeff + 2);  // odd: never the 0 fast path
     benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(len));
 }
-BENCHMARK(BM_Gf256MulAddScalar)->Arg(64)->Arg(1316);
 
-void BM_Gf256MulAddSimd(benchmark::State& state) {
-  const auto len = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint8_t> dst(len, 0), src(len);
-  for (std::size_t i = 0; i < len; ++i) src[i] = static_cast<std::uint8_t>(i * 37 + 11);
-  std::uint8_t coeff = 1;
-  state.SetLabel(fec::GF256::simd_level_name());
-  for (auto _ : state) {
-    fec::GF256::mul_add_slice(dst.data(), src.data(), len, coeff);
-    coeff = static_cast<std::uint8_t>(coeff + 2);
-    benchmark::DoNotOptimize(dst.data());
+[[maybe_unused]] const bool kGf256MulAddRegistered = [] {
+  for (const fec::GF256::Kernel& k : fec::GF256::kernels()) {
+    if (!k.supported) continue;
+    const std::string name = std::string("BM_Gf256MulAdd/") + k.name;
+    auto* bench = benchmark::RegisterBenchmark(name.c_str(), BM_Gf256MulAdd, k.mul_add, k.name);
+    bench->Arg(64)->Arg(1316);
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(len));
+  return true;
+}();
+
+// Building the paper codec: the closed-form generator's k^2 + ~2mk field
+// operations.
+void BM_FecCodecBuild(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  for (auto _ : state) {
+    fec::WindowCodec codec({.data_per_window = k, .parity_per_window = m,
+                            .packet_bytes = 1316});
+    benchmark::DoNotOptimize(&codec);
+  }
 }
-BENCHMARK(BM_Gf256MulAddSimd)->Arg(64)->Arg(1316);
+BENCHMARK(BM_FecCodecBuild)->Args({101, 9});
 
 // Raw ReedSolomon decode at the paper window: the all-data fast path (pure
 // validation + copy) vs an e-erasure repair (e*(k-e) syndrome mul_adds, an

@@ -2,21 +2,26 @@
 //
 // Log/antilog tables make multiply/divide O(1); mul_add_slice is the bulk
 // operation the Reed-Solomon coder spends its time in. The slice kernels
-// are runtime-dispatched: on x86 with SSSE3 (or aarch64 with NEON) they use
-// split-nibble table lookups (two 16-entry tables per coefficient, combined
-// with PSHUFB/TBL), falling back to the scalar log/exp loop elsewhere. Both
-// paths are bit-identical — GF(256) arithmetic is exact, so the dispatch
-// never affects simulation results, only throughput.
+// are runtime-dispatched, first supported wins:
+//   gfni   x86 with AVX2 + GFNI: GF2P8MULB multiplies 32 bytes per
+//          instruction in this very field;
+//   ssse3  x86 with SSSE3: split-nibble table lookups (two 16-entry tables
+//          per coefficient, combined with PSHUFB);
+//   neon   aarch64: the same split-nibble lookups with TBL;
+//   scalar everywhere: the log/exp loop.
+// Every kernel computes the same bytes — GF(256) arithmetic is exact, so the
+// dispatch never affects simulation results, only throughput.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace hg::fec {
 
 class GF256 {
  public:
-  enum class SimdLevel : std::uint8_t { kScalar, kSsse3, kNeon };
+  enum class SimdLevel : std::uint8_t { kScalar, kSsse3, kNeon, kGfni };
   [[nodiscard]] static std::uint8_t add(std::uint8_t a, std::uint8_t b) {
     return a ^ b;  // characteristic 2: addition == subtraction == XOR
   }
@@ -36,12 +41,24 @@ class GF256 {
   // dst[i] = coeff * dst[i]
   static void scale_slice(std::uint8_t* dst, std::size_t n, std::uint8_t coeff);
 
-  // The portable log/exp loops behind the dispatched kernels. Public so
-  // tests and benches can pin the scalar path and compare it byte-for-byte
-  // against whatever simd_level() selected.
-  static void mul_add_slice_scalar(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                                   std::uint8_t coeff);
-  static void scale_slice_scalar(std::uint8_t* dst, std::size_t n, std::uint8_t coeff);
+  using MulAddFn = void (*)(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
+                            std::uint8_t coeff);
+  using ScaleFn = void (*)(std::uint8_t* dst, std::size_t n, std::uint8_t coeff);
+
+  // One slice kernel built into this binary: its two slice operations, with
+  // the contracts of mul_add_slice and scale_slice.
+  struct Kernel {
+    SimdLevel level;
+    const char* name;
+    MulAddFn mul_add;
+    ScaleFn scale;
+    bool supported;  // this CPU can run it
+  };
+  // Every kernel built for this target, in dispatch order (see the file
+  // comment), ending with the scalar loops, which every CPU runs. Tests and
+  // benches reach each supported kernel through it, not only the one
+  // dispatch picked.
+  [[nodiscard]] static std::span<const Kernel> kernels();
 
   // Which slice kernel the dispatcher selected for this process.
   [[nodiscard]] static SimdLevel simd_level();
@@ -54,6 +71,11 @@ class GF256 {
     std::uint8_t inv[256];
   };
   static const Tables& tables();
+
+  // The portable log/exp loops: the scalar entry of kernels().
+  static void mul_add_slice_scalar(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
+                                   std::uint8_t coeff);
+  static void scale_slice_scalar(std::uint8_t* dst, std::size_t n, std::uint8_t coeff);
 };
 
 }  // namespace hg::fec

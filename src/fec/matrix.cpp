@@ -10,40 +10,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::vandermonde(std::size_t rows, std::size_t cols) {
-  HG_ASSERT_MSG(rows <= 255, "GF(256) Vandermonde needs distinct nonzero points");
-  Matrix m(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto point = static_cast<std::uint8_t>(r + 1);
-    for (std::size_t c = 0; c < cols; ++c) {
-      m.set(r, c, GF256::pow(point, static_cast<unsigned>(c)));
-    }
-  }
-  return m;
-}
-
-Matrix Matrix::multiply(const Matrix& other) const {
-  HG_ASSERT(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const std::uint8_t a = at(r, k);
-      if (a == 0) continue;
-      GF256::mul_add_slice(out.row(r), other.row(k), other.cols_, a);
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::select_rows(const std::vector<std::size_t>& indices) const {
-  Matrix out(indices.size(), cols_);
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    HG_ASSERT(indices[i] < rows_);
-    for (std::size_t c = 0; c < cols_; ++c) out.set(i, c, at(indices[i], c));
-  }
-  return out;
-}
-
 Matrix Matrix::inverted() const {
   HG_ASSERT(rows_ == cols_);
   const std::size_t n = rows_;

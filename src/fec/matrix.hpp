@@ -1,5 +1,6 @@
-// Dense matrices over GF(256): just enough linear algebra for Reed-Solomon
-// (construction, multiplication, Gaussian inversion).
+// Dense matrices over GF(256): storage for the Reed-Solomon generator and
+// the Gauss-Jordan inverse that erasure repair applies to the e x e block of
+// that generator at the erased shards.
 #pragma once
 
 #include <cstdint>
@@ -16,9 +17,6 @@ class Matrix {
       : rows_(rows), cols_(cols), data_(rows * cols, 0) {}
 
   [[nodiscard]] static Matrix identity(std::size_t n);
-  // Vandermonde: a[r][c] = (r+1)^c. Any square submatrix built from distinct
-  // evaluation points is invertible — the property erasure codes rely on.
-  [[nodiscard]] static Matrix vandermonde(std::size_t rows, std::size_t cols);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -34,9 +32,6 @@ class Matrix {
   [[nodiscard]] const std::uint8_t* row(std::size_t r) const { return &data_[r * cols_]; }
   [[nodiscard]] std::uint8_t* row(std::size_t r) { return &data_[r * cols_]; }
 
-  [[nodiscard]] Matrix multiply(const Matrix& other) const;
-  // Returns a matrix made of the selected rows, in the given order.
-  [[nodiscard]] Matrix select_rows(const std::vector<std::size_t>& indices) const;
   // Gauss-Jordan inverse. Asserts the matrix is square and invertible
   // (callers only invert matrices that are invertible by construction).
   [[nodiscard]] Matrix inverted() const;

@@ -7,23 +7,41 @@
 
 namespace hg::fec {
 
+namespace {
+
+// Shard x's evaluation point: distinct and nonzero for every x < 255.
+std::uint8_t point(std::size_t x) { return static_cast<std::uint8_t>(x + 1); }
+
+}  // namespace
+
 ReedSolomon::ReedSolomon(std::size_t k, std::size_t m) : k_(k), m_(m) {
   // m == 0 is the degenerate parity-free code: encode() returns no shards
   // and decode() only succeeds when every data shard is present. WindowCodec
   // relies on it for the retransmission-only ablation arm.
   HG_ASSERT(k >= 1);
   HG_ASSERT_MSG(k + m <= 255, "GF(256) supports at most 255 shards");
-  // E = V * inverse(V_top): top k rows become the identity while every
-  // k-row subset stays invertible (right-multiplication by an invertible
-  // matrix preserves the rank of any row selection).
-  const Matrix v = Matrix::vandermonde(k + m, k);
-  std::vector<std::size_t> top(k);
-  for (std::size_t i = 0; i < k; ++i) top[i] = i;
-  enc_ = v.multiply(v.select_rows(top).inverted());
-  // Sanity: systematic part must be the identity.
-  for (std::size_t r = 0; r < k; ++r) {
-    for (std::size_t c = 0; c < k; ++c) {
-      HG_ASSERT(enc_.at(r, c) == (r == c ? 1 : 0));
+  enc_ = Matrix(k + m, k);
+  for (std::size_t i = 0; i < k; ++i) enc_.set(i, i, 1);
+  // Parity row r holds the Lagrange basis of the data points evaluated at
+  // point(r), writing d(a, b) = point(a) - point(b):
+  //   enc[r][i] = prod_{j != i} d(r, j) / prod_{j != i} d(i, j)
+  //             = full(r) / (d(r, i) * denom(i)),  full(r) = prod_j d(r, j).
+  // That is the unique row e with sum_i e[i] * p(point(i)) == p(point(r)) for
+  // every polynomial p of degree < k, i.e. row r of V * inverse(V_top) for
+  // the (k+m) x k matrix V[x][c] = point(x)^c: an MDS generator whose top k
+  // rows are the identity.
+  const auto d = [](std::size_t a, std::size_t b) { return GF256::sub(point(a), point(b)); };
+  std::vector<std::uint8_t> denom(k, 1);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      if (j != i) denom[i] = GF256::mul(denom[i], d(i, j));
+    }
+  }
+  for (std::size_t r = k; r < k + m; ++r) {
+    std::uint8_t full = 1;
+    for (std::size_t j = 0; j < k; ++j) full = GF256::mul(full, d(r, j));
+    for (std::size_t i = 0; i < k; ++i) {
+      enc_.set(r, i, GF256::div(full, GF256::mul(d(r, i), denom[i])));
     }
   }
 }

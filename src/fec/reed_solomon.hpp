@@ -4,8 +4,10 @@
 // data unchanged — *systematic* coding, which the paper relies on: a node
 // that cannot decode a window still plays the raw stream packets it did
 // receive); the bottom m rows make every k-subset of the n=k+m rows
-// invertible (Vandermonde construction, normalized so parity rows stay
-// independent together with identity rows).
+// invertible. Parity row r is the Lagrange basis of the k data points
+// evaluated at parity point r (shard x's point is x + 1), computed in closed
+// form: k^2 multiplies for the shared denominators, then about 2*m*k field
+// operations for the parity rows.
 //
 // Decoding is erasure-only and exploits the identity block: with e data
 // shards erased, the first e present parity rows minus the contribution of

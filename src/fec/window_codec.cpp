@@ -6,8 +6,8 @@ namespace hg::fec {
 
 WindowCodecConfig WindowCodec::validated(WindowCodecConfig config) {
   // Validate here, before the ReedSolomon member is built: a bad config must
-  // fail with a message naming the codec contract, not an assert deep inside
-  // the Vandermonde construction.
+  // fail with a message naming the codec contract, not an assert inside the
+  // ReedSolomon constructor.
   HG_ASSERT_MSG(config.data_per_window >= 1, "window needs at least one data packet");
   HG_ASSERT_MSG(config.data_per_window + config.parity_per_window <= 255,
                 "GF(256) windows hold at most 255 packets");

@@ -54,6 +54,8 @@ struct PlanetLabLatencyConfig {
 // ops, so the stateless form is both smaller and not measurably slower.
 class PlanetLabLatency final : public LatencyModel {
  public:
+  // Asserts every field of cfg is finite, min_ms, jitter_max_ms and
+  // log_sigma are not negative, and max_ms is not below min_ms.
   PlanetLabLatency(PlanetLabLatencyConfig cfg, Rng rng);
   sim::SimTime sample(NodeId src, NodeId dst, Rng& rng) override;
   // Bases are clamped to min_ms and jitter is non-negative.

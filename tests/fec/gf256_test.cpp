@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 
 namespace hg::fec {
+
+// Names a kernel test parameter by the kernel's name (gtest finds it by ADL),
+// not by its bytes.
+void PrintTo(const GF256::Kernel& kernel, std::ostream* os) { *os << kernel.name; }
+
 namespace {
 
 TEST(GF256, AddIsXor) {
@@ -197,53 +204,101 @@ TEST(GF256, ScaleSliceMatchesScalar) {
 }
 
 TEST(GF256, SimdLevelIsNamed) {
-  // Whatever the dispatcher picked must have a printable name; on machines
-  // without SSSE3/NEON the equivalence tests below degenerate to
-  // scalar-vs-scalar, which is fine — they must still pass.
+  // Whatever the dispatcher picked must have a printable name, the name of
+  // its entry in kernels().
   EXPECT_STRNE(GF256::simd_level_name(), "");
   if (GF256::simd_level() == GF256::SimdLevel::kScalar) {
     EXPECT_STREQ(GF256::simd_level_name(), "scalar");
   }
+  bool listed = false;
+  for (const GF256::Kernel& k : GF256::kernels()) {
+    if (k.level == GF256::simd_level()) {
+      EXPECT_STREQ(k.name, GF256::simd_level_name());
+      EXPECT_TRUE(k.supported);
+      listed = true;
+    }
+  }
+  EXPECT_TRUE(listed);
 }
 
-TEST(GF256, MulAddSliceSimdMatchesScalarEveryCoeff) {
-  // Randomized slices at awkward lengths (vector body + scalar tail, and
-  // sub-vector-width slices), every coefficient, dispatched-vs-scalar
-  // byte equality. Misaligned views of the same buffers are exercised via
-  // the +1 offset.
+TEST(GF256, DispatchPrefersGfni) {
+#if defined(__x86_64__) || defined(__i386__)
+  const bool gfni = __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("gfni") != 0;
+#else
+  const bool gfni = false;
+#endif
+  EXPECT_EQ(GF256::simd_level() == GF256::SimdLevel::kGfni, gfni) << GF256::simd_level_name();
+}
+
+// Randomized slices at awkward lengths (16- and 32-byte vector bodies with
+// and without scalar tails, and slices shorter than one vector), every
+// coefficient, compared with GF256::mul byte by byte. The +1 offset makes
+// every view misaligned.
+void expect_mul_add_matches_scalar(GF256::MulAddFn mul_add) {
   Rng rng(0xf3c5);
-  for (const std::size_t len : {std::size_t{1}, std::size_t{15}, std::size_t{16},
-                                std::size_t{17}, std::size_t{100}, std::size_t{1316}}) {
+  for (const std::size_t len : {1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 1316}) {
     std::vector<std::uint8_t> src(len + 1), base(len + 1);
     for (auto& b : src) b = static_cast<std::uint8_t>(rng.below(256));
     for (auto& b : base) b = static_cast<std::uint8_t>(rng.below(256));
     for (int c = 0; c < 256; ++c) {
       const auto coeff = static_cast<std::uint8_t>(c);
-      std::vector<std::uint8_t> dispatched = base;
-      std::vector<std::uint8_t> scalar = base;
-      GF256::mul_add_slice(dispatched.data() + 1, src.data() + 1, len, coeff);
-      GF256::mul_add_slice_scalar(scalar.data() + 1, src.data() + 1, len, coeff);
-      ASSERT_EQ(dispatched, scalar) << "len=" << len << " coeff=" << c;
+      std::vector<std::uint8_t> got = base;
+      std::vector<std::uint8_t> expect = base;
+      mul_add(got.data() + 1, src.data() + 1, len, coeff);
+      for (std::size_t i = 1; i <= len; ++i) expect[i] ^= GF256::mul(coeff, src[i]);
+      ASSERT_EQ(got, expect) << "len=" << len << " coeff=" << c;
     }
   }
 }
 
-TEST(GF256, ScaleSliceSimdMatchesScalarEveryCoeff) {
+void expect_scale_matches_scalar(GF256::ScaleFn scale) {
   Rng rng(0xa117);
-  for (const std::size_t len :
-       {std::size_t{1}, std::size_t{16}, std::size_t{33}, std::size_t{1316}}) {
+  for (const std::size_t len : {1, 16, 31, 32, 33, 63, 64, 65, 1316}) {
     std::vector<std::uint8_t> base(len + 1);
     for (auto& b : base) b = static_cast<std::uint8_t>(rng.below(256));
     for (int c = 0; c < 256; ++c) {
       const auto coeff = static_cast<std::uint8_t>(c);
-      std::vector<std::uint8_t> dispatched = base;
-      std::vector<std::uint8_t> scalar = base;
-      GF256::scale_slice(dispatched.data() + 1, len, coeff);
-      GF256::scale_slice_scalar(scalar.data() + 1, len, coeff);
-      ASSERT_EQ(dispatched, scalar) << "len=" << len << " coeff=" << c;
+      std::vector<std::uint8_t> got = base;
+      std::vector<std::uint8_t> expect = base;
+      scale(got.data() + 1, len, coeff);
+      for (std::size_t i = 1; i <= len; ++i) expect[i] = GF256::mul(coeff, expect[i]);
+      ASSERT_EQ(got, expect) << "len=" << len << " coeff=" << c;
     }
   }
 }
+
+// The dispatched entry points, as the codec calls them.
+TEST(GF256, MulAddSliceSimdMatchesScalarEveryCoeff) {
+  expect_mul_add_matches_scalar(&GF256::mul_add_slice);
+}
+
+TEST(GF256, ScaleSliceSimdMatchesScalarEveryCoeff) {
+  expect_scale_matches_scalar(&GF256::scale_slice);
+}
+
+// Every kernel built into the binary, not just the one dispatch picked: the
+// fallbacks are the only paths on CPUs without the faster instructions. A
+// kernel this CPU cannot run is skipped by name.
+class GF256Kernel : public ::testing::TestWithParam<GF256::Kernel> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().supported) GTEST_SKIP() << "this CPU cannot run kernel " << GetParam().name;
+  }
+};
+
+TEST_P(GF256Kernel, MulAddSliceMatchesScalarEveryCoeff) {
+  expect_mul_add_matches_scalar(GetParam().mul_add);
+}
+
+TEST_P(GF256Kernel, ScaleSliceMatchesScalarEveryCoeff) {
+  expect_scale_matches_scalar(GetParam().scale);
+}
+
+std::string kernel_name(const ::testing::TestParamInfo<GF256::Kernel>& info) {
+  return info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(, GF256Kernel, ::testing::ValuesIn(GF256::kernels()), kernel_name);
 
 }  // namespace
 }  // namespace hg::fec

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <iterator>
 
 #include "common/rng.hpp"
+#include "fec/gf256.hpp"
 
 namespace hg::fec {
 namespace {
@@ -23,6 +25,38 @@ TEST(ReedSolomon, SystematicEncodingMatrixShape) {
   const Matrix& e = rs.encoding_matrix();
   EXPECT_EQ(e.rows(), 6u);
   EXPECT_EQ(e.cols(), 4u);
+}
+
+// The generator as the V * inverse(V_top) product: V is the (k+m) x k
+// matrix V[x][c] = (x+1)^c and V_top its first k rows.
+Matrix vandermonde_generator(std::size_t k, std::size_t m) {
+  Matrix v(k + m, k);
+  Matrix top(k, k);
+  for (std::size_t x = 0; x < k + m; ++x) {
+    for (std::size_t c = 0; c < k; ++c) {
+      const std::uint8_t entry =
+          GF256::pow(static_cast<std::uint8_t>(x + 1), static_cast<unsigned>(c));
+      v.set(x, c, entry);
+      if (x < k) top.set(x, c, entry);
+    }
+  }
+  const Matrix inv = top.inverted();
+  Matrix e(k + m, k);
+  for (std::size_t r = 0; r < k + m; ++r) {
+    for (std::size_t i = 0; i < k; ++i) GF256::mul_add_slice(e.row(r), inv.row(i), k, v.at(r, i));
+  }
+  return e;
+}
+
+TEST(ReedSolomon, GeneratorMatchesVandermondeReference) {
+  // The closed-form generator is byte for byte the product it replaced, so
+  // every parity byte the codec has ever produced stays the same.
+  const std::size_t ks[] = {101, 1, 1, 254, 128, 200, 50, 16, 5, 2};
+  const std::size_t ms[] = {9, 0, 254, 1, 127, 55, 5, 4, 3, 2};
+  for (std::size_t g = 0; g < std::size(ks); ++g) {
+    EXPECT_EQ(ReedSolomon(ks[g], ms[g]).encoding_matrix(), vandermonde_generator(ks[g], ms[g]))
+        << "k=" << ks[g] << " m=" << ms[g];
+  }
 }
 
 TEST(ReedSolomon, AllDataPresentDecodesTrivially) {

@@ -28,6 +28,32 @@ TEST(WindowCodec, PaperDefaults) {
   EXPECT_EQ(codec.window_packets(), 110u);
 }
 
+TEST(WindowCodec, PaperGeometryParityIsPinned) {
+  // The parity bytes of one fixed paper-geometry window, pinned as a
+  // FNV-1a-64 of the 9 parity packets in order: no generator or kernel change
+  // may alter a byte on the wire. The benchmark digests never see payload
+  // bytes, so this is their only guard.
+  WindowCodec codec(WindowCodecConfig{});
+  const WindowCodecConfig& cfg = codec.config();
+  std::vector<std::vector<std::uint8_t>> data(cfg.data_per_window,
+                                              std::vector<std::uint8_t>(cfg.packet_bytes));
+  for (std::size_t p = 0; p < data.size(); ++p) {
+    for (std::size_t i = 0; i < cfg.packet_bytes; ++i) {
+      data[p][i] = static_cast<std::uint8_t>(p * 131 + i * 7 + 3);
+    }
+  }
+  const auto parity = codec.encode_window(data);
+  ASSERT_EQ(parity.size(), 9u);
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const auto& packet : parity) {
+    for (const std::uint8_t b : packet) {
+      hash ^= b;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(hash, 0xe1c3c2fd53ef2b23ull);
+}
+
 TEST(WindowCodec, DecodableIsCountingRule) {
   WindowCodec codec(small_config());
   EXPECT_FALSE(codec.decodable(0));

@@ -128,6 +128,33 @@ TEST(DeploymentBuilderDeathTest, LossRateOutsideUnitIntervalRejected) {
   }
 }
 
+// A latency config that would schedule deliveries into the past or break
+// std::clamp's precondition mid-run is rejected where the model is built,
+// one case per rule, each naming its field.
+TEST(DeploymentBuilderDeathTest, InvalidLatencyConfigRejected) {
+  const auto build = [](const net::PlanetLabLatencyConfig& latency) {
+    NetworkPlan network;
+    network.latency = latency;
+    (void)Deployment::Builder{}.population(tiny_population(5)).network(network).build();
+  };
+  net::PlanetLabLatencyConfig cfg;
+  cfg.log_mean_ms = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(build(cfg), "PlanetLabLatencyConfig::log_mean_ms must be finite");
+  cfg = {};
+  cfg.min_ms = -1.0;
+  EXPECT_DEATH(build(cfg), "PlanetLabLatencyConfig::min_ms must be finite and not negative");
+  cfg = {};
+  cfg.min_ms = 10.0;
+  cfg.max_ms = 5.0;
+  EXPECT_DEATH(build(cfg), "PlanetLabLatencyConfig::max_ms must be finite and not below min_ms");
+  cfg = {};
+  cfg.jitter_max_ms = -5.0;
+  EXPECT_DEATH(build(cfg), "PlanetLabLatencyConfig::jitter_max_ms must be finite and not negative");
+  cfg = {};
+  cfg.log_sigma = -0.5;
+  EXPECT_DEATH(build(cfg), "PlanetLabLatencyConfig::log_sigma must be finite and not negative");
+}
+
 // Superstep epochs are the latency floor: with none, cross-partition
 // datagrams could arrive inside the epoch that sent them.
 TEST(DeploymentBuilderDeathTest, ZeroLatencyFloorWithPartitionsRejected) {
